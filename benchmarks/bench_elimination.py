@@ -1,68 +1,130 @@
-"""Benchmark the modular elimination backends against each other.
+"""Time the modular elimination kernels on random and Jacobian-slice matrices.
 
-Runs the scalar row-reduction and the blocked rank-only elimination on
-matrices shaped like real Jacobian-ideal slices, once with the accelerated
-(numba) implementation and once with the plain-numpy fallback, and prints
-a timing table. The two backends must return identical ranks; the script
-exits nonzero if they ever disagree.
+Runs the scalar row reduction (``rref_mod``) and the blocked rank-only
+elimination (``blocked_rank_mod``) on two kinds of input, modulo both
+default primes:
+
+* random matrices of a requested rank, built exactly over F_p in shapes
+  like the Jacobian slices the pipeline eliminates;
+* real Jacobian generator slices (``jacobian_generator_coo``) of seeded
+  nodal fixtures, which are rank-deficient by the node count.
+
+Every kernel implementation available is timed (the numpy one always, the
+numba one when numba imports and ``NODALCERT_PURE_NUMPY`` is unset). Times
+are the sum over both primes, best of three runs for matrices of at most
+one million entries. The table shows which kernel is faster at each size;
+``rank_mod`` switches from scalar to blocked above ``_SCALAR_CUTOFF``
+entries. The last line of output is one JSON object with every timing.
+
+Any disagreement — scalar against blocked, numpy against numba, or a random
+matrix whose rank is not the requested one — is reported and makes the
+script exit 1.
 
 Usage:
-    python3 benchmarks/bench_elimination.py [--quick]
-
-The accelerated backend is skipped automatically when numba is not
-importable or NODALCERT_PURE_NUMPY=1 is set (the same switch the library
-honors at import time).
+    python3 benchmarks/bench_elimination.py [--quick] [--seed N]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from nodalcert._kernels import (
-    HAS_NUMBA,
-    IMPL_NUMPY,
-    blocked_rank_mod,
-    rref_mod,
-)
-from nodalcert.field import DEFAULT_PRIMES
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-P = DEFAULT_PRIMES[0]
+from nodalcert import _kernels  # noqa: E402
+from nodalcert._kernels import HAS_NUMBA, IMPL_NUMPY, blocked_rank_mod, rref_mod  # noqa: E402
+from nodalcert.assembly import jacobian_generator_coo  # noqa: E402
+from nodalcert.field import DEFAULT_PRIMES  # noqa: E402
+from nodalcert.fixtures import one_node  # noqa: E402
+from nodalcert.polynomials import partial_derivatives  # noqa: E402
 
-# (label, rows, cols, rank): sizes matching Jacobian slices that the
-# certification pipeline actually eliminates.
-CASES = [
-    ("quartic 3-fold, degree 8", 224, 165, 164),
-    ("quintic 3-fold, degree 12", 780, 455, 454),
-    ("quintic 4-fold, degree 10", 2002, 1001, 1000),
-    ("quintic 4-fold, degree 13", 4900, 2380, 2378),
-    ("quintic 4-fold, degree 15", 7140, 3876, 3874),
+# (label, rows, cols, rank): random matrices in Jacobian-slice shapes.
+RANDOM_CASES = [
+    ("random, quartic (3,4) k=8", 224, 165, 164),
+    ("random, quintic (3,5) k=12", 660, 455, 440),
+    ("random, quintic 4-fold k=10", 2002, 1001, 1000),
 ]
-QUICK_CASES = CASES[:3]
+# (n, d, degrees): slices of one_node:n,d,seed=<--seed>.
+JACOBIAN_CASES = [
+    (3, 4, (6, 7, 8, 9, 10)),
+    (3, 5, (7, 8, 9, 10, 11, 12, 13, 14)),
+    (2, 19, (51,)),
+]
+QUICK_RANDOM = RANDOM_CASES[:2]
+QUICK_JACOBIAN = [(3, 4, (6, 7, 8, 9, 10)), (3, 5, (7, 8, 9, 10, 11, 12))]
+REPEAT_ENTRIES = 1_000_000
+REPEATS = 3
 
 
-def random_with_rank(rng: np.random.Generator, rows: int, cols: int, rank: int) -> np.ndarray:
-    left = rng.integers(0, P, size=(rows, rank), dtype=np.int64)
-    right = rng.integers(0, P, size=(rank, cols), dtype=np.int64)
-    out = np.zeros((rows, cols), dtype=np.int64)
-    for j0 in range(0, cols, 64):
-        j1 = min(j0 + 64, cols)
-        out[:, j0:j1] = (left @ right[:, j0:j1]) % P
-    return out
+def mulmod(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """Exact (left @ right) mod p for entries in [0, p), p < 2^31.
+
+    Splits both factors into 16-bit limbs; every limb product sum is below
+    2^53 for inner dimensions up to 2^21, so float64 products are exact.
+    """
+    l0, l1 = (left & 0xFFFF).astype(np.float64), (left >> 16).astype(np.float64)
+    r0, r1 = (right & 0xFFFF).astype(np.float64), (right >> 16).astype(np.float64)
+    hi = (l1 @ r1).astype(np.int64) % p
+    mid = (l1 @ r0 + l0 @ r1).astype(np.int64) % p
+    lo = (l0 @ r0).astype(np.int64) % p
+    return ((hi * ((1 << 32) % p)) % p + (mid << 16) % p + lo) % p
 
 
-def time_call(fn, *args) -> tuple[float, int]:
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return time.perf_counter() - t0, out
+def random_with_rank(rng: np.random.Generator, rows: int, cols: int, rank: int, p: int) -> np.ndarray:
+    """A rows x cols matrix over F_p of rank exactly ``rank``.
+
+    It is left @ right with the leading rank x rank blocks unit lower and
+    unit upper triangular (so their product is invertible), then rows and
+    columns are shuffled.
+    """
+    left = rng.integers(0, p, size=(rows, rank), dtype=np.int64)
+    right = rng.integers(0, p, size=(rank, cols), dtype=np.int64)
+    eye = np.eye(rank, dtype=np.int64)
+    left[:rank] = np.tril(left[:rank], -1) + eye
+    right[:, :rank] = np.triu(right[:, :rank], 1) + eye
+    out = mulmod(left, right, p)
+    return np.ascontiguousarray(out[rng.permutation(rows)][:, rng.permutation(cols)])
+
+
+ALGORITHMS = {
+    "scalar": lambda M, p, impl: rref_mod(M, p, impl=impl)[0],
+    "blocked": lambda M, p, impl: blocked_rank_mod(M, p, impl=impl),
+}
+
+
+def best_time(algo, A: np.ndarray, p: int, impl, repeats: int) -> tuple[float, int]:
+    """Best wall time of ``repeats`` runs on fresh copies of A, and the rank."""
+    best = float("inf")
+    got = -1
+    for _ in range(repeats):
+        M = A.copy()
+        t0 = time.perf_counter()
+        got = algo(M, p, impl)
+        best = min(best, time.perf_counter() - t0)
+    return best, got
+
+
+def inputs(seed: int, quick: bool):
+    """Yield (label, {p: matrix}, requested rank or None)."""
+    rng = np.random.default_rng(seed)
+    for label, rows, cols, rank in QUICK_RANDOM if quick else RANDOM_CASES:
+        yield label, {p: random_with_rank(rng, rows, cols, rank, p) for p in DEFAULT_PRIMES}, rank
+    for n, d, degrees in QUICK_JACOBIAN if quick else JACOBIAN_CASES:
+        partials = partial_derivatives(one_node(n, d, seed).f)
+        for k in degrees:
+            coo = jacobian_generator_coo(partials, k)
+            yield f"one_node:{n},{d},seed={seed} k={k}", {p: coo.dense_mod(p) for p in DEFAULT_PRIMES}, None
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="only the small cases")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the random matrices and fixtures")
     args = parser.parse_args(argv)
 
     impls = [("numpy", IMPL_NUMPY)]
@@ -70,39 +132,55 @@ def main(argv: list[str] | None = None) -> int:
         from nodalcert._kernels import IMPL_NUMBA
 
         # warm the JIT so compile time does not pollute the table
-        warm = np.arange(16, dtype=np.int64).reshape(4, 4) % P
-        rref_mod(warm.copy(), P, impl=IMPL_NUMBA)
-        blocked_rank_mod(warm.copy(), P, impl=IMPL_NUMBA)
+        warm = np.arange(16, dtype=np.int64).reshape(4, 4) % DEFAULT_PRIMES[0]
+        rref_mod(warm.copy(), DEFAULT_PRIMES[0], impl=IMPL_NUMBA)
+        blocked_rank_mod(warm.copy(), DEFAULT_PRIMES[0], impl=IMPL_NUMBA)
         impls.append(("numba", IMPL_NUMBA))
     else:
-        print("accelerated backend unavailable; timing the fallback only")
+        print("accelerated backend unavailable; timing the numpy kernels only")
 
-    rng = np.random.default_rng(2024)
-    cases = QUICK_CASES if args.quick else CASES
-    header = f"{'case':<28} {'shape':>12} {'algorithm':<10}"
+    header = f"{'case':<30} {'shape':>11} {'entries':>9} {'rank':>6}"
     for name, _ in impls:
-        header += f" {name:>10}"
+        header += f" {name + ' scalar':>14} {name + ' blocked':>15} {'ratio':>6}"
+    print(f"primes {DEFAULT_PRIMES}, seed {args.seed}, _SCALAR_CUTOFF {_kernels._SCALAR_CUTOFF}")
     print(header)
     print("-" * len(header))
+    records = []
     disagreements = 0
-    for label, rows, cols, rank in cases:
-        A = random_with_rank(rng, rows, cols, rank)
-        for algo, fn in [("scalar", lambda M, impl: rref_mod(M, P, impl=impl)[0]),
-                         ("blocked", lambda M, impl: blocked_rank_mod(M, P, impl=impl))]:
-            line = f"{label:<28} {rows:>5}x{cols:<6} {algo:<10}"
-            ranks = []
-            for _, impl in impls:
-                secs, got = time_call(fn, A.copy(), impl)
-                ranks.append(got)
-                line += f" {secs:>9.3f}s"
-            if len(set(ranks)) != 1:
-                line += "  RANK DISAGREEMENT"
-                disagreements += 1
-            print(line)
+    for label, mats, requested in inputs(args.seed, args.quick):
+        rows, cols = next(iter(mats.values())).shape
+        repeats = REPEATS if rows * cols <= REPEAT_ENTRIES else 1
+        record = {"case": label, "rows": rows, "cols": cols, "entries": rows * cols, "requested_rank": requested}
+        ranks: dict[int, set[int]] = {p: set() for p in mats}
+        line = ""
+        for iname, impl in impls:
+            secs = dict.fromkeys(ALGORITHMS, 0.0)
+            for aname, algo in ALGORITHMS.items():
+                for p, A in mats.items():
+                    dt, got = best_time(algo, A, p, impl, repeats)
+                    secs[aname] += dt
+                    ranks[p].add(got)
+                record[f"{iname}_{aname}_s"] = round(secs[aname], 6)
+            line += f" {secs['scalar']:>13.4f}s {secs['blocked']:>14.4f}s {secs['scalar'] / secs['blocked']:>6.2f}"
+        bad = any(len(v) != 1 or (requested is not None and v != {requested}) for v in ranks.values())
+        record["ranks"] = {str(p): sorted(v) for p, v in ranks.items()}
+        rank_text = "?" if bad else "/".join(sorted({str(min(v)) for v in ranks.values()}))
+        print(f"{label:<30} {rows:>5}x{cols:<5} {rows * cols:>9} {rank_text:>6}" + line
+              + ("  RANK DISAGREEMENT" if bad else ""), flush=True)
+        disagreements += bad
+        records.append(record)
+    print("ratio = scalar time / blocked time (above 1: blocked is faster)")
     if disagreements:
-        print(f"{disagreements} disagreement(s) between backends", file=sys.stderr)
-        return 1
-    return 0
+        print(f"{disagreements} case(s) with disagreeing ranks", file=sys.stderr)
+    print(json.dumps({
+        "seed": args.seed,
+        "primes": list(DEFAULT_PRIMES),
+        "scalar_cutoff": _kernels._SCALAR_CUTOFF,
+        "impls": [name for name, _ in impls],
+        "disagreements": disagreements,
+        "cases": records,
+    }))
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":

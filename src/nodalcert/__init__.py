@@ -12,6 +12,7 @@ from .errors import (
     DegeneratePoint,
     DegreeTooSmall,
     FieldDisagreement,
+    InconsistentResult,
     MixedDegree,
     MixedParameters,
     NoStabilization,
@@ -88,6 +89,7 @@ __all__ = [
     "FixtureSpec",
     "HodgeGradedDims",
     "HomogeneousPolynomial",
+    "InconsistentResult",
     "JacobianContext",
     "LinearEngine",
     "MixedDegree",

@@ -6,19 +6,28 @@ import time — set ``NODALCERT_PURE_NUMPY=1`` (or have numba unavailable) to
 run on the numpy path. Both follow the identical pivot rule (first nonzero
 row in the earliest unfinished column) and identical arithmetic, so their
 outputs are required to be bit-identical; ``benchmarks/bench_elimination.py``
-compares their speed.
+times the kernels on random and Jacobian-slice matrices.
 
 Two elimination strategies:
 
 * ``rref`` — full reduced row echelon form, used whenever the basis itself is
-  needed (quotient bases, kernels, membership). Scalar, in-place.
-* ``blocked_rank`` — rank only, for large matrices. Right-looking blocked
-  elimination: a 128-wide panel is factored by scalar elimination while
-  recording multipliers, then the trailing block is updated with float64
-  matrix products on 16-bit limb splits. Every dot product is a sum of at
-  most 128 terms bounded by 2^32, hence below 2^53 and exact in float64;
-  the fuse step recombines the limbs modulo p in int64. Exactness makes the
-  result independent of BLAS summation order, so this is deterministic.
+  needed (quotient bases, kernels, membership). Scalar, in-place. A
+  rank-only request runs it only at or below ``_SCALAR_CUTOFF`` entries;
+  above that, ``blocked_rank`` was faster on every Jacobian slice measured.
+* ``blocked_rank`` — rank only, above the cutoff. Right-looking blocked
+  elimination (the FFLAS-FFPACK scheme): a 128-wide panel is factored by
+  scalar elimination while recording multipliers; the panel's pivot rows
+  are finished by multiplying with the inverse of its unit lower-triangular
+  multiplier block, and the trailing block below is updated with one more
+  product (the numba twin finishes the pivot rows by row operations
+  instead; the result is the same). Every product runs in float64 on
+  16-bit limb splits: each dot product is a sum of at most 128 terms
+  bounded by 2^32, hence below 2^53 and exact, and the recombination
+  reduces modulo p in int64. Exactness makes the result independent of
+  BLAS summation order, so this is deterministic. The products run over
+  column chunks sized so that each float64 product buffer stays near
+  ``_PRODUCT_BYTES``; temporaries are bounded by that budget, not by the
+  matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +37,14 @@ import os
 import numpy as np
 
 PANEL_WIDTH = 128
-_SCALAR_CUTOFF = 2_000_000  # entries; below this plain rref computes ranks
+# entries; at or below this plain rref computes ranks, above it blocked_rank.
+# Measured with benchmarks/bench_elimination.py (numpy kernels, seeds 1-3):
+# up to 36,960 entries the two are within run-to-run noise of each other
+# (time ratios 0.87-1.33); from the 224 x 220 Jacobian slice (49,280 entries)
+# up, blocked_rank wins every run, by 1.2-6.4x.
+_SCALAR_CUTOFF = 40_000
+# bytes of one float64 product buffer in the blocked kernel's column chunks
+_PRODUCT_BYTES = 1 << 20
 
 PURE_NUMPY = os.environ.get("NODALCERT_PURE_NUMPY", "") not in ("", "0")
 
@@ -119,31 +135,81 @@ def _np_panel(A: np.ndarray, r0: int, c0: int, w: int, p: int, F: np.ndarray) ->
     return npiv, np.array(pivcols, dtype=np.int64)
 
 
+def _limbs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 16-bit limbs of entries in [0, 2^31), as float64."""
+    return (M & 0xFFFF).astype(np.float64), (M >> 16).astype(np.float64)
+
+
+def _chunk_columns(rows: int) -> int:
+    """Column chunk width keeping a (rows x chunk) float64 buffer near
+    ``_PRODUCT_BYTES``."""
+    return max(1, _PRODUCT_BYTES // (8 * rows))
+
+
+def _np_mulmod(X0: np.ndarray, X1: np.ndarray, Y0: np.ndarray, Y1: np.ndarray, p: int) -> np.ndarray:
+    """(X @ Y) mod p as a fresh int64 array, from the 16-bit limbs of X and Y.
+
+    X @ Y = X1@Y1 * 2^32 + (X1@Y0 + X0@Y1) * 2^16 + X0@Y0. With inner
+    dimension <= 128 the three limb products are below 2^37, 2^39 and 2^39,
+    exact in float64, and the int64 sum with the first term reduced,
+    (X1@Y1 mod p) * (2^32 mod p) + ..., stays below 2^62 + 2^55 + 2^39 < 2^63.
+    The products are taken one at a time into one float64 buffer and folded
+    into two int64 buffers, so at most three result-sized buffers are live.
+    """
+    P = X1 @ Y1
+    acc = np.empty(P.shape, dtype=np.int64)
+    np.copyto(acc, P, casting="unsafe")
+    acc %= p
+    acc *= (1 << 32) % p
+    np.matmul(X1, Y0, out=P)
+    P += X0 @ Y1
+    tmp = np.empty_like(acc)
+    np.copyto(tmp, P, casting="unsafe")
+    tmp *= (1 << 16) % p
+    acc += tmp
+    np.matmul(X0, Y0, out=P)
+    np.copyto(tmp, P, casting="unsafe")
+    acc += tmp
+    acc %= p
+    return acc
+
+
+def _np_unit_lower_inverse(F: np.ndarray, npiv: int, p: int) -> np.ndarray:
+    """Inverse over F_p of the unit lower-triangular L with L[s, t] = F[s, t]
+    for t < s < npiv, by forward elimination of [L | I] column by column."""
+    X = np.eye(npiv, dtype=np.int64)
+    for t in range(npiv - 1):
+        f = F[t + 1 : npiv, t]
+        if f.any():
+            X[t + 1 :, : t + 1] = (X[t + 1 :, : t + 1] + (p - f)[:, None] * X[t, : t + 1]) % p
+    return X
+
+
 def _np_triangular(A: np.ndarray, r0: int, npiv: int, ctrail: int, p: int, F: np.ndarray) -> None:
     """Finalize the trailing part of the panel's pivot rows.
 
-    Pivot row s must absorb the updates of pivot rows t < s before it can
-    serve as an update source; applied in ascending s so sources are final.
+    Pivot row s must absorb the updates of pivot rows t < s, i.e. the
+    trailing rows are multiplied by L^-1 where L is the unit lower-triangular
+    multiplier block F[:npiv, :npiv]; done as one limb-split product per
+    column chunk.
     """
     C = A.shape[1]
-    if ctrail >= C:
+    if ctrail >= C or npiv < 2:
         return
-    for s in range(1, npiv):
-        for t in range(s):
-            f = int(F[s, t])
-            if f:
-                A[r0 + s, ctrail:] = (A[r0 + s, ctrail:] + (p - f) * A[r0 + t, ctrail:]) % p
+    L0, L1 = _limbs(_np_unit_lower_inverse(F, npiv, p))
+    U = A[r0 : r0 + npiv, ctrail:]
+    chunk = _chunk_columns(npiv)
+    for j0 in range(0, C - ctrail, chunk):
+        j1 = min(j0 + chunk, C - ctrail)
+        u0, u1 = _limbs(U[:, j0:j1])
+        U[:, j0:j1] = _np_mulmod(L0, L1, u0, u1, p)
 
 
-def _np_fuse(T: np.ndarray, P2: np.ndarray, P1: np.ndarray, P0: np.ndarray, p: int, r32: int, r16: int) -> None:
-    """T -= (P2*2^32 + P1*2^16 + P0) mod p, elementwise, in place."""
-    v2 = P2.astype(np.int64) % p
-    acc = v2 * r32 + P1.astype(np.int64) * r16 + P0.astype(np.int64)
-    red = acc % p
-    out = T - red
-    neg = out < 0
-    out[neg] += p
-    T[...] = out
+def _np_fuse(T: np.ndarray, X0: np.ndarray, X1: np.ndarray, Y0: np.ndarray, Y1: np.ndarray, p: int) -> None:
+    """T -= (X @ Y) mod p in place, from the 16-bit limbs of X and Y."""
+    red = _np_mulmod(X0, X1, Y0, Y1, p)
+    np.subtract(T, red, out=T)
+    np.add(T, p, out=T, where=T < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +407,16 @@ if HAS_NUMBA:
                     t += p
                 T[i, j] = t
 
+    def _nb_fuse_limbs(T, X0, X1, Y0, Y1, p):
+        """T -= (X @ Y) mod p from limbs: BLAS limb products, jitted fuse."""
+        P1 = X1 @ Y0
+        P1 += X0 @ Y1
+        _nb_fuse(T, X1 @ Y1, P1, X0 @ Y0, p, (1 << 32) % p, (1 << 16) % p)
+
 
 class _Impl:
-    """One complete kernel set; ``rref``/``panel`` mutate A in place."""
+    """One complete kernel set; ``rref``/``panel`` mutate A in place and
+    ``fuse(T, X0, X1, Y0, Y1, p)`` does T -= (X @ Y) mod p from limbs."""
 
     def __init__(self, name, rref, panel, triangular, fuse):
         self.name = name
@@ -355,7 +428,7 @@ class _Impl:
 
 IMPL_NUMPY = _Impl("numpy", _np_rref, _np_panel, _np_triangular, _np_fuse)
 IMPL_NUMBA = (
-    _Impl("numba", _nb_rref, _nb_panel, _nb_triangular, _nb_fuse) if HAS_NUMBA else None
+    _Impl("numba", _nb_rref, _nb_panel, _nb_triangular, _nb_fuse_limbs) if HAS_NUMBA else None
 )
 ACTIVE: _Impl = IMPL_NUMBA if HAS_NUMBA else IMPL_NUMPY
 
@@ -375,13 +448,12 @@ def rref_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> tuple[int, np.
 
 
 def blocked_rank_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> int:
-    """Rank of A over F_p via blocked elimination; destroys A."""
+    """Rank of A over F_p via blocked elimination; destroys A. A must be
+    int64 with entries already reduced into [0, p)."""
     impl = impl or ACTIVE
     R, C = A.shape
     if R == 0 or C == 0:
         return 0
-    r32 = (1 << 32) % p
-    r16 = (1 << 16) % p
     r = 0
     c0 = 0
     while c0 < C and r < R:
@@ -395,29 +467,20 @@ def blocked_rank_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> int:
             CT = C - cend
             if RB > 0 and CT > 0:
                 U = A[r : r + npiv, cend:]
-                U0 = (U & 0xFFFF).astype(np.float64)
-                U1 = (U >> 16).astype(np.float64)
-                Fm = F[npiv:, :npiv]
-                F0 = (Fm & 0xFFFF).astype(np.float64)
-                F1 = (Fm >> 16).astype(np.float64)
-                # chunk the trailing columns to bound the float64 buffers
-                chunk = int(3.2e8 // (8 * 3 * RB))
-                chunk = max(256, min(2048, chunk))
+                F0, F1 = _limbs(F[npiv:, :npiv])
+                chunk = _chunk_columns(RB)
                 for j0 in range(0, CT, chunk):
                     j1 = min(j0 + chunk, CT)
-                    u0 = np.ascontiguousarray(U0[:, j0:j1])
-                    u1 = np.ascontiguousarray(U1[:, j0:j1])
-                    P2 = F1 @ u1
-                    P1 = F1 @ u0 + F0 @ u1
-                    P0 = F0 @ u0
-                    impl.fuse(A[r + npiv :, cend + j0 : cend + j1], P2, P1, P0, p, r32, r16)
+                    u0, u1 = _limbs(U[:, j0:j1])
+                    impl.fuse(A[r + npiv :, cend + j0 : cend + j1], F0, F1, u0, u1, p)
         r += npiv
         c0 = cend
     return r
 
 
 def rank_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> int:
-    """Rank over F_p, routing small matrices to plain rref; destroys A."""
+    """Rank over F_p, routing matrices of at most _SCALAR_CUTOFF entries to
+    plain rref and larger ones to blocked_rank_mod; destroys A."""
     if A.size == 0:
         return 0
     if A.size <= _SCALAR_CUTOFF:

@@ -69,3 +69,12 @@ class FieldDisagreement(NodalcertError):
 
     This voids the run: results are accepted only when both primes agree.
     """
+
+
+class InconsistentResult(NodalcertError):
+    """Two computations of the same quantity disagree (a ledger entry of
+    another shape, a basis of the wrong dimension, a negative count).
+
+    This voids the run. It is raised, not asserted, so ``python -O`` cannot
+    remove the check.
+    """

@@ -16,7 +16,7 @@ signs; the interesting invariants count what remains beyond those:
 from __future__ import annotations
 
 from .assembly import trivial_syzygy_coo
-from .errors import ScanExhausted
+from .errors import InconsistentResult, ScanExhausted
 from .linalg import AmbientSpace, SubspaceBasis
 from .milnor import JacobianContext
 from .monomials import space_dim
@@ -37,7 +37,11 @@ def syzygy_space(ctx: JacobianContext, r: int) -> SubspaceBasis:
     ambient = AmbientSpace.graded_sum(ctx.n, r, ctx.n + 1)
     coo = ctx.generator_coo(r + ctx.d - 1).transposed()
     basis = ctx.engine.kernel_coo(coo, ambient, f"syzygy-map/{r}")
-    assert basis.dim == syzygy_dim(ctx, r)
+    expected = syzygy_dim(ctx, r)
+    if basis.dim != expected:
+        raise InconsistentResult(
+            f"degree-{r} syzygy kernel has dimension {basis.dim}, rank-nullity gives {expected}"
+        )
     return basis
 
 
@@ -72,7 +76,8 @@ def min_relation_degree(ctx: JacobianContext, q_max: int | None = None) -> int:
     bound = ctx.n * ctx.d if q_max is None else q_max
     for r in range(bound + 1):
         excess = syzygy_dim(ctx, r) - trivial_syzygy_dim(ctx, r)
-        assert excess >= 0
+        if excess < 0:
+            raise InconsistentResult(f"degree-{r} pair-swap syzygies exceed all syzygies by {-excess}")
         if excess > 0:
             return r
     raise ScanExhausted(bound, f"no nontrivial syzygy found through degree {bound}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels, exact
 from .assembly import IntCOO
-from .errors import FieldDisagreement
+from .errors import FieldDisagreement, InconsistentResult
 from .field import FieldConfig, fraction_mod
 from .monomials import space_dim
 
@@ -114,6 +114,16 @@ class LinearEngine:
 
     # -- internal ---------------------------------------------------------
 
+    def _cached_rank(self, label: str, shape: tuple[int, int]) -> int | None:
+        rec = self.rank_ledger.get(label)
+        if rec is None:
+            return None
+        if (rec.rows, rec.cols) != tuple(shape):
+            raise InconsistentResult(
+                f"ledger label {label!r} holds a {rec.rows}x{rec.cols} rank, asked for {shape[0]}x{shape[1]}"
+            )
+        return rec.rank
+
     def _record(self, label: str, rows: int, cols: int, rank: int) -> None:
         rec = RankRecord(rows, cols, rank)
         old = self.rank_ledger.get(label)
@@ -140,10 +150,9 @@ class LinearEngine:
     # -- ranks ------------------------------------------------------------
 
     def rank_coo(self, coo: IntCOO, label: str) -> int:
-        if label in self.rank_ledger:
-            rec = self.rank_ledger[label]
-            assert (rec.rows, rec.cols) == coo.shape
-            return rec.rank
+        cached = self._cached_rank(label, coo.shape)
+        if cached is not None:
+            return cached
         ranks: dict[str, object] = {}
         for key in self.field.keys:
             if key == "exact":
@@ -156,10 +165,9 @@ class LinearEngine:
         return rank
 
     def rank_payload(self, payload: Payload, shape: tuple[int, int], label: str) -> int:
-        if label in self.rank_ledger:
-            rec = self.rank_ledger[label]
-            assert (rec.rows, rec.cols) == shape
-            return rec.rank
+        cached = self._cached_rank(label, shape)
+        if cached is not None:
+            return cached
         ranks: dict[str, object] = {}
         for key in self.field.keys:
             mat = payload[key]
@@ -238,7 +246,10 @@ class LinearEngine:
         """Echelonized kernel basis of the map x -> M x for each realization."""
         if label in self._span_cache:
             return self._span_cache[label]
-        assert ambient.dim == shape[1]
+        if ambient.dim != shape[1]:
+            raise InconsistentResult(
+                f"kernel {label!r}: ambient dimension {ambient.dim} differs from the map's {shape[1]} columns"
+            )
         kernels: dict[str, object] = {}
         map_pivs: dict[str, object] = {}
         for key in self.field.keys:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nodalcert.assembly import IntCOO, exact_rows_to_int_coo
-from nodalcert.errors import FieldDisagreement
+from nodalcert.errors import FieldDisagreement, InconsistentResult
 from nodalcert.field import FieldConfig
 from nodalcert.linalg import (
     AmbientSpace,
@@ -43,6 +43,13 @@ def test_ledger_label_reuse_with_different_result_is_an_error(engine):
     engine.rank_coo(_coo([[1, 0], [0, 1]]), "label")
     with pytest.raises(RuntimeError):
         engine._record("label", 2, 2, 1)
+
+
+def test_ledger_label_reuse_with_a_different_shape_raises(engine):
+    # a result check, not an assert: it must also hold under python -O
+    engine.rank_coo(_coo([[1, 0], [0, 1]]), "label")
+    with pytest.raises(InconsistentResult):
+        engine.rank_coo(_coo([[1, 0, 0], [0, 1, 0]]), "label")
 
 
 def test_echelon_and_kernel_are_consistent(engine):
