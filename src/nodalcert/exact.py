@@ -48,13 +48,13 @@ def _to_int_matrix(rows: Sequence[Sequence]) -> list[list]:
     return out
 
 
-def bareiss_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q of an integer (or Fraction) matrix, fraction-free."""
-    M = _to_int_matrix(rows)
-    if not M or not M[0]:
-        return 0
+def _bareiss_forward(M: list[list]) -> list[int]:
+    """Fraction-free forward elimination of a nonempty integer matrix, in
+    place; returns the pivot columns, whose count is the rank. The first
+    rank rows of M are then the echelon rows."""
     R, C = len(M), len(M[0])
     prev = mpz(1)
+    pivots: list[int] = []
     r = 0
     for c in range(C):
         if r >= R:
@@ -80,8 +80,17 @@ def bareiss_rank(rows: Sequence[Sequence]) -> int:
                 row_i[j] = (row_i[j] * pv - mic * row_r[j]) // prev
             row_i[c] = mpz(0)
         prev = pv
+        pivots.append(c)
         r += 1
-    return r
+    return pivots
+
+
+def bareiss_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over Q of an integer (or Fraction) matrix, fraction-free."""
+    M = _to_int_matrix(rows)
+    if not M or not M[0]:
+        return 0
+    return len(_bareiss_forward(M))
 
 
 def rref_fraction(rows: Sequence[Sequence]) -> tuple[ExactRows, tuple[int, ...]]:
@@ -94,34 +103,9 @@ def rref_fraction(rows: Sequence[Sequence]) -> tuple[ExactRows, tuple[int, ...]]
     M = _to_int_matrix(rows)
     if not M or not M[0]:
         return (), ()
-    R, C = len(M), len(M[0])
-    prev = mpz(1)
-    pivots: list[int] = []
-    r = 0
-    for c in range(C):
-        if r >= R:
-            break
-        piv = -1
-        for i in range(r, R):
-            if M[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-        pv = M[r][c]
-        for i in range(r + 1, R):
-            mic = M[i][c]
-            row_i = M[i]
-            row_r = M[r]
-            for j in range(c + 1, C):
-                row_i[j] = (row_i[j] * pv - mic * row_r[j]) // prev
-            row_i[c] = mpz(0)
-        prev = pv
-        pivots.append(c)
-        r += 1
-
+    C = len(M[0])
+    pivots = _bareiss_forward(M)
+    r = len(pivots)
     # Rational back pass on the r echelon rows only.
     ech: list[list[Fraction]] = []
     for s in range(r):

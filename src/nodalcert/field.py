@@ -4,6 +4,13 @@ All invariants computed by this library are ranks of integer matrices. The
 default execution computes every rank modulo two distinct 31-bit primes and
 accepts a value only when both agree; ``exact`` mode replaces that with
 arbitrary-precision rational elimination and is the ground-truth oracle.
+
+Each field is a *realization* (``PrimeField(p)`` or ``Rationals``) that owns
+everything that differs by field: the payload type of its matrices and the
+few operations on them the engine and the graded algebra need. Payloads are
+2-D numpy arrays in both: int64 entries reduced into [0, p) over F_p, and
+``dtype=object`` entries (Fractions or ints) over Q, so indexing, stacking
+and reshaping are written once for both.
 """
 
 from __future__ import annotations
@@ -11,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import _kernels, exact
 from .errors import ParseError
 
 #: Default working primes: the two largest primes below 2**31 - 16.
@@ -48,6 +58,90 @@ def is_prime_u64(x: int) -> bool:
     return True
 
 
+def _map(fn, values) -> np.ndarray:
+    """Apply fn to every entry of a scalar, vector or rows of exact values."""
+    return np.frompyfunc(fn, 1, 1)(np.asarray(values, dtype=object))
+
+
+@dataclass(frozen=True)
+class PrimeField:
+    """F_p: int64 payloads with entries in [0, p)."""
+
+    p: int
+    dtype = np.int64
+
+    @property
+    def key(self) -> str:
+        return f"fp:{self.p}"
+
+    def dense(self, coo) -> np.ndarray:
+        """A fresh dense matrix of an integer COO matrix."""
+        return coo.dense_mod(self.p)
+
+    def convert(self, values) -> np.ndarray:
+        """Exact rationals (a scalar, a vector or rows) reduced into F_p."""
+        return np.asarray(_map(lambda v: fraction_mod(Fraction(v), self.p), values), dtype=np.int64)
+
+    def normalize(self, arr: np.ndarray) -> np.ndarray:
+        """Canonical entries after a negation, product or sum of reduced
+        entries (each below 2**62 in magnitude, so int64 does not wrap)."""
+        return arr % self.p
+
+    def rank(self, mat: np.ndarray) -> int:
+        """Rank of mat; overwrites it."""
+        return _kernels.rank_mod(mat, self.p)
+
+    def rref(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+        """Pivot columns and reduced echelon rows of mat; overwrites it."""
+        rank, pivots = _kernels.rref_mod(mat, self.p)
+        return tuple(int(c) for c in pivots), mat[:rank].copy()
+
+    def kernel(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+        """Pivot columns of mat and its kernel rows (not echelonized); overwrites mat."""
+        rank, pivots = _kernels.rref_mod(mat, self.p)
+        return tuple(int(c) for c in pivots), _kernels.kernel_from_rref(mat[:rank], pivots, mat.shape[1], self.p)
+
+
+@dataclass(frozen=True)
+class Rationals:
+    """Q: ``dtype=object`` payloads of Fractions (or ints)."""
+
+    dtype = object
+    key = "exact"
+
+    def dense(self, coo) -> np.ndarray:
+        return np.array(coo.dense_int_rows(), dtype=object).reshape(coo.shape)
+
+    def convert(self, values) -> np.ndarray:
+        return np.asarray(_map(Fraction, values), dtype=object)
+
+    def normalize(self, arr: np.ndarray) -> np.ndarray:
+        return arr
+
+    def rank(self, mat: np.ndarray) -> int:
+        return exact.bareiss_rank(mat)
+
+    def rref(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+        ech, pivots = exact.rref_fraction(mat)
+        return pivots, _rows(ech, mat.shape[1])
+
+    def kernel(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+        ech, pivots = exact.rref_fraction(mat)
+        return pivots, _rows(exact.kernel_from_rref_fraction(ech, pivots, mat.shape[1]), mat.shape[1])
+
+
+def _rows(rows: exact.ExactRows, ncols: int) -> np.ndarray:
+    return np.array(rows, dtype=object).reshape(len(rows), ncols)
+
+
+Realization = PrimeField | Rationals
+
+
+def realization(key: str) -> Realization:
+    """The realization a payload key names."""
+    return Rationals() if key == "exact" else PrimeField(int(key.split(":", 1)[1]))
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Either ``exact`` rationals or a pair of distinct prime fields."""
@@ -83,11 +177,16 @@ class FieldConfig:
         return self.mode == "exact"
 
     @property
+    def realizations(self) -> tuple[Realization, ...]:
+        """The fields every elimination runs in, in ledger order."""
+        if self.is_exact:
+            return (Rationals(),)
+        return tuple(PrimeField(p) for p in self.primes)
+
+    @property
     def keys(self) -> tuple[str, ...]:
         """Stable per-subfield keys used to tag numeric payloads."""
-        if self.is_exact:
-            return ("exact",)
-        return tuple(f"fp:{p}" for p in self.primes)
+        return tuple(F.key for F in self.realizations)
 
     def describe(self) -> str:
         if self.is_exact:

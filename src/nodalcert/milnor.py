@@ -13,13 +13,12 @@ realizes; comparing against it detects and quantifies singularity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .assembly import IntCOO, jacobian_generator_coo
-from .errors import NoStabilization
+from .errors import InconsistentResult, NoStabilization
 from .field import FieldConfig
 from .linalg import AmbientSpace, LinearEngine, SubspaceBasis
 from .monomials import exponent_matrix, monomial_rank_rows, space_dim
@@ -75,10 +74,8 @@ def smooth_reference_dim(n: int, d: int, k: int) -> int:
     return series[k] if k < len(series) else 0
 
 
-def _empty_rows(key: str, ncols: int):
-    if key == "exact":
-        return ()
-    return np.zeros((0, ncols), dtype=np.int64)
+def _empty_rows(field: FieldConfig, ncols: int) -> dict[str, np.ndarray]:
+    return {F.key: np.zeros((0, ncols), dtype=F.dtype) for F in field.realizations}
 
 
 class JacobianContext:
@@ -103,7 +100,9 @@ class JacobianContext:
         self._monomial_partials = all(len(g.terms) <= 1 for g in self.partials)
         self._dims: dict[int, int] = {}
         self._coo: dict[int, IntCOO] = {}
-        self._qr: dict[tuple[int, str], object] = {}
+        self._qr: dict[int, dict[str, np.ndarray]] = {}
+        # ledger tags handed out to successive deformation checks
+        self.deformation_tag = 0
 
     # -- raw ideal slices ---------------------------------------------------
 
@@ -142,8 +141,7 @@ class JacobianContext:
         """Echelonized basis of the degree-k ideal slice."""
         amb = AmbientSpace.graded(self.n, k)
         if k < self.d - 1:
-            payload = {key: _empty_rows(key, amb.dim) for key in self.field.keys}
-            return self.engine.echelon_payload(payload, amb, f"jacobian/{k}")
+            return self.engine.echelon_payload(_empty_rows(self.field, amb.dim), amb, f"jacobian/{k}")
         basis = self.engine.echelon_coo(self.generator_coo(k), amb, f"jacobian/{k}")
         self._dims.setdefault(k, basis.dim)
         return basis
@@ -163,38 +161,22 @@ class JacobianContext:
 
     # -- quotient reduction tables --------------------------------------------
 
-    def quotient_reduction(self, k: int) -> dict[str, object]:
+    def quotient_reduction(self, k: int) -> dict[str, np.ndarray]:
         """Per-field table (N_k x q_k) sending a monomial index to the
         coordinates of its class over the standard complement monomials of
         the degree-k ideal slice."""
-        first_key = self.field.keys[0]
-        if (k, first_key) not in self._qr:
+        if k not in self._qr:
             basis = self.jacobian_basis(k)
-            free = basis.free_columns()
-            N = space_dim(self.n, k)
-            q = len(free)
-            free_arr = np.array(free, dtype=np.int64)
-            for key in self.field.keys:
-                if key == "exact":
-                    table: list[list[Fraction]] = [[Fraction(0)] * q for _ in range(N)]
-                    for pos, g in enumerate(free):
-                        table[g][pos] = Fraction(1)
-                    rows = basis.payload[key]
-                    for t, pc in enumerate(basis.pivots):
-                        row = rows[t]
-                        table[pc] = [-row[g] for g in free]
-                    self._qr[(k, key)] = tuple(tuple(r) for r in table)
-                else:
-                    p = int(key.split(":", 1)[1])
-                    QR = np.zeros((N, q), dtype=np.int64)
-                    if q:
-                        QR[free_arr, np.arange(q, dtype=np.int64)] = 1
-                        if basis.pivots:
-                            rows = basis.payload[key]
-                            piv_arr = np.array(basis.pivots, dtype=np.int64)
-                            QR[piv_arr] = (p - rows[:, free_arr]) % p
-                    self._qr[(k, key)] = QR
-        return {key: self._qr[(k, key)] for key in self.field.keys}
+            free = np.array(basis.free_columns(), dtype=np.int64)
+            pivots = np.array(basis.pivots, dtype=np.int64)
+            tables = {}
+            for F in self.field.realizations:
+                table = np.zeros((space_dim(self.n, k), len(free)), dtype=F.dtype)
+                table[free, np.arange(len(free))] = 1
+                table[pivots] = F.normalize(-basis.payload[F.key][:, free])
+                tables[F.key] = table
+            self._qr[k] = tables
+        return self._qr[k]
 
 
 # ---------------------------------------------------------------------------
@@ -248,64 +230,37 @@ def _colon_step_kernel(
     Returned in ambient S_k0 coordinates (complement columns lifted back).
     """
     n = ctx.n
-    free = W.free_columns()
+    free = np.array(W.free_columns(), dtype=np.int64)
     q_cols = len(free)
     amb = AmbientSpace.graded(n, k0)
     if q_cols == 0:
-        payload = {key: _empty_rows(key, amb.dim) for key in ctx.field.keys}
-        return ctx.engine.echelon_payload(payload, amb, label + "/empty")
+        return ctx.engine.echelon_payload(_empty_rows(ctx.field, amb.dim), amb, label + "/empty")
     QR = ctx.quotient_reduction(k0 + m)
     qdim = _qr_width(QR)
     E_m = exponent_matrix(n, m)
     Nm = E_m.shape[0]
     E_k0 = exponent_matrix(n, k0)
-    free_arr = np.array(free, dtype=np.int64)
     # target monomial index of (free monomial u) * (degree-m monomial b)
-    prod = (E_k0[free_arr][:, None, :] + E_m[None, :, :]).reshape(q_cols * Nm, n + 1)
+    prod = (E_k0[free][:, None, :] + E_m[None, :, :]).reshape(q_cols * Nm, n + 1)
     prod_rank = monomial_rank_rows(prod, n, k0 + m)
-    payload = {}
-    for key, table in QR.items():
-        if key == "exact":
-            cols = []
-            for u_pos in range(q_cols):
-                block: list[Fraction] = []
-                for b_pos in range(Nm):
-                    block.extend(table[prod_rank[u_pos * Nm + b_pos]])
-                cols.append(block)
-            nrows = Nm * qdim
-            payload[key] = tuple(
-                tuple(cols[u][r] for u in range(q_cols)) for r in range(nrows)
-            )
-        else:
-            block_rows = table[prod_rank].reshape(q_cols, Nm * qdim)
-            payload[key] = np.ascontiguousarray(block_rows.T)
+    # column u stacks the classes of u * b over b: one row per (b, class coordinate)
+    payload = {
+        key: np.ascontiguousarray(table[prod_rank].reshape(q_cols, Nm * qdim).T)
+        for key, table in QR.items()
+    }
     shape = (Nm * qdim, q_cols)
     ker = ctx.engine.kernel_payload(payload, shape, AmbientSpace.abstract(q_cols), label)
     # lift kernel rows from complement coordinates back into S_k0
     lifted = {}
     for key, rows in ker.payload.items():
-        if key == "exact":
-            out = []
-            for row in rows:
-                vec = [Fraction(0)] * amb.dim
-                for pos, v in enumerate(row):
-                    vec[free[pos]] = v
-                out.append(tuple(vec))
-            lifted[key] = tuple(out)
-        else:
-            arr = np.zeros((rows.shape[0], amb.dim), dtype=np.int64)
-            if rows.shape[0]:
-                arr[:, free_arr] = rows
-            lifted[key] = arr
+        lifted[key] = np.zeros((len(rows), amb.dim), dtype=rows.dtype)
+        lifted[key][:, free] = rows
     return ctx.engine.echelon_payload(lifted, amb, label + "/lifted")
 
 
-def _qr_width(QR: dict[str, object]) -> int:
-    for key, table in QR.items():
-        if key == "exact":
-            return len(table[0]) if table else 0
-        return int(table.shape[1])
-    return 0
+def _qr_width(QR: dict[str, np.ndarray]) -> int:
+    """Number of standard complement monomials of a quotient_reduction table."""
+    return next(iter(QR.values())).shape[1]
 
 
 _SATURATION_DIM_CAP = 5000
@@ -343,11 +298,7 @@ def saturation_graded(ctx: JacobianContext, k: int) -> SubspaceBasis:
 def _basis_union(
     ctx: JacobianContext, a: SubspaceBasis, b: SubspaceBasis, label: str
 ) -> SubspaceBasis:
-    assert a.ambient == b.ambient
-    payload = {}
-    for key in a.payload.keys():
-        if key == "exact":
-            payload[key] = tuple(a.payload[key]) + tuple(b.payload[key])
-        else:
-            payload[key] = np.vstack([a.payload[key], b.payload[key]])
+    if a.ambient != b.ambient:
+        raise InconsistentResult(f"basis union {label!r}: ambient spaces {a.ambient} and {b.ambient} differ")
+    payload = {key: np.vstack([a.payload[key], b.payload[key]]) for key in a.payload}
     return ctx.engine.echelon_payload(payload, a.ambient, label)

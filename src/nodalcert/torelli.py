@@ -20,16 +20,14 @@ degree-d ideal slice only in zero).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .assembly import coo_vstack, exact_rows_to_int_coo, polys_to_exact_rows
 from .errors import DegreeTooSmall, NotEffective, UnsupportedDimension
-from .field import fraction_mod
 from .linalg import AmbientSpace, SubspaceBasis
-from .milnor import JacobianContext
+from .milnor import JacobianContext, _qr_width
 from .monomials import monomial_basis, monomial_rank_rows
 from .polynomials import HomogeneousPolynomial
 
@@ -42,38 +40,32 @@ def quotient_basis(ctx: JacobianContext, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(mons[g] for g in basis.free_columns())
 
 
-def _pairing_payload(ctx: JacobianContext) -> tuple[dict[str, object], tuple[int, int]]:
+def _multiplication_payload(
+    QR: dict[str, np.ndarray], shifts: np.ndarray, expos: np.ndarray, n: int, k: int
+) -> dict[str, np.ndarray]:
+    """Per-field matrix with a column per monomial of ``expos`` and a row per
+    (shift, class coordinate) pair, rows flattened shift-major: the entry is
+    the coordinate of x^(shift + expo) in the degree-k quotient table QR."""
+    ns, ne = len(shifts), len(expos)
+    ranks = monomial_rank_rows((shifts[:, None, :] + expos[None, :, :]).reshape(ns * ne, n + 1), n, k)
+    q = _qr_width(QR)
+    return {
+        key: table[ranks].reshape(ns, ne, q).transpose(0, 2, 1).reshape(ns * q, ne)
+        for key, table in QR.items()
+    }
+
+
+def _pairing_payload(ctx: JacobianContext) -> tuple[dict[str, np.ndarray], tuple[int, int]]:
     """Per-field pairing matrix and its shape."""
     n, d = ctx.n, ctx.d
-    k1 = d - n - 1
     k2 = 2 * d - n - 1
     QR2 = ctx.quotient_reduction(k2)
-    src = quotient_basis(ctx, k1)
-    mid = quotient_basis(ctx, d)
-    q1, qd = len(src), len(mid)
-    q2 = _table_width(QR2)
-    mid_expos = np.array(mid, dtype=np.int64).reshape(qd, n + 1)
-    payload: dict[str, object] = {}
-    for key, table in QR2.items():
-        blocks = []
-        for alpha in src:
-            a = np.array(alpha, dtype=np.int64)
-            ranks = monomial_rank_rows(mid_expos + a[None, :], n, k2)
-            if key == "exact":
-                block = [[table[int(r)][c] for r in ranks] for c in range(q2)]
-                blocks.extend(tuple(row) for row in block)
-            else:
-                blocks.append(table[ranks].T)
-        if key == "exact":
-            payload[key] = tuple(blocks)
-        else:
-            payload[key] = (
-                np.vstack(blocks) if blocks else np.zeros((0, qd), dtype=np.int64)
-            )
-    return payload, (q1 * q2, qd)
+    src = _expos(quotient_basis(ctx, d - n - 1), n)
+    mid = _expos(quotient_basis(ctx, d), n)
+    return _multiplication_payload(QR2, src, mid, n, k2), (len(src) * _qr_width(QR2), len(mid))
 
 
-def pairing_matrix(ctx: JacobianContext) -> tuple[dict[str, object], tuple[int, int]]:
+def pairing_matrix(ctx: JacobianContext) -> tuple[dict[str, np.ndarray], tuple[int, int]]:
     """Matrix of the multiplication pairing (per field key) with shape
     (q_(d-n-1) * q_(2d-n-1), q_d); raises DegreeTooSmall when d < n + 1."""
     if ctx.d < ctx.n + 1:
@@ -95,35 +87,11 @@ def variable_multiplication_kernel(ctx: JacobianContext, t: int) -> SubspaceBasi
     """Kernel of v -> (x_0 v, ..., x_n v) on the degree-t quotient classes,
     in standard-monomial coordinates of the degree-t quotient."""
     n = ctx.n
-    std = quotient_basis(ctx, t)
-    qt = len(std)
-    amb = AmbientSpace.abstract(qt)
+    std = _expos(quotient_basis(ctx, t), n)
     QR1 = ctx.quotient_reduction(t + 1)
-    q_next = _table_width(QR1)
-    std_expos = np.array(std, dtype=np.int64).reshape(qt, n + 1)
-    payload: dict[str, object] = {}
-    for key, table in QR1.items():
-        if key == "exact":
-            rows: list[tuple[Fraction, ...]] = []
-            for i in range(n + 1):
-                shifted = std_expos.copy()
-                shifted[:, i] += 1
-                ranks = monomial_rank_rows(shifted, n, t + 1)
-                for c in range(q_next):
-                    rows.append(tuple(table[int(r)][c] for r in ranks))
-            payload[key] = tuple(rows)
-        else:
-            blocks = []
-            for i in range(n + 1):
-                shifted = std_expos.copy()
-                shifted[:, i] += 1
-                ranks = monomial_rank_rows(shifted, n, t + 1)
-                blocks.append(table[ranks].T)
-            payload[key] = (
-                np.vstack(blocks) if blocks else np.zeros((0, qt), dtype=np.int64)
-            )
-    shape = ((n + 1) * q_next, qt)
-    return ctx.engine.kernel_payload(payload, shape, amb, f"varmul/{t}")
+    payload = _multiplication_payload(QR1, np.eye(n + 1, dtype=np.int64), std, n, t + 1)
+    shape = ((n + 1) * _qr_width(QR1), len(std))
+    return ctx.engine.kernel_payload(payload, shape, AmbientSpace.abstract(len(std)), f"varmul/{t}")
 
 
 def effective_deformation_check(ctx: JacobianContext, V: Sequence[HomogeneousPolynomial]) -> bool:
@@ -144,14 +112,13 @@ def effective_deformation_check(ctx: JacobianContext, V: Sequence[HomogeneousPol
 
 def _span_tag(ctx: JacobianContext) -> int:
     """Distinct ledger tags for successive deformation checks on one context."""
-    tag = getattr(ctx, "_deformation_tag", 0) + 1
-    ctx._deformation_tag = tag  # type: ignore[attr-defined]
-    return tag
+    ctx.deformation_tag += 1
+    return ctx.deformation_tag
 
 
 @dataclass(frozen=True)
 class PeriodDifferentialResult:
-    payload: dict[str, object]
+    payload: dict[str, np.ndarray]
     shape: tuple[int, int]
     rank: int
     dim_v: int
@@ -178,59 +145,27 @@ def period_differential(
         raise DegreeTooSmall(f"pairing needs degree >= n+1 = {n + 1}, got {d}")
     if not effective_deformation_check(ctx, V):
         raise NotEffective("deformation subspace meets the degree-d ideal slice")
-    k1 = d - n - 1
     k2 = 2 * d - n - 1
     QR2 = ctx.quotient_reduction(k2)
-    src = quotient_basis(ctx, k1)
-    q2 = _table_width(QR2)
-    q1 = len(src)
-    nv = len(V)
-    payload: dict[str, object] = {}
-    for key, table in QR2.items():
-        if key == "exact":
-            cols: list[list[Fraction]] = [[Fraction(0)] * (q1 * q2) for _ in range(nv)]
-            for j, g in enumerate(V):
-                for a_idx, alpha in enumerate(src):
-                    acc = [Fraction(0)] * q2
-                    for expo, coeff in g.terms.items():
-                        prod = tuple(x + y for x, y in zip(alpha, expo))
-                        row = table[_rank_of(prod, n, k2)]
-                        for c in range(q2):
-                            if row[c]:
-                                acc[c] += coeff * row[c]
-                    for c in range(q2):
-                        cols[j][a_idx * q2 + c] = -acc[c]
-            payload[key] = tuple(
-                tuple(cols[j][r] for j in range(nv)) for r in range(q1 * q2)
-            )
-        else:
-            p = int(key.split(":", 1)[1])
-            mat = np.zeros((q1 * q2, nv), dtype=np.int64)
-            src_expos = np.array(src, dtype=np.int64).reshape(q1, n + 1)
-            for j, g in enumerate(V):
-                for expo, coeff in g.terms.items():
-                    cmod = fraction_mod(Fraction(coeff), p)
-                    if cmod == 0:
-                        continue
-                    expo_arr = np.array(expo, dtype=np.int64)
-                    ranks = monomial_rank_rows(src_expos + expo_arr[None, :], n, k2)
-                    contrib = (cmod * table[ranks]) % p  # (q1, q2)
-                    mat[:, j] = (mat[:, j] + contrib.reshape(q1 * q2)) % p
-                mat[:, j] = (p - mat[:, j]) % p
-            payload[key] = mat
+    src = _expos(quotient_basis(ctx, d - n - 1), n)
+    q1, q2, nv = len(src), _qr_width(QR2), len(V)
+    # per element of V: (monomial ranks of src * term, coefficient) per term
+    terms = [
+        [(monomial_rank_rows(src + np.array(expo, dtype=np.int64), n, k2), coeff) for expo, coeff in g.terms.items()]
+        for g in V
+    ]
+    payload: dict[str, np.ndarray] = {}
+    for F in ctx.field.realizations:
+        table = QR2[F.key]
+        acc = np.zeros((nv, q1, q2), dtype=F.dtype)
+        for j, g_terms in enumerate(terms):
+            for ranks, coeff in g_terms:
+                acc[j] = F.normalize(acc[j] + F.convert(coeff) * table[ranks])
+        payload[F.key] = np.ascontiguousarray(F.normalize(-acc).reshape(nv, q1 * q2).T)
     shape = (q1 * q2, nv)
     rank = ctx.engine.rank_payload(payload, shape, f"period-differential/{_span_tag(ctx)}")
     return PeriodDifferentialResult(payload, shape, rank, nv)
 
 
-def _table_width(QR: dict[str, object]) -> int:
-    for key, table in QR.items():
-        if key == "exact":
-            return len(table[0]) if table else 0
-        return int(table.shape[1])
-    return 0
-
-
-def _rank_of(expo: tuple[int, ...], n: int, k: int) -> int:
-    arr = np.array(expo, dtype=np.int64).reshape(1, n + 1)
-    return int(monomial_rank_rows(arr, n, k)[0])
+def _expos(monomials: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
+    return np.array(monomials, dtype=np.int64).reshape(len(monomials), n + 1)

@@ -62,6 +62,12 @@ class RosterCache:
             )
         return self._contexts[key]
 
+    def both_modes(self, key: str, exact_spec: FixtureSpec) -> tuple[JacobianContext, ...]:
+        """The two-prime context of a roster entry and a fresh exact-mode
+        context of a cheaper fixture of the same (n, d): a test looping over
+        both covers every field realization."""
+        return self.ctx(key), JacobianContext(exact_spec.f, FieldConfig.exact())
+
     def cert(self, key: str) -> NodalCertificate:
         if key not in self._certs:
             self._certs[key] = certify_nodal(self.ctx(key), self.fixture(key).points)

@@ -41,7 +41,7 @@ def test_rank_coo_and_ledger(engine):
 
 def test_ledger_label_reuse_with_different_result_is_an_error(engine):
     engine.rank_coo(_coo([[1, 0], [0, 1]]), "label")
-    with pytest.raises(RuntimeError):
+    with pytest.raises(InconsistentResult):
         engine._record("label", 2, 2, 1)
 
 
@@ -69,11 +69,15 @@ def test_membership_and_quotient_coordinates(engine):
     basis = engine.echelon_coo(coo, AmbientSpace.abstract(3), "basis")
     inside = [Fraction(2), Fraction(3), Fraction(7)]
     outside = [Fraction(0), Fraction(0), Fraction(1)]
+    mixed = [Fraction(1), Fraction(1), Fraction(0)]  # (1, 0, 2) + (0, 1, 1) - 3 e_2
     assert membership(basis, inside)
     assert not membership(basis, outside)
-    red = reduce_against_basis(basis, outside)
-    coords = quotient_coordinates(basis, inside)
-    assert red is not None and coords is not None
+    assert not membership(basis, mixed)
+    for F in engine.field.realizations:
+        assert np.array_equal(reduce_against_basis(basis, outside)[F.key], F.convert([0, 0, 1]))
+        assert np.array_equal(reduce_against_basis(basis, mixed)[F.key], F.convert([0, 0, -3]))
+        assert np.array_equal(quotient_coordinates(basis, inside)[F.key], F.convert([0]))
+        assert np.array_equal(quotient_coordinates(basis, mixed)[F.key], F.convert([-3]))
 
 
 def test_two_prime_rank_disagreement_is_detected():

@@ -1,15 +1,21 @@
 """Graded Jacobian-ring dimensions: smooth reference, dual-route ideal
 dimensions, coincidence threshold, global singularity count, saturation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from nodalcert.errors import NoStabilization
+from nodalcert.errors import InconsistentResult, NoStabilization
 from nodalcert.field import FieldConfig
 from nodalcert.fixtures import fermat, one_node
 from nodalcert.hodge import ideal_of_points_dim
+from nodalcert.linalg import AmbientSpace
 from nodalcert.milnor import (
     SMOOTH,
     JacobianContext,
+    _basis_union,
     coincidence_threshold,
     dims_match_reference_through,
     saturation_graded,
@@ -70,19 +76,18 @@ def test_dims_match_reference_through(roster):
 
 
 def test_quotient_reduction_fixes_standard_monomials(roster):
-    ctx = roster.ctx("A")
-    table = ctx.quotient_reduction(4)
-    basis = ctx.jacobian_basis(4)
-    free = basis.free_columns()
-    for key, tab in table.items():
-        if key == "exact":
-            continue
-        assert tab.shape == (space_dim(3, 4), len(free))
-        # a standard monomial reduces to itself
-        for slot, col in enumerate(free):
-            row = tab[col]
-            assert row[slot] == 1
-            assert sum(1 for v in row if v) == 1
+    for ctx in roster.both_modes("A", one_node(3, 4, 1)):
+        table = ctx.quotient_reduction(4)
+        basis = ctx.jacobian_basis(4)
+        free = basis.free_columns()
+        for F in ctx.field.realizations:
+            tab = table[F.key]
+            assert tab.shape == (space_dim(3, 4), len(free))
+            # a standard monomial reduces to itself
+            for slot, col in enumerate(free):
+                row = tab[col]
+                assert row[slot] == 1
+                assert sum(1 for v in row if v) == 1
 
 
 def test_saturation_matches_point_ideal_below_socle(roster):
@@ -103,3 +108,55 @@ def test_saturation_declines_infeasible_inputs():
     ctx = JacobianContext(fx.f, FieldConfig.prime_pair())
     with pytest.raises(NoStabilization):
         saturation_graded(ctx, 4)
+
+
+def test_quotient_reduction_sends_ideal_generators_to_zero(roster):
+    # x_i * (a partial) lies in the degree-4 ideal slice: its class is zero
+    for ctx in roster.both_modes("A", one_node(3, 4, 1)):
+        table = ctx.quotient_reduction(4)
+        coo = ctx.generator_coo(4)
+        for F in ctx.field.realizations:
+            # object arithmetic: a product of two reduced int64 matrices overflows
+            classes = F.dense(coo).astype(object) @ table[F.key].astype(object)
+            assert not F.normalize(classes).any()
+
+
+def test_basis_union_refuses_different_ambients(roster):
+    ctx = roster.ctx("A")
+    a = ctx.jacobian_basis(3)
+    b = ctx.jacobian_basis(4)
+    with pytest.raises(InconsistentResult):
+        _basis_union(ctx, a, b, "mismatch")
+    c = ctx.engine.echelon_payload(a.payload, AmbientSpace.graded(3, 3), "same-ambient")
+    assert _basis_union(ctx, a, c, "match").dim == a.dim
+
+
+_STRIPPED_CHECKS = """
+from nodalcert.errors import InconsistentResult
+from nodalcert.field import FieldConfig
+from nodalcert.fixtures import one_node
+from nodalcert.milnor import JacobianContext, _basis_union
+
+assert False, "asserts are not stripped"
+ctx = JacobianContext(one_node(3, 4, 1).f, FieldConfig.prime_pair())
+ctx.jacobian_dim(3)
+for check in (
+    lambda: ctx.engine._record("jacobian/3", 20, 10, 0),
+    lambda: _basis_union(ctx, ctx.jacobian_basis(3), ctx.jacobian_basis(4), "mismatch"),
+):
+    try:
+        check()
+    except InconsistentResult:
+        print("raised")
+"""
+
+
+def test_result_checks_survive_python_O():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _STRIPPED_CHECKS],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ),
+        check=True,
+    )
+    assert out.stdout.split() == ["raised", "raised"]

@@ -6,9 +6,10 @@ import pytest
 
 from nodalcert.errors import DegreeTooSmall, NotEffective, UnsupportedDimension
 from nodalcert.field import FieldConfig
-from nodalcert.fixtures import fermat
+from nodalcert.fixtures import fermat, one_node
 from nodalcert.milnor import JacobianContext
-from nodalcert.monomials import monomial_basis
+from nodalcert.linalg import quotient_coordinates
+from nodalcert.monomials import monomial_basis, monomial_index
 from nodalcert.polynomials import HomogeneousPolynomial, partial_derivatives
 from nodalcert.torelli import (
     effective_deformation_check,
@@ -86,20 +87,37 @@ def test_effectiveness_rejects_malformed_entries(roster):
 
 
 def test_period_differential_is_minus_the_pairing(roster):
-    ctx = roster.ctx("A")
-    V = _standard_monomials(ctx, ctx.d)
-    result = period_differential(ctx, V)
-    assert result.dim_v == len(V) == ctx.milnor_dim(4)
-    assert result.rank == result.dim_v
-    assert result.injective
-    pairing_payload, pairing_shape = pairing_matrix(ctx)
-    assert result.shape == pairing_shape
-    for key, mat in result.payload.items():
-        if key == "exact":
-            continue
-        p = int(key.split(":")[1])
-        expected = (p - np.asarray(pairing_payload[key])) % p
-        assert np.array_equal(np.asarray(mat), expected)
+    for ctx in roster.both_modes("A", one_node(3, 4, 1)):
+        V = _standard_monomials(ctx, ctx.d)
+        result = period_differential(ctx, V)
+        assert result.dim_v == len(V) == ctx.milnor_dim(4)
+        assert result.rank == result.dim_v
+        assert result.injective
+        pairing_payload, pairing_shape = pairing_matrix(ctx)
+        assert result.shape == pairing_shape
+        assert set(result.payload) == set(ctx.field.keys)
+        for F in ctx.field.realizations:
+            assert np.array_equal(result.payload[F.key], F.normalize(-pairing_payload[F.key]))
+
+
+def test_pairing_entries_are_classes_of_products(roster):
+    # reference loop: reduce each product monomial against the ideal slice.
+    # Quintics have q_1 = 4 source classes, so the row order matters.
+    for ctx in roster.both_modes("C", one_node(3, 5, 1)):
+        n, d = ctx.n, ctx.d
+        k2 = 2 * d - n - 1
+        payload, (rows, _) = pairing_matrix(ctx)
+        src, mid = quotient_basis(ctx, d - n - 1), quotient_basis(ctx, d)
+        q2 = rows // len(src)
+        basis = ctx.jacobian_basis(k2)
+        index = monomial_index(n, k2)
+        for a, alpha in enumerate(src):
+            for j, beta in enumerate(mid):
+                vec = [0] * basis.ambient.dim
+                vec[index[tuple(x + y for x, y in zip(alpha, beta))]] = 1
+                coords = quotient_coordinates(basis, vec)
+                for F in ctx.field.realizations:
+                    assert np.array_equal(payload[F.key][a * q2 : (a + 1) * q2, j], coords[F.key])
 
 
 def test_period_differential_rejects_fourfolds():
