@@ -1,8 +1,9 @@
 """Time the modular elimination kernels on random and Jacobian-slice matrices.
 
-Runs the scalar row reduction (``rref_mod``) and the blocked rank-only
-elimination (``blocked_rank_mod``) on two kinds of input, modulo both
-default primes:
+Runs the scalar reduced row echelon form (the kernel set's ``rref``, which
+``rref_mod`` uses at or below ``_SCALAR_CUTOFF`` entries), the blocked one
+(``blocked_rref_mod``, above it) and the blocked rank-only elimination
+(``blocked_rank_mod``) on two kinds of input, modulo both default primes:
 
 * random matrices of a requested rank, built exactly over F_p in shapes
   like the Jacobian slices the pipeline eliminates;
@@ -10,15 +11,17 @@ default primes:
   nodal fixtures, which are rank-deficient by the node count.
 
 Every kernel implementation available is timed (the numpy one always, the
-numba one when numba imports and ``NODALCERT_PURE_NUMPY`` is unset). Times
-are the sum over both primes, best of three runs for matrices of at most
-one million entries. The table shows which kernel is faster at each size;
-``rank_mod`` switches from scalar to blocked above ``_SCALAR_CUTOFF``
-entries. The last line of output is one JSON object with every timing.
+numba one when numba imports and ``NODALCERT_PURE_NUMPY`` is unset), with
+BLAS on one thread. Times are the sum over both primes, best of three runs
+for matrices of at most one million entries. The table shows which kernel
+is faster at each size; ``rank_mod`` and ``rref_mod`` both switch from
+scalar to blocked above ``_SCALAR_CUTOFF`` entries. The last line of output
+is one JSON object with every timing.
 
-Any disagreement — scalar against blocked, numpy against numba, or a random
-matrix whose rank is not the requested one — is reported and makes the
-script exit 1.
+Any disagreement — a rank differing between kernels or implementations, a
+random matrix whose rank is not the requested one, or blocked RREF rows or
+pivots differing from the scalar RREF's — is reported and makes the script
+exit 1.
 
 Usage:
     python3 benchmarks/bench_elimination.py [--quick] [--seed N]
@@ -28,16 +31,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread, as in perfbench/run.py: on a 2-core VM a threaded BLAS
+# made a 128 x 128 x 165 float64 product about 100 times slower (16.0 ms
+# against 0.15 ms). Set before numpy loads BLAS.
+BLAS_THREADS = 1
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = str(BLAS_THREADS)
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nodalcert import _kernels  # noqa: E402
-from nodalcert._kernels import HAS_NUMBA, IMPL_NUMPY, blocked_rank_mod, rref_mod  # noqa: E402
+from nodalcert._kernels import HAS_NUMBA, IMPL_NUMPY, blocked_rank_mod, blocked_rref_mod  # noqa: E402
 from nodalcert.assembly import jacobian_generator_coo  # noqa: E402
 from nodalcert.field import DEFAULT_PRIMES  # noqa: E402
 from nodalcert.fixtures import one_node  # noqa: E402
@@ -91,22 +102,24 @@ def random_with_rank(rng: np.random.Generator, rows: int, cols: int, rank: int, 
     return np.ascontiguousarray(out[rng.permutation(rows)][:, rng.permutation(cols)])
 
 
+# Each returns (rank, pivot columns or None); the RREF ones leave A reduced.
 ALGORITHMS = {
-    "scalar": lambda M, p, impl: rref_mod(M, p, impl=impl)[0],
-    "blocked": lambda M, p, impl: blocked_rank_mod(M, p, impl=impl),
+    "scalar": lambda M, p, impl: impl.rref(M, p),
+    "blocked_rref": lambda M, p, impl: blocked_rref_mod(M, p, impl=impl),
+    "blocked": lambda M, p, impl: (blocked_rank_mod(M, p, impl=impl), None),
 }
 
 
-def best_time(algo, A: np.ndarray, p: int, impl, repeats: int) -> tuple[float, int]:
-    """Best wall time of ``repeats`` runs on fresh copies of A, and the rank."""
+def best_time(algo, A: np.ndarray, p: int, impl, repeats: int):
+    """Best wall time of ``repeats`` runs on fresh copies of A, the rank,
+    and (reduced matrix, pivot columns) for the RREF kernels, else None."""
     best = float("inf")
-    got = -1
     for _ in range(repeats):
         M = A.copy()
         t0 = time.perf_counter()
-        got = algo(M, p, impl)
+        rank, pivots = algo(M, p, impl)
         best = min(best, time.perf_counter() - t0)
-    return best, got
+    return best, rank, None if pivots is None else (M, pivots)
 
 
 def inputs(seed: int, quick: bool):
@@ -131,18 +144,20 @@ def main(argv: list[str] | None = None) -> int:
     if HAS_NUMBA:
         from nodalcert._kernels import IMPL_NUMBA
 
-        # warm the JIT so compile time does not pollute the table
-        warm = np.arange(16, dtype=np.int64).reshape(4, 4) % DEFAULT_PRIMES[0]
-        rref_mod(warm.copy(), DEFAULT_PRIMES[0], impl=IMPL_NUMBA)
-        blocked_rank_mod(warm.copy(), DEFAULT_PRIMES[0], impl=IMPL_NUMBA)
         impls.append(("numba", IMPL_NUMBA))
     else:
         print("accelerated backend unavailable; timing the numpy kernels only")
+    # warm BLAS and the JIT so start-up and compile time do not pollute the table
+    warm = random_with_rank(np.random.default_rng(0), 64, 64, 60, DEFAULT_PRIMES[0])
+    for _, impl in impls:
+        for algo in ALGORITHMS.values():
+            algo(warm.copy(), DEFAULT_PRIMES[0], impl)
 
     header = f"{'case':<30} {'shape':>11} {'entries':>9} {'rank':>6}"
     for name, _ in impls:
-        header += f" {name + ' scalar':>14} {name + ' blocked':>15} {'ratio':>6}"
-    print(f"primes {DEFAULT_PRIMES}, seed {args.seed}, _SCALAR_CUTOFF {_kernels._SCALAR_CUTOFF}")
+        header += f" {name + ' scalar':>14} {name + ' b.rref':>14} {name + ' b.rank':>14} {'ratio':>6}"
+    print(f"primes {DEFAULT_PRIMES}, seed {args.seed}, _SCALAR_CUTOFF {_kernels._SCALAR_CUTOFF},"
+          f" {BLAS_THREADS} BLAS thread")
     print(header)
     print("-" * len(header))
     records = []
@@ -152,26 +167,35 @@ def main(argv: list[str] | None = None) -> int:
         repeats = REPEATS if rows * cols <= REPEAT_ENTRIES else 1
         record = {"case": label, "rows": rows, "cols": cols, "entries": rows * cols, "requested_rank": requested}
         ranks: dict[int, set[int]] = {p: set() for p in mats}
+        reference: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        echelon_differs = False
         line = ""
         for iname, impl in impls:
             secs = dict.fromkeys(ALGORITHMS, 0.0)
             for aname, algo in ALGORITHMS.items():
                 for p, A in mats.items():
-                    dt, got = best_time(algo, A, p, impl, repeats)
+                    dt, got, echelon = best_time(algo, A, p, impl, repeats)
                     secs[aname] += dt
                     ranks[p].add(got)
+                    if echelon is not None:
+                        ref = reference.setdefault(p, echelon)
+                        echelon_differs |= not all(map(np.array_equal, echelon, ref))
                 record[f"{iname}_{aname}_s"] = round(secs[aname], 6)
-            line += f" {secs['scalar']:>13.4f}s {secs['blocked']:>14.4f}s {secs['scalar'] / secs['blocked']:>6.2f}"
-        bad = any(len(v) != 1 or (requested is not None and v != {requested}) for v in ranks.values())
+            line += (f" {secs['scalar']:>13.4f}s {secs['blocked_rref']:>13.4f}s {secs['blocked']:>13.4f}s"
+                     f" {secs['scalar'] / secs['blocked_rref']:>6.2f}")
+        bad_rank = any(len(v) != 1 or (requested is not None and v != {requested}) for v in ranks.values())
         record["ranks"] = {str(p): sorted(v) for p, v in ranks.items()}
-        rank_text = "?" if bad else "/".join(sorted({str(min(v)) for v in ranks.values()}))
+        record["echelon_differs"] = echelon_differs
+        rank_text = "?" if bad_rank else "/".join(sorted({str(min(v)) for v in ranks.values()}))
         print(f"{label:<30} {rows:>5}x{cols:<5} {rows * cols:>9} {rank_text:>6}" + line
-              + ("  RANK DISAGREEMENT" if bad else ""), flush=True)
-        disagreements += bad
+              + ("  RANK DISAGREEMENT" if bad_rank else "") + ("  RREF DISAGREEMENT" if echelon_differs else ""),
+              flush=True)
+        disagreements += bad_rank or echelon_differs
         records.append(record)
-    print("ratio = scalar time / blocked time (above 1: blocked is faster)")
+    print("b.rref = blocked_rref_mod, b.rank = blocked_rank_mod; "
+          "ratio = scalar time / b.rref time (above 1: the blocked RREF is faster)")
     if disagreements:
-        print(f"{disagreements} case(s) with disagreeing ranks", file=sys.stderr)
+        print(f"{disagreements} case(s) with disagreeing ranks or RREFs", file=sys.stderr)
     print(json.dumps({
         "seed": args.seed,
         "primes": list(DEFAULT_PRIMES),

@@ -8,26 +8,33 @@ row in the earliest unfinished column) and identical arithmetic, so their
 outputs are required to be bit-identical; ``benchmarks/bench_elimination.py``
 times the kernels on random and Jacobian-slice matrices.
 
-Two elimination strategies:
+Two elimination strategies, switched at ``_SCALAR_CUTOFF`` entries: on
+every Jacobian slice measured the scalar one was faster at or below it and
+the blocked one above it, for both the reduced form and the rank.
 
-* ``rref`` — full reduced row echelon form, used whenever the basis itself is
-  needed (quotient bases, kernels, membership). Scalar, in-place. A
-  rank-only request runs it only at or below ``_SCALAR_CUTOFF`` entries;
-  above that, ``blocked_rank`` was faster on every Jacobian slice measured.
-* ``blocked_rank`` — rank only, above the cutoff. Right-looking blocked
-  elimination (the FFLAS-FFPACK scheme): a 128-wide panel is factored by
-  scalar elimination while recording multipliers; the panel's pivot rows
-  are finished by multiplying with the inverse of its unit lower-triangular
-  multiplier block, and the trailing block below is updated with one more
-  product (the numba twin finishes the pivot rows by row operations
-  instead; the result is the same). Every product runs in float64 on
-  16-bit limb splits: each dot product is a sum of at most 128 terms
-  bounded by 2^32, hence below 2^53 and exact, and the recombination
-  reduces modulo p in int64. Exactness makes the result independent of
-  BLAS summation order, so this is deterministic. The products run over
-  column chunks sized so that each float64 product buffer stays near
-  ``_PRODUCT_BYTES``; temporaries are bounded by that budget, not by the
-  matrix.
+* scalar — ``rref``: full reduced row echelon form by row operations, in
+  place. ``rref_mod`` and ``rank_mod`` use it at or below the cutoff.
+* blocked — above the cutoff. Right-looking blocked elimination (the
+  FFLAS-FFPACK scheme): a 128-wide panel is factored by scalar elimination
+  while recording multipliers; the panel's pivot rows are finished by
+  multiplying with the inverse of its unit lower-triangular multiplier
+  block, and the trailing block below is updated with one more product
+  (the numba twin finishes the pivot rows by row operations instead; the
+  result is the same). This forward pass is shared: ``blocked_rank_mod``
+  stops after it with the rank, and ``blocked_rref_mod`` goes on to the
+  reduced form needed for bases (quotient bases, kernels, membership). It
+  scales the pivot rows to unit pivots and, over blocks of up to 128 pivot
+  rows from the bottom up, multiplies each block by the inverse of its unit
+  upper-triangular pivot block and clears the block's pivot columns in the
+  rows above it with one product. The reduced form is unique, so it equals
+  the scalar one entry for entry. Every product runs in float64 on 16-bit
+  limb splits: each dot product is a sum of at most 128 terms bounded by
+  2^32, hence below 2^53 and exact, and the recombination reduces modulo p
+  in int64. Exactness makes the result independent of BLAS summation
+  order, so this is deterministic. The products run over column chunks
+  sized so that each float64 product buffer stays near ``_PRODUCT_BYTES``;
+  the other temporaries (multipliers and their limbs) are at most 128
+  columns wide.
 """
 
 from __future__ import annotations
@@ -37,14 +44,20 @@ import os
 import numpy as np
 
 PANEL_WIDTH = 128
-# entries; at or below this plain rref computes ranks, above it blocked_rank.
-# Measured with benchmarks/bench_elimination.py (numpy kernels, seeds 1-3):
-# up to 36,960 entries the two are within run-to-run noise of each other
-# (time ratios 0.87-1.33); from the 224 x 220 Jacobian slice (49,280 entries)
-# up, blocked_rank wins every run, by 1.2-6.4x.
+# entries; at or below this the scalar rref computes ranks and reduced forms,
+# above it blocked_rank_mod and blocked_rref_mod. Measured with
+# benchmarks/bench_elimination.py (numpy kernels, seeds 1-3). Ranks: up to
+# 36,960 entries the two are within run-to-run noise of each other (time
+# ratios 0.87-1.33); from the 224 x 220 Jacobian slice (49,280 entries) up,
+# blocked_rank_mod wins every run, by 1.2-6.4x. Reduced forms: up to 36,960
+# entries the scalar rref wins every run (blocked/scalar time 1.04-1.64);
+# from 49,280 up blocked_rref_mod wins all but one run (0.98 at 73,920), by
+# up to 5.9x.
 _SCALAR_CUTOFF = 40_000
 # bytes of one float64 product buffer in the blocked kernel's column chunks
 _PRODUCT_BYTES = 1 << 20
+# order up to which _np_unit_lower_inverse eliminates column by column
+_INVERSE_BASE = 16
 
 PURE_NUMPY = os.environ.get("NODALCERT_PURE_NUMPY", "") not in ("", "0")
 
@@ -174,15 +187,43 @@ def _np_mulmod(X0: np.ndarray, X1: np.ndarray, Y0: np.ndarray, Y1: np.ndarray, p
     return acc
 
 
-def _np_unit_lower_inverse(F: np.ndarray, npiv: int, p: int) -> np.ndarray:
-    """Inverse over F_p of the unit lower-triangular L with L[s, t] = F[s, t]
-    for t < s < npiv, by forward elimination of [L | I] column by column."""
-    X = np.eye(npiv, dtype=np.int64)
-    for t in range(npiv - 1):
-        f = F[t + 1 : npiv, t]
-        if f.any():
-            X[t + 1 :, : t + 1] = (X[t + 1 :, : t + 1] + (p - f)[:, None] * X[t, : t + 1]) % p
+def _np_unit_lower_inverse(L: np.ndarray, p: int) -> np.ndarray:
+    """Inverse over F_p of the unit lower-triangular matrix whose strictly
+    lower part is that of the square L (its diagonal and upper part are not
+    read); the inverse of a unit upper-triangular U is this of U.T, transposed.
+
+    Recursive 2x2 block inversion, inv([[L11, 0], [L21, L22]]) =
+    [[X11, 0], [-X22 L21 X11, X22]], with the off-diagonal block a limb-split
+    product (order at most 2 * PANEL_WIDTH, so inner dimensions stay within
+    128); blocks of order at most _INVERSE_BASE by forward elimination of
+    [L | I] column by column.
+    """
+    n = L.shape[0]
+    if n <= _INVERSE_BASE:
+        X = np.eye(n, dtype=np.int64)
+        for t in range(n - 1):
+            f = L[t + 1 :, t]
+            if f.any():
+                X[t + 1 :, : t + 1] = (X[t + 1 :, : t + 1] + (p - f)[:, None] * X[t, : t + 1]) % p
+        return X
+    h = n // 2
+    X = np.zeros((n, n), dtype=np.int64)
+    X11 = X[:h, :h] = _np_unit_lower_inverse(L[:h, :h], p)
+    X22 = X[h:, h:] = _np_unit_lower_inverse(L[h:, h:], p)
+    M = _np_mulmod(*_limbs(X22), *_limbs(L[h:, :h]), p)
+    M = _np_mulmod(*_limbs(M), *_limbs(X11), p)
+    X[h:, :h] = (p - M) % p
     return X
+
+
+def _np_left_multiply(U: np.ndarray, X: np.ndarray, p: int) -> None:
+    """U = (X @ U) mod p in place for X of order at most PANEL_WIDTH, one
+    limb-split product per column chunk."""
+    X0, X1 = _limbs(X)
+    chunk = _chunk_columns(X.shape[0])
+    for j0 in range(0, U.shape[1], chunk):
+        u0, u1 = _limbs(U[:, j0 : j0 + chunk])
+        U[:, j0 : j0 + chunk] = _np_mulmod(X0, X1, u0, u1, p)
 
 
 def _np_triangular(A: np.ndarray, r0: int, npiv: int, ctrail: int, p: int, F: np.ndarray) -> None:
@@ -193,16 +234,9 @@ def _np_triangular(A: np.ndarray, r0: int, npiv: int, ctrail: int, p: int, F: np
     multiplier block F[:npiv, :npiv]; done as one limb-split product per
     column chunk.
     """
-    C = A.shape[1]
-    if ctrail >= C or npiv < 2:
+    if ctrail >= A.shape[1] or npiv < 2:
         return
-    L0, L1 = _limbs(_np_unit_lower_inverse(F, npiv, p))
-    U = A[r0 : r0 + npiv, ctrail:]
-    chunk = _chunk_columns(npiv)
-    for j0 in range(0, C - ctrail, chunk):
-        j1 = min(j0 + chunk, C - ctrail)
-        u0, u1 = _limbs(U[:, j0:j1])
-        U[:, j0:j1] = _np_mulmod(L0, L1, u0, u1, p)
+    _np_left_multiply(A[r0 : r0 + npiv, ctrail:], _np_unit_lower_inverse(F[:npiv, :npiv], p), p)
 
 
 def _np_fuse(T: np.ndarray, X0: np.ndarray, X1: np.ndarray, Y0: np.ndarray, Y1: np.ndarray, p: int) -> None:
@@ -439,43 +473,88 @@ ACTIVE: _Impl = IMPL_NUMBA if HAS_NUMBA else IMPL_NUMPY
 
 
 def rref_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> tuple[int, np.ndarray]:
-    """Reduced row echelon form of A over F_p, in place. A must be int64,
+    """Reduced row echelon form of A over F_p, in place: scalar at or below
+    _SCALAR_CUTOFF entries, blocked_rref_mod above. A must be int64,
     C-contiguous, with entries already reduced into [0, p)."""
     impl = impl or ACTIVE
     if A.size == 0:
         return 0, np.zeros(0, dtype=np.int64)
-    return impl.rref(A, p)
+    if A.size <= _SCALAR_CUTOFF:
+        return impl.rref(A, p)
+    return blocked_rref_mod(A, p, impl)
+
+
+def _fuse_product(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int, impl: _Impl) -> None:
+    """T -= (X @ Y) mod p in place, one ``impl.fuse`` per column chunk; X has
+    at most PANEL_WIDTH columns and is read in full before T is written."""
+    X0, X1 = _limbs(X)
+    chunk = _chunk_columns(T.shape[0])
+    for j0 in range(0, T.shape[1], chunk):
+        y0, y1 = _limbs(Y[:, j0 : j0 + chunk])
+        impl.fuse(T[:, j0 : j0 + chunk], X0, X1, y0, y1, p)
+
+
+def _forward(A: np.ndarray, p: int, impl: _Impl) -> np.ndarray:
+    """Blocked forward elimination of A over F_p, in place; returns the pivot
+    columns.
+
+    Leaves a row echelon form: pivot row i holds a nonzero pivot at
+    pivots[i] and zeros left of it, and the rows below the rank are zero.
+    The pivot rule and hence the pivots are those of the scalar rref.
+    """
+    R, C = A.shape
+    pivots = [np.zeros(0, dtype=np.int64)]
+    r = 0
+    c0 = 0
+    while c0 < C and r < R:
+        cend = min(c0 + PANEL_WIDTH, C)
+        F = np.zeros((R - r, cend - c0), dtype=np.int64)
+        npiv, pivcols = impl.panel(A, r, c0, cend - c0, p, F)
+        if npiv:
+            pivots.append(pivcols)
+            impl.triangular(A, r, npiv, cend, p, F)
+            if r + npiv < R and cend < C:
+                _fuse_product(A[r + npiv :, cend:], F[npiv:, :npiv], A[r : r + npiv, cend:], p, impl)
+        r += npiv
+        c0 = cend
+    return np.concatenate(pivots)
 
 
 def blocked_rank_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> int:
     """Rank of A over F_p via blocked elimination; destroys A. A must be
     int64 with entries already reduced into [0, p)."""
+    return _forward(A, p, impl or ACTIVE).size
+
+
+def blocked_rref_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> tuple[int, np.ndarray]:
+    """Reduced row echelon form of A over F_p by blocked elimination, in
+    place; the same rows, pivots and zero rows below the rank as the scalar
+    rref, since the reduced form is unique.
+
+    After the forward pass every pivot row is scaled to a unit pivot. Then,
+    over blocks of up to PANEL_WIDTH pivot rows from the bottom up, the
+    block's rows are multiplied by the inverse of their unit upper-triangular
+    pivot block, which clears the block's pivot columns inside it, and the
+    rows above it lose their entries in those columns through one fuse per
+    column chunk. A block's rows are zero in the pivot columns of the blocks
+    below it, cleared before, so the fuse keeps those zero.
+    """
     impl = impl or ACTIVE
-    R, C = A.shape
-    if R == 0 or C == 0:
-        return 0
-    r = 0
-    c0 = 0
-    while c0 < C and r < R:
-        w = min(PANEL_WIDTH, C - c0)
-        cend = min(c0 + w, C)
-        F = np.zeros((R - r, w), dtype=np.int64)
-        npiv, _ = impl.panel(A, r, c0, w, p, F)
-        if npiv:
-            impl.triangular(A, r, npiv, cend, p, F)
-            RB = R - r - npiv
-            CT = C - cend
-            if RB > 0 and CT > 0:
-                U = A[r : r + npiv, cend:]
-                F0, F1 = _limbs(F[npiv:, :npiv])
-                chunk = _chunk_columns(RB)
-                for j0 in range(0, CT, chunk):
-                    j1 = min(j0 + chunk, CT)
-                    u0, u1 = _limbs(U[:, j0:j1])
-                    impl.fuse(A[r + npiv :, cend + j0 : cend + j1], F0, F1, u0, u1, p)
-        r += npiv
-        c0 = cend
-    return r
+    pivots = _forward(A, p, impl)
+    rank = pivots.size
+    inv = np.array([pow(int(a), p - 2, p) for a in A[np.arange(rank), pivots]], dtype=np.int64)
+    U = A[:rank]
+    U *= inv[:, None]
+    U %= p
+    for b0 in range(PANEL_WIDTH * ((rank - 1) // PANEL_WIDTH), -1, -PANEL_WIDTH):
+        cols = pivots[b0 : b0 + PANEL_WIDTH]
+        c = int(cols[0])
+        B = A[b0 : b0 + cols.size, c:]
+        if cols.size > 1:
+            _np_left_multiply(B, _np_unit_lower_inverse(A[b0 : b0 + cols.size, cols].T, p).T, p)
+        if b0:
+            _fuse_product(A[:b0, c:], A[:b0, cols], B, p, impl)
+    return rank, pivots
 
 
 def rank_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> int:
@@ -495,12 +574,9 @@ def kernel_from_rref(rows: np.ndarray, pivots: np.ndarray, ncols: int, p: int) -
     One kernel row per free column g: 1 at g, -R[t, g] at pivot column t.
     The rows are independent but not echelonized; callers re-echelonize.
     """
-    rank = rows.shape[0]
-    pivset = set(int(c) for c in pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    out = np.zeros((len(free), ncols), dtype=np.int64)
-    for idx, g in enumerate(free):
-        out[idx, g] = 1
-        if rank:
-            out[idx, pivots] = (p - rows[:, g]) % p
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    out = np.zeros((free.size, ncols), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    if rows.shape[0]:
+        out[:, pivots] = (p - rows[:, free]).T % p
     return out
