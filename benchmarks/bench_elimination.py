@@ -64,7 +64,7 @@ RANDOM_CASES = [
 JACOBIAN_CASES = [
     (3, 4, (6, 7, 8, 9, 10)),
     (3, 5, (7, 8, 9, 10, 11, 12, 13, 14)),
-    (2, 19, (51,)),
+    (2, 19, (51, 53)),
 ]
 QUICK_RANDOM = RANDOM_CASES[:2]
 QUICK_JACOBIAN = [(3, 4, (6, 7, 8, 9, 10)), (3, 5, (7, 8, 9, 10, 11, 12))]

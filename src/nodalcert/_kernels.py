@@ -9,32 +9,43 @@ outputs are required to be bit-identical; ``benchmarks/bench_elimination.py``
 times the kernels on random and Jacobian-slice matrices.
 
 Two elimination strategies, switched at ``_SCALAR_CUTOFF`` entries: on
-every Jacobian slice measured the scalar one was faster at or below it and
-the blocked one above it, for both the reduced form and the rank.
+every Jacobian slice measured the blocked rank was faster than the scalar
+one above it; the blocked reduced form overtakes the scalar one a little
+later, near 100,000 entries (see the constant).
 
 * scalar — ``rref``: full reduced row echelon form by row operations, in
   place. ``rref_mod`` and ``rank_mod`` use it at or below the cutoff.
 * blocked — above the cutoff. Right-looking blocked elimination (the
-  FFLAS-FFPACK scheme): a 128-wide panel is factored by scalar elimination
-  while recording multipliers; the panel's pivot rows are finished by
-  multiplying with the inverse of its unit lower-triangular multiplier
-  block, and the trailing block below is updated with one more product
-  (the numba twin finishes the pivot rows by row operations instead; the
-  result is the same). This forward pass is shared: ``blocked_rank_mod``
-  stops after it with the rank, and ``blocked_rref_mod`` goes on to the
-  reduced form needed for bases (quotient bases, kernels, membership). It
-  scales the pivot rows to unit pivots and, over blocks of up to 128 pivot
-  rows from the bottom up, multiplies each block by the inverse of its unit
-  upper-triangular pivot block and clears the block's pivot columns in the
-  rows above it with one product. The reduced form is unique, so it equals
-  the scalar one entry for entry. Every product runs in float64 on 16-bit
-  limb splits: each dot product is a sum of at most 128 terms bounded by
-  2^32, hence below 2^53 and exact, and the recombination reduces modulo p
-  in int64. Exactness makes the result independent of BLAS summation
-  order, so this is deterministic. The products run over column chunks
-  sized so that each float64 product buffer stays near ``_PRODUCT_BYTES``;
-  the other temporaries (multipliers and their limbs) are at most 128
-  columns wide.
+  FFLAS-FFPACK scheme): a 128-wide panel is factored while recording
+  multipliers, by the rank-profile recursion of Jeannerod, Pernet and
+  Storjohann (JSC 2013): in a transposed copy of the panel, halves are
+  factored one after the other down to 16 columns, which go column by
+  column, and between halves the left half's pivot rows are finished by
+  the inverse of their unit lower-triangular multiplier block and the rows
+  below are updated with one product. The row swaps are replayed on the
+  rest of the matrix. The panel's pivot rows are then finished in the
+  trailing columns with the inverse of the panel's multiplier block, and
+  the trailing block below is updated with one more product (the numba
+  twin factors the panel and finishes the pivot rows by row operations
+  instead; the result is the same). This forward pass is shared:
+  ``blocked_rank_mod`` stops after it with the rank, and
+  ``blocked_rref_mod`` goes on to the reduced form needed for bases
+  (quotient bases, kernels, membership). It scales the pivot rows to unit
+  pivots and, over blocks of up to 128 pivot rows from the bottom up,
+  multiplies each block by the inverse of its unit upper-triangular pivot
+  block and clears the block's pivot columns in the rows above it with one
+  product. The reduced form is unique, so it equals the scalar one entry
+  for entry. Every product X @ Y has an inner dimension of at most 128 and
+  runs as two float64 products: the narrow factor X is split into balanced
+  16-bit limbs, X = X1 * 2^16 + X0 with X0 in [-2^15, 2^15) and X1 in
+  [0, 2^15], and Y stays whole (X1 multiplies 2^16 Y mod p), so each dot
+  product is a sum of at most 128 terms bounded by 2^46, hence below 2^53
+  and exact; the two products are summed and reduced modulo p in int64.
+  Exactness makes the result independent of BLAS summation order, so this
+  is deterministic. The trailing products run over column chunks sized so
+  that each float64 product buffer stays near ``_PRODUCT_BYTES``; the
+  other temporaries (the transposed panel, the multipliers, their limbs
+  and the products inside the panel) are at most 128 columns or rows wide.
 """
 
 from __future__ import annotations
@@ -43,21 +54,29 @@ import os
 
 import numpy as np
 
+from .errors import InconsistentResult
+
 PANEL_WIDTH = 128
 # entries; at or below this the scalar rref computes ranks and reduced forms,
 # above it blocked_rank_mod and blocked_rref_mod. Measured with
-# benchmarks/bench_elimination.py (numpy kernels, seeds 1-3). Ranks: up to
-# 36,960 entries the two are within run-to-run noise of each other (time
-# ratios 0.87-1.33); from the 224 x 220 Jacobian slice (49,280 entries) up,
-# blocked_rank_mod wins every run, by 1.2-6.4x. Reduced forms: up to 36,960
-# entries the scalar rref wins every run (blocked/scalar time 1.04-1.64);
-# from 49,280 up blocked_rref_mod wins all but one run (0.98 at 73,920), by
-# up to 5.9x.
+# benchmarks/bench_elimination.py (numpy kernels, seeds 1-3, Jacobian
+# slices; blocked/scalar time). Ranks: even at 36,960 entries (0.67-1.00),
+# and from the 224 x 220 slice (49,280 entries) up blocked_rank_mod wins
+# every run (0.07-0.81). Reduced forms: from 36,960 to 73,920 entries the
+# scalar rref wins all but one run (0.97-1.38), at 96,096 blocked_rref_mod
+# wins two of three (0.75-1.04) and from 137,280 up every run (0.08-0.96).
+# One cutoff serves both: between 40,000 and 100,000 entries a reduced form
+# loses at most a few milliseconds to the blocked kernel, and a rank gains
+# as much.
 _SCALAR_CUTOFF = 40_000
 # bytes of one float64 product buffer in the blocked kernel's column chunks
 _PRODUCT_BYTES = 1 << 20
 # order up to which _np_unit_lower_inverse eliminates column by column
 _INVERSE_BASE = 16
+# width up to which _np_panel_block factors column by column; on the
+# 1785 x 1378 Jacobian slice 8 and 16 were the fastest, 4 and 32 about
+# 10 % slower and 64 25 % slower
+_PANEL_BASE = 16
 
 PURE_NUMPY = os.environ.get("NODALCERT_PURE_NUMPY", "") not in ("", "0")
 
@@ -73,6 +92,16 @@ HAS_NUMBA = not PURE_NUMPY
 # ---------------------------------------------------------------------------
 # numpy reference implementation
 # ---------------------------------------------------------------------------
+
+
+def _np_reduce(S: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """S mod p for int64 S, into ``out`` (default: S itself), as S - (S // p) * p:
+    numpy's floor division by a scalar is several times faster than its
+    remainder, and equal to it digit for digit. It allocates a quotient the
+    size of S, so whole-matrix reductions in place keep ``%=``."""
+    q = S // p
+    q *= p
+    return np.subtract(S, q, out=S if out is None else out)
 
 
 def _np_rref(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
@@ -96,12 +125,12 @@ def _np_rref(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
             A[[r, piv], :] = A[[piv, r], :]
         inv = pow(int(A[r, c]), p - 2, p)
         if inv != 1:
-            A[r, c:] = (A[r, c:] * inv) % p
+            A[r, c:] = _np_reduce(A[r, c:] * inv, p)
         rows = np.nonzero(A[:, c])[0]
         rows = rows[rows != r]
         if rows.size:
             f = A[rows, c][:, None]
-            A[rows, c:] = (A[rows, c:] + (p - f) * A[r, c:]) % p
+            A[rows, c:] = _np_reduce(A[rows, c:] + (p - f) * A[r, c:], p)
         pivots.append(c)
         r += 1
     return r, np.array(pivots, dtype=np.int64)
@@ -113,44 +142,89 @@ def _np_panel(A: np.ndarray, r0: int, c0: int, w: int, p: int, F: np.ndarray) ->
     Eliminates panel columns only (trailing columns untouched), recording the
     multiplier of row i against panel pivot s in F[i-r0, s]. Pivot rows are
     swapped into place r0, r0+1, ...; returns (npiv, global pivot columns).
+
+    The panel is factored in a contiguous transposed copy, so a column is a
+    row of length R - r0, by recursive halving (_np_panel_block). Its row
+    swaps are recorded and replayed on the whole rows of A before the
+    factored panel is written back: the trailing columns are swapped in
+    place, never gathered.
     """
-    R, C = A.shape
-    cend = min(c0 + w, C)
+    cend = min(c0 + w, A.shape[1])
+    T = np.ascontiguousarray(A[r0:, c0:cend].T)
+    swaps: list[tuple[int, int]] = []
+    pivcols = _np_panel_block(T, F, 0, cend - c0, 0, p, swaps)
+    for i, j in swaps:
+        A[[r0 + i, r0 + j]] = A[[r0 + j, r0 + i]]
+    A[r0:, c0:cend] = T.T
+    return len(pivcols), np.array(pivcols, dtype=np.int64) + c0
+
+
+def _np_panel_block(
+    T: np.ndarray, F: np.ndarray, a: int, b: int, r: int, p: int, swaps: list[tuple[int, int]]
+) -> list[int]:
+    """Factor columns [a, b) of the transposed panel T (T[c, i] is panel row
+    i, column c) with pivot rows from r, the columns left of a already
+    factored; returns the pivot columns. The multipliers against the panel's
+    pivot t, which sits in row t, go to column t of F.
+
+    Up to _PANEL_BASE columns, scalar elimination column by column. Wider
+    blocks are split in halves: once the left half is factored, its pivot
+    rows are finished in the right half by the inverse of their unit
+    lower-triangular multiplier block, the rows below lose their multiples
+    of them with one product, and the right half is factored from the next
+    free row. Row swaps act on whole panel rows and whole rows of F (whose
+    columns from the current pivot on are still zero), as in the scalar
+    order, and are appended to ``swaps``.
+    """
+    if b - a <= _PANEL_BASE:
+        return _np_panel_columns(T, F, a, b, r, p, swaps)
+    m = (a + b) // 2
+    left = _np_panel_block(T, F, a, m, r, p, swaps)
+    k = len(left)
+    if k:
+        top = T[m:b, r : r + k]
+        if k > 1:
+            top[...] = _np_mulmod(*_limbs(top), _np_unit_lower_inverse(F[r : r + k, r : r + k], p).T, p)
+        if r + k < T.shape[1]:
+            _np_fuse(T[m:b, r + k :], *_limbs(top), F[r + k :, r : r + k].T, p)
+    return left + _np_panel_block(T, F, m, b, r + k, p, swaps)
+
+
+def _np_panel_columns(
+    T: np.ndarray, F: np.ndarray, a: int, b: int, r: int, p: int, swaps: list[tuple[int, int]]
+) -> list[int]:
+    """The scalar base case of _np_panel_block: columns [a, b) one by one,
+    updating the block's own later columns along rows of T."""
+    n = T.shape[1]
     pivcols = []
-    npiv = 0
-    for c in range(c0, cend):
-        rr = r0 + npiv
-        if rr >= R:
+    for c in range(a, b):
+        if r >= n:
             break
-        nz = np.nonzero(A[rr:, c])[0]
+        nz = np.flatnonzero(T[c, r:])
         if nz.size == 0:
             continue
-        piv = rr + int(nz[0])
-        if piv != rr:
-            A[[rr, piv], :] = A[[piv, rr], :]
-            if npiv:
-                F[[rr - r0, piv - r0], :npiv] = F[[piv - r0, rr - r0], :npiv]
-        inv = pow(int(A[rr, c]), p - 2, p)
-        below = A[rr + 1 :, c]
-        nzb = np.nonzero(below)[0]
-        F[rr + 1 - r0 :, npiv] = 0
-        if nzb.size:
-            rows = nzb + rr + 1
-            f = (below[nzb] * inv) % p
-            F[rows - r0, npiv] = f
-            A[rows, c] = 0
-            if c + 1 < cend:
-                A[rows, c + 1 : cend] = (
-                    A[rows, c + 1 : cend] + (p - f)[:, None] * A[rr, c + 1 : cend]
-                ) % p
+        piv = r + int(nz[0])
+        if piv != r:
+            T[:, [r, piv]] = T[:, [piv, r]]
+            F[[r, piv]] = F[[piv, r]]
+            swaps.append((r, piv))
+        inv = pow(int(T[c, r]), p - 2, p)
+        f = _np_reduce(T[c, r + 1 :] * inv, p)
+        F[r + 1 :, r] = f
+        T[c, r + 1 :] = 0
+        if c + 1 < b:
+            blk = T[c + 1 : b, r + 1 :]
+            _np_reduce(blk + T[c + 1 : b, r, None] * (p - f), p, out=blk)
         pivcols.append(c)
-        npiv += 1
-    return npiv, np.array(pivcols, dtype=np.int64)
+        r += 1
+    return pivcols
 
 
-def _limbs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 16-bit limbs of entries in [0, 2^31), as float64."""
-    return (M & 0xFFFF).astype(np.float64), (M >> 16).astype(np.float64)
+def _limbs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced 16-bit limbs (X0, X1) of entries in [0, 2^31), as float64:
+    X = X1 * 2^16 + X0 with X0 in [-2^15, 2^15) and X1 in [0, 2^15]."""
+    X0 = ((X + 0x8000) & 0xFFFF) - 0x8000
+    return X0.astype(np.float64), ((X - X0) >> 16).astype(np.float64)
 
 
 def _chunk_columns(rows: int) -> int:
@@ -159,32 +233,34 @@ def _chunk_columns(rows: int) -> int:
     return max(1, _PRODUCT_BYTES // (8 * rows))
 
 
-def _np_mulmod(X0: np.ndarray, X1: np.ndarray, Y0: np.ndarray, Y1: np.ndarray, p: int) -> np.ndarray:
-    """(X @ Y) mod p as a fresh int64 array, from the 16-bit limbs of X and Y.
+def _np_limb_product(X0: np.ndarray, X1: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """A fresh int64 S congruent to X @ Y modulo p, from the balanced limbs
+    of X (``_limbs``) and Y with entries in [0, p):
+    S = X1 @ (2^16 Y mod p) + X0 @ Y, two float64 products.
 
-    X @ Y = X1@Y1 * 2^32 + (X1@Y0 + X0@Y1) * 2^16 + X0@Y0. With inner
-    dimension <= 128 the three limb products are below 2^37, 2^39 and 2^39,
-    exact in float64, and the int64 sum with the first term reduced,
-    (X1@Y1 mod p) * (2^32 mod p) + ..., stays below 2^62 + 2^55 + 2^39 < 2^63.
-    The products are taken one at a time into one float64 buffer and folded
-    into two int64 buffers, so at most three result-sized buffers are live.
+    With inner dimension at most PANEL_WIDTH = 2^7, each product is a sum of
+    at most 2^7 terms below 2^15 * 2^31 = 2^46 in size, so below 2^53 and
+    exact whatever the summation order; |S| < 2^54. A larger inner dimension
+    would void that bound, so it raises. The high limb's factor 2^16 is
+    reduced on Y, which has at most PANEL_WIDTH rows, not on X1 @ Y, which
+    has as many rows as X. One float64 and two int64 result-sized buffers
+    are live at most.
     """
-    P = X1 @ Y1
-    acc = np.empty(P.shape, dtype=np.int64)
-    np.copyto(acc, P, casting="unsafe")
-    acc %= p
-    acc *= (1 << 32) % p
-    np.matmul(X1, Y0, out=P)
-    P += X0 @ Y1
-    tmp = np.empty_like(acc)
-    np.copyto(tmp, P, casting="unsafe")
-    tmp *= (1 << 16) % p
-    acc += tmp
-    np.matmul(X0, Y0, out=P)
-    np.copyto(tmp, P, casting="unsafe")
-    acc += tmp
-    acc %= p
-    return acc
+    if X0.shape[1] > PANEL_WIDTH:
+        raise InconsistentResult(f"limb product with inner dimension {X0.shape[1]} > {PANEL_WIDTH} is not exact")
+    P = X1 @ _np_reduce(Y << 16, p).astype(np.float64)
+    S = P.astype(np.int64)
+    np.matmul(X0, Y.astype(np.float64), out=P)
+    S += P.astype(np.int64)
+    return S
+
+
+def _np_mulmod(X0: np.ndarray, X1: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """(X @ Y) mod p as a fresh int64 array, from the balanced limbs of X
+    (``_limbs``) and Y with entries in [0, p): the two float64 products of
+    ``_np_limb_product``, reduced. X is the narrow operand, of at most
+    PANEL_WIDTH columns, and the only one split; Y stays whole."""
+    return _np_reduce(_np_limb_product(X0, X1, Y, p), p)
 
 
 def _np_unit_lower_inverse(L: np.ndarray, p: int) -> np.ndarray:
@@ -193,10 +269,10 @@ def _np_unit_lower_inverse(L: np.ndarray, p: int) -> np.ndarray:
     read); the inverse of a unit upper-triangular U is this of U.T, transposed.
 
     Recursive 2x2 block inversion, inv([[L11, 0], [L21, L22]]) =
-    [[X11, 0], [-X22 L21 X11, X22]], with the off-diagonal block a limb-split
-    product (order at most 2 * PANEL_WIDTH, so inner dimensions stay within
-    128); blocks of order at most _INVERSE_BASE by forward elimination of
-    [L | I] column by column.
+    [[X11, 0], [-X22 L21 X11, X22]], with the off-diagonal block two limb
+    products whose left factors are split (order at most PANEL_WIDTH, so
+    inner dimensions stay within it); blocks of order at most _INVERSE_BASE
+    by forward elimination of [L | I] column by column.
     """
     n = L.shape[0]
     if n <= _INVERSE_BASE:
@@ -204,26 +280,25 @@ def _np_unit_lower_inverse(L: np.ndarray, p: int) -> np.ndarray:
         for t in range(n - 1):
             f = L[t + 1 :, t]
             if f.any():
-                X[t + 1 :, : t + 1] = (X[t + 1 :, : t + 1] + (p - f)[:, None] * X[t, : t + 1]) % p
+                X[t + 1 :, : t + 1] = _np_reduce(X[t + 1 :, : t + 1] + (p - f)[:, None] * X[t, : t + 1], p)
         return X
     h = n // 2
     X = np.zeros((n, n), dtype=np.int64)
     X11 = X[:h, :h] = _np_unit_lower_inverse(L[:h, :h], p)
     X22 = X[h:, h:] = _np_unit_lower_inverse(L[h:, h:], p)
-    M = _np_mulmod(*_limbs(X22), *_limbs(L[h:, :h]), p)
-    M = _np_mulmod(*_limbs(M), *_limbs(X11), p)
+    M = _np_mulmod(*_limbs(X22), L[h:, :h], p)
+    M = _np_mulmod(*_limbs(M), X11, p)
     X[h:, :h] = (p - M) % p
     return X
 
 
 def _np_left_multiply(U: np.ndarray, X: np.ndarray, p: int) -> None:
     """U = (X @ U) mod p in place for X of order at most PANEL_WIDTH, one
-    limb-split product per column chunk."""
+    limb product per column chunk, with X split."""
     X0, X1 = _limbs(X)
     chunk = _chunk_columns(X.shape[0])
     for j0 in range(0, U.shape[1], chunk):
-        u0, u1 = _limbs(U[:, j0 : j0 + chunk])
-        U[:, j0 : j0 + chunk] = _np_mulmod(X0, X1, u0, u1, p)
+        U[:, j0 : j0 + chunk] = _np_mulmod(X0, X1, U[:, j0 : j0 + chunk], p)
 
 
 def _np_triangular(A: np.ndarray, r0: int, npiv: int, ctrail: int, p: int, F: np.ndarray) -> None:
@@ -231,19 +306,20 @@ def _np_triangular(A: np.ndarray, r0: int, npiv: int, ctrail: int, p: int, F: np
 
     Pivot row s must absorb the updates of pivot rows t < s, i.e. the
     trailing rows are multiplied by L^-1 where L is the unit lower-triangular
-    multiplier block F[:npiv, :npiv]; done as one limb-split product per
-    column chunk.
+    multiplier block F[:npiv, :npiv]; done as one limb product per column
+    chunk.
     """
     if ctrail >= A.shape[1] or npiv < 2:
         return
     _np_left_multiply(A[r0 : r0 + npiv, ctrail:], _np_unit_lower_inverse(F[:npiv, :npiv], p), p)
 
 
-def _np_fuse(T: np.ndarray, X0: np.ndarray, X1: np.ndarray, Y0: np.ndarray, Y1: np.ndarray, p: int) -> None:
-    """T -= (X @ Y) mod p in place, from the 16-bit limbs of X and Y."""
-    red = _np_mulmod(X0, X1, Y0, Y1, p)
-    np.subtract(T, red, out=T)
-    np.add(T, p, out=T, where=T < 0)
+def _np_fuse(T: np.ndarray, X0: np.ndarray, X1: np.ndarray, Y: np.ndarray, p: int) -> None:
+    """T -= (X @ Y) mod p in place, from the balanced limbs of X and Y with
+    entries in [0, p), by one reduction of T - S (``_np_limb_product``)."""
+    S = _np_limb_product(X0, X1, Y, p)
+    np.subtract(T, S, out=S)
+    _np_reduce(S, p, out=T)
 
 
 # ---------------------------------------------------------------------------
@@ -413,44 +489,25 @@ if HAS_NUMBA:
         return
 
     @njit(cache=True, nogil=True)
-    def _nb_fuse(T, P2, P1, P0, p, r32, r16):
+    def _nb_fuse(T, S, p):
         R, C = T.shape
-        pinv = 1.0 / p
         for i in range(R):
             for j in range(C):
-                v2 = np.int64(P2[i, j])
-                q = np.int64(np.float64(v2) * pinv)
-                v2 = v2 - q * p
-                if v2 < 0:
-                    v2 += p
-                if v2 >= p:
-                    v2 -= p
-                if v2 >= p:
-                    v2 -= p
-                acc = v2 * r32 + np.int64(P1[i, j]) * r16 + np.int64(P0[i, j])
-                q = np.int64(np.float64(acc) * pinv)
-                red = acc - q * p
-                if red < 0:
-                    red += p
-                if red >= p:
-                    red -= p
-                if red >= p:
-                    red -= p
-                t = T[i, j] - red
+                t = T[i, j] - S[i, j] % p
                 if t < 0:
                     t += p
                 T[i, j] = t
 
-    def _nb_fuse_limbs(T, X0, X1, Y0, Y1, p):
-        """T -= (X @ Y) mod p from limbs: BLAS limb products, jitted fuse."""
-        P1 = X1 @ Y0
-        P1 += X0 @ Y1
-        _nb_fuse(T, X1 @ Y1, P1, X0 @ Y0, p, (1 << 32) % p, (1 << 16) % p)
+    def _nb_fuse_limbs(T, X0, X1, Y, p):
+        """T -= (X @ Y) mod p from the balanced limbs of X and Y: BLAS limb
+        products, jitted fuse."""
+        _nb_fuse(T, _np_limb_product(X0, X1, Y, p), p)
 
 
 class _Impl:
     """One complete kernel set; ``rref``/``panel`` mutate A in place and
-    ``fuse(T, X0, X1, Y0, Y1, p)`` does T -= (X @ Y) mod p from limbs."""
+    ``fuse(T, X0, X1, Y, p)`` does T -= (X @ Y) mod p from the balanced
+    limbs of X and Y with entries in [0, p)."""
 
     def __init__(self, name, rref, panel, triangular, fuse):
         self.name = name
@@ -486,12 +543,12 @@ def rref_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> tuple[int, np.
 
 def _fuse_product(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int, impl: _Impl) -> None:
     """T -= (X @ Y) mod p in place, one ``impl.fuse`` per column chunk; X has
-    at most PANEL_WIDTH columns and is read in full before T is written."""
+    at most PANEL_WIDTH columns, is the factor split into limbs and is read
+    in full before T is written."""
     X0, X1 = _limbs(X)
     chunk = _chunk_columns(T.shape[0])
     for j0 in range(0, T.shape[1], chunk):
-        y0, y1 = _limbs(Y[:, j0 : j0 + chunk])
-        impl.fuse(T[:, j0 : j0 + chunk], X0, X1, y0, y1, p)
+        impl.fuse(T[:, j0 : j0 + chunk], X0, X1, Y[:, j0 : j0 + chunk], p)
 
 
 def _forward(A: np.ndarray, p: int, impl: _Impl) -> np.ndarray:

@@ -20,6 +20,7 @@ from nodalcert._kernels import (
     rref_mod,
 )
 from nodalcert.assembly import jacobian_generator_coo
+from nodalcert.errors import InconsistentResult
 from nodalcert.exact import bareiss_rank
 from nodalcert.field import DEFAULT_PRIMES
 from nodalcert.fixtures import one_node
@@ -137,6 +138,155 @@ def test_product_form_triangular_step_matches_row_operations():
     got = A.copy()
     _kernels._np_triangular(got, 0, npiv, ctrail, P, F)
     assert np.array_equal(got, expected)
+
+
+def _edge_operands(rng, p):
+    """X (rows x PANEL_WIDTH) and Y (PANEL_WIDTH x cols) at the limb split's
+    worst case: uniform rows of p - 1 and of the limb edges 2^15 - 1, 2^15,
+    2^16 - 1 and 2^31 - 2^15 (low limb -2^15 under a high limb of 2^15),
+    rows mixing them at random, and Y of p - 1, p - 2 and random residues."""
+    edges = np.array([p - 1, (1 << 15) - 1, 1 << 15, (1 << 16) - 1, (1 << 31) - (1 << 15)], dtype=np.int64)
+    uniform = np.repeat(edges, PANEL_WIDTH).reshape(edges.size, PANEL_WIDTH)
+    X = np.vstack([uniform, rng.choice(edges, size=(40, PANEL_WIDTH))])
+    Y = rng.integers(0, p, size=(PANEL_WIDTH, 60), dtype=np.int64)
+    Y[:, :20] = p - 1
+    Y[:, 20:40] = rng.choice(np.array([p - 1, p - 2], dtype=np.int64), size=(PANEL_WIDTH, 20))
+    return X, Y
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_limb_products_are_exact_at_the_worst_case(p):
+    rng = np.random.default_rng(53)
+    X, Y = _edge_operands(rng, p)
+    expected = (X.astype(object) @ Y.astype(object)) % p
+    got = _kernels._np_mulmod(*_kernels._limbs(X), Y, p)
+    assert got.dtype == np.int64 and np.array_equal(got.astype(object), expected)
+    T = rng.integers(0, p, size=expected.shape, dtype=np.int64)
+    fused = T.copy()
+    _kernels._np_fuse(fused, *_kernels._limbs(X), Y, p)
+    assert np.array_equal(fused.astype(object), (T.astype(object) - expected) % p)
+
+
+def test_limb_products_refuse_an_inner_dimension_beyond_the_panel():
+    X = np.ones((3, PANEL_WIDTH + 1), dtype=np.int64)
+    Y = np.ones((PANEL_WIDTH + 1, 4), dtype=np.int64)
+    with pytest.raises(InconsistentResult):
+        _kernels._np_mulmod(*_kernels._limbs(X), Y, P)
+    with pytest.raises(InconsistentResult):
+        _kernels._fuse_product(np.zeros((3, 4), dtype=np.int64), X, Y, P, IMPL_NUMPY)
+
+
+def _column_panel(A, r0, c0, w, p, F):
+    """The panel factored column by column on A itself, the reference for
+    the recursive panel: same contract as ``_kernels._np_panel``."""
+    R, C = A.shape
+    cend = min(c0 + w, C)
+    pivcols = []
+    npiv = 0
+    for c in range(c0, cend):
+        rr = r0 + npiv
+        if rr >= R:
+            break
+        nz = np.nonzero(A[rr:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = rr + int(nz[0])
+        if piv != rr:
+            A[[rr, piv], :] = A[[piv, rr], :]
+            if npiv:
+                F[[rr - r0, piv - r0], :npiv] = F[[piv - r0, rr - r0], :npiv]
+        inv = pow(int(A[rr, c]), p - 2, p)
+        below = A[rr + 1 :, c]
+        nzb = np.nonzero(below)[0]
+        F[rr + 1 - r0 :, npiv] = 0
+        if nzb.size:
+            rows = nzb + rr + 1
+            f = (below[nzb] * inv) % p
+            F[rows - r0, npiv] = f
+            A[rows, c] = 0
+            if c + 1 < cend:
+                A[rows, c + 1 : cend] = (A[rows, c + 1 : cend] + (p - f)[:, None] * A[rr, c + 1 : cend]) % p
+        pivcols.append(c)
+        npiv += 1
+    return npiv, np.array(pivcols, dtype=np.int64)
+
+
+def _assert_panel_is_column_panel(A, r0, c0, w, p):
+    """The recursive panel and the column-by-column one leave the same A and
+    F and return the same pivot columns; returns (npiv, A before, A after)."""
+    width = min(w, A.shape[1] - c0)
+    expected, got = A.copy(), A.copy()
+    F_expected = np.zeros((A.shape[0] - r0, width), dtype=np.int64)
+    F_got = np.zeros_like(F_expected)
+    npiv, pivcols = _column_panel(expected, r0, c0, w, p, F_expected)
+    got_npiv, got_pivcols = _kernels._np_panel(got, r0, c0, w, p, F_got)
+    assert got_npiv == npiv
+    assert got_pivcols.dtype == pivcols.dtype and np.array_equal(got_pivcols, pivcols)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(F_got, F_expected)
+    return npiv, A, got
+
+
+def _sparse(rng, rows, cols, p, density=0.3):
+    """A rows x cols matrix over F_p with about ``density`` of it nonzero."""
+    A = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+    A[rng.random(A.shape) >= density] = 0
+    return A
+
+
+@pytest.mark.parametrize("w", [1, _kernels._PANEL_BASE, _kernels._PANEL_BASE + 1, 2 * _kernels._PANEL_BASE + 1, PANEL_WIDTH])
+def test_recursive_panel_matches_the_column_panel(w):
+    rng = np.random.default_rng(59 + w)
+    for p in DEFAULT_PRIMES:
+        for r0, c0 in [(0, 0), (5, 9)]:
+            # sparse: zero leading entries force row swaps in most columns
+            assert _assert_panel_is_column_panel(_sparse(rng, 300, c0 + w + 40, p), r0, c0, w, p)[0] == w
+            _assert_panel_is_column_panel(_random_with_rank(rng, 200, c0 + w + 40, min(w, 150) // 2 + 1, p), r0, c0, w, p)
+
+
+def test_recursive_panel_with_fewer_rows_than_columns():
+    rng = np.random.default_rng(61)
+    for p in DEFAULT_PRIMES:
+        for rows, r0 in [(10, 0), (40, 3), (PANEL_WIDTH - 1, 0)]:
+            A = _sparse(rng, rows, PANEL_WIDTH + 30, p, 0.5)
+            assert _assert_panel_is_column_panel(A, r0, 0, PANEL_WIDTH, p)[0] == rows - r0
+
+
+def test_recursive_panel_with_zero_columns_and_an_all_zero_panel():
+    rng = np.random.default_rng(67)
+    half = PANEL_WIDTH // 2
+    for p in DEFAULT_PRIMES:
+        A = _sparse(rng, 250, PANEL_WIDTH + 50, p)
+        A[:, 3:20] = 0  # in the left half
+        A[:, half + 5 : half + 40] = 0  # in the right half
+        A[:, PANEL_WIDTH - 1] = 0  # the panel's last column
+        assert _assert_panel_is_column_panel(A, 0, 0, PANEL_WIDTH, p)[0] == PANEL_WIDTH - 17 - 35 - 1
+        Z = _sparse(rng, 250, PANEL_WIDTH + 50, p)
+        Z[:, :PANEL_WIDTH] = 0
+        npiv, before, after = _assert_panel_is_column_panel(Z, 0, 0, PANEL_WIDTH, p)
+        assert npiv == 0 and np.array_equal(after, before)
+
+
+def test_recursive_panel_with_a_rank_drop_inside_the_first_half():
+    rng = np.random.default_rng(71)
+    for p in DEFAULT_PRIMES:
+        A = _random_with_rank(rng, 260, PANEL_WIDTH + 60, 180, p)
+        A[:, 12] = 3 * A[:, 4] % p
+        A[:, 30] = (A[:, 4] + A[:, 7]) % p
+        assert _assert_panel_is_column_panel(A, 0, 0, PANEL_WIDTH, p)[0] == PANEL_WIDTH - 2
+
+
+def test_recursive_panel_replays_row_swaps_on_the_trailing_columns():
+    rng = np.random.default_rng(73)
+    for p in DEFAULT_PRIMES:
+        A = _sparse(rng, 300, PANEL_WIDTH + 80, p, 0.2)
+        # the first rows are zero in the panel: every early pivot is swapped up
+        A[:40, :PANEL_WIDTH] = 0
+        A[:40, PANEL_WIDTH:] = rng.integers(1, p, size=(40, 80), dtype=np.int64)
+        npiv, before, after = _assert_panel_is_column_panel(A, 0, 0, PANEL_WIDTH, p)
+        assert npiv == PANEL_WIDTH
+        assert not np.array_equal(after[:, PANEL_WIDTH:], before[:, PANEL_WIDTH:])
+        assert np.array_equal(np.sort(after[:, PANEL_WIDTH:], axis=0), np.sort(before[:, PANEL_WIDTH:], axis=0))
 
 
 def _column_elimination_inverse(L, p):
