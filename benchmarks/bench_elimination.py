@@ -1,7 +1,7 @@
 """Time the modular elimination kernels on random and Jacobian-slice matrices.
 
-Runs the scalar reduced row echelon form (the kernel set's ``rref``, which
-``rref_mod`` uses at or below ``_SCALAR_CUTOFF`` entries), the blocked one
+Runs the scalar reduced row echelon form (``_np_rref``, which ``rref_mod``
+uses at or below ``_SCALAR_CUTOFF`` entries), the blocked one
 (``blocked_rref_mod``, above it) and the blocked rank-only elimination
 (``blocked_rank_mod``) on two kinds of input, modulo both default primes:
 
@@ -10,18 +10,15 @@ Runs the scalar reduced row echelon form (the kernel set's ``rref``, which
 * real Jacobian generator slices (``jacobian_generator_coo``) of seeded
   nodal fixtures, which are rank-deficient by the node count.
 
-Every kernel implementation available is timed (the numpy one always, the
-numba one when numba imports and ``NODALCERT_PURE_NUMPY`` is unset), with
-BLAS on one thread. Times are the sum over both primes, best of three runs
-for matrices of at most one million entries. The table shows which kernel
-is faster at each size; ``rank_mod`` and ``rref_mod`` both switch from
-scalar to blocked above ``_SCALAR_CUTOFF`` entries. The last line of output
-is one JSON object with every timing.
+BLAS runs on one thread. Times are the sum over both primes, best of three
+runs for matrices of at most one million entries. The table shows which
+kernel is faster at each size; ``rank_mod`` and ``rref_mod`` both switch
+from scalar to blocked above ``_SCALAR_CUTOFF`` entries. The last line of
+output is one JSON object with every timing.
 
-Any disagreement — a rank differing between kernels or implementations, a
-random matrix whose rank is not the requested one, or blocked RREF rows or
-pivots differing from the scalar RREF's — is reported and makes the script
-exit 1.
+Any disagreement — a rank differing between kernels, a random matrix whose
+rank is not the requested one, or blocked RREF rows or pivots differing
+from the scalar RREF's — is reported and makes the script exit 1.
 
 Usage:
     python3 benchmarks/bench_elimination.py [--quick] [--seed N]
@@ -48,7 +45,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nodalcert import _kernels  # noqa: E402
-from nodalcert._kernels import HAS_NUMBA, IMPL_NUMPY, blocked_rank_mod, blocked_rref_mod  # noqa: E402
+from nodalcert._kernels import _np_rref, blocked_rank_mod, blocked_rref_mod  # noqa: E402
 from nodalcert.assembly import jacobian_generator_coo  # noqa: E402
 from nodalcert.field import DEFAULT_PRIMES  # noqa: E402
 from nodalcert.fixtures import one_node  # noqa: E402
@@ -104,20 +101,20 @@ def random_with_rank(rng: np.random.Generator, rows: int, cols: int, rank: int, 
 
 # Each returns (rank, pivot columns or None); the RREF ones leave A reduced.
 ALGORITHMS = {
-    "scalar": lambda M, p, impl: impl.rref(M, p),
-    "blocked_rref": lambda M, p, impl: blocked_rref_mod(M, p, impl=impl),
-    "blocked": lambda M, p, impl: (blocked_rank_mod(M, p, impl=impl), None),
+    "scalar": _np_rref,
+    "blocked_rref": blocked_rref_mod,
+    "blocked": lambda M, p: (blocked_rank_mod(M, p), None),
 }
 
 
-def best_time(algo, A: np.ndarray, p: int, impl, repeats: int):
+def best_time(algo, A: np.ndarray, p: int, repeats: int):
     """Best wall time of ``repeats`` runs on fresh copies of A, the rank,
     and (reduced matrix, pivot columns) for the RREF kernels, else None."""
     best = float("inf")
     for _ in range(repeats):
         M = A.copy()
         t0 = time.perf_counter()
-        rank, pivots = algo(M, p, impl)
+        rank, pivots = algo(M, p)
         best = min(best, time.perf_counter() - t0)
     return best, rank, None if pivots is None else (M, pivots)
 
@@ -140,22 +137,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of the random matrices and fixtures")
     args = parser.parse_args(argv)
 
-    impls = [("numpy", IMPL_NUMPY)]
-    if HAS_NUMBA:
-        from nodalcert._kernels import IMPL_NUMBA
-
-        impls.append(("numba", IMPL_NUMBA))
-    else:
-        print("accelerated backend unavailable; timing the numpy kernels only")
-    # warm BLAS and the JIT so start-up and compile time do not pollute the table
+    # warm BLAS so start-up does not pollute the table
     warm = random_with_rank(np.random.default_rng(0), 64, 64, 60, DEFAULT_PRIMES[0])
-    for _, impl in impls:
-        for algo in ALGORITHMS.values():
-            algo(warm.copy(), DEFAULT_PRIMES[0], impl)
+    for algo in ALGORITHMS.values():
+        algo(warm.copy(), DEFAULT_PRIMES[0])
 
-    header = f"{'case':<30} {'shape':>11} {'entries':>9} {'rank':>6}"
-    for name, _ in impls:
-        header += f" {name + ' scalar':>14} {name + ' b.rref':>14} {name + ' b.rank':>14} {'ratio':>6}"
+    header = (f"{'case':<30} {'shape':>11} {'entries':>9} {'rank':>6}"
+              f" {'scalar':>14} {'b.rref':>14} {'b.rank':>14} {'ratio':>6}")
     print(f"primes {DEFAULT_PRIMES}, seed {args.seed}, _SCALAR_CUTOFF {_kernels._SCALAR_CUTOFF},"
           f" {BLAS_THREADS} BLAS thread")
     print(header)
@@ -169,20 +157,18 @@ def main(argv: list[str] | None = None) -> int:
         ranks: dict[int, set[int]] = {p: set() for p in mats}
         reference: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         echelon_differs = False
-        line = ""
-        for iname, impl in impls:
-            secs = dict.fromkeys(ALGORITHMS, 0.0)
-            for aname, algo in ALGORITHMS.items():
-                for p, A in mats.items():
-                    dt, got, echelon = best_time(algo, A, p, impl, repeats)
-                    secs[aname] += dt
-                    ranks[p].add(got)
-                    if echelon is not None:
-                        ref = reference.setdefault(p, echelon)
-                        echelon_differs |= not all(map(np.array_equal, echelon, ref))
-                record[f"{iname}_{aname}_s"] = round(secs[aname], 6)
-            line += (f" {secs['scalar']:>13.4f}s {secs['blocked_rref']:>13.4f}s {secs['blocked']:>13.4f}s"
-                     f" {secs['scalar'] / secs['blocked_rref']:>6.2f}")
+        secs = dict.fromkeys(ALGORITHMS, 0.0)
+        for aname, algo in ALGORITHMS.items():
+            for p, A in mats.items():
+                dt, got, echelon = best_time(algo, A, p, repeats)
+                secs[aname] += dt
+                ranks[p].add(got)
+                if echelon is not None:
+                    ref = reference.setdefault(p, echelon)
+                    echelon_differs |= not all(map(np.array_equal, echelon, ref))
+            record[f"{aname}_s"] = round(secs[aname], 6)
+        line = (f" {secs['scalar']:>13.4f}s {secs['blocked_rref']:>13.4f}s {secs['blocked']:>13.4f}s"
+                f" {secs['scalar'] / secs['blocked_rref']:>6.2f}")
         bad_rank = any(len(v) != 1 or (requested is not None and v != {requested}) for v in ranks.values())
         record["ranks"] = {str(p): sorted(v) for p, v in ranks.items()}
         record["echelon_differs"] = echelon_differs
@@ -200,7 +186,6 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "primes": list(DEFAULT_PRIMES),
         "scalar_cutoff": _kernels._SCALAR_CUTOFF,
-        "impls": [name for name, _ in impls],
         "disagreements": disagreements,
         "cases": records,
     }))

@@ -1,19 +1,15 @@
-"""Prime-field elimination kernels.
+"""Prime-field elimination kernels, in numpy.
 
-Two interchangeable implementations of the same algorithms live here: a
-numba-jitted hot path and a pure-numpy twin. The active one is picked at
-import time — set ``NODALCERT_PURE_NUMPY=1`` (or have numba unavailable) to
-run on the numpy path. Both follow the identical pivot rule (first nonzero
-row in the earliest unfinished column) and identical arithmetic, so their
-outputs are required to be bit-identical; ``benchmarks/bench_elimination.py``
-times the kernels on random and Jacobian-slice matrices.
+Every kernel follows one pivot rule (first nonzero row in the earliest
+unfinished column); ``benchmarks/bench_elimination.py`` times them on random
+and Jacobian-slice matrices.
 
 Two elimination strategies, switched at ``_SCALAR_CUTOFF`` entries: on
 every Jacobian slice measured the blocked rank was faster than the scalar
 one above it; the blocked reduced form overtakes the scalar one a little
 later, near 100,000 entries (see the constant).
 
-* scalar — ``rref``: full reduced row echelon form by row operations, in
+* scalar — ``_np_rref``: full reduced row echelon form by row operations, in
   place. ``rref_mod`` and ``rank_mod`` use it at or below the cutoff.
 * blocked — above the cutoff. Right-looking blocked elimination (the
   FFLAS-FFPACK scheme): a 128-wide panel is factored while recording
@@ -25,10 +21,8 @@ later, near 100,000 entries (see the constant).
   below are updated with one product. The row swaps are replayed on the
   rest of the matrix. The panel's pivot rows are then finished in the
   trailing columns with the inverse of the panel's multiplier block, and
-  the trailing block below is updated with one more product (the numba
-  twin factors the panel and finishes the pivot rows by row operations
-  instead; the result is the same). This forward pass is shared:
-  ``blocked_rank_mod`` stops after it with the rank, and
+  the trailing block below is updated with one more product. This forward
+  pass is shared: ``blocked_rank_mod`` stops after it with the rank, and
   ``blocked_rref_mod`` goes on to the reduced form needed for bases
   (quotient bases, kernels, membership). It scales the pivot rows to unit
   pivots and, over blocks of up to 128 pivot rows from the bottom up,
@@ -50,7 +44,7 @@ later, near 100,000 entries (see the constant).
 
 from __future__ import annotations
 
-import os
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,19 +72,14 @@ _INVERSE_BASE = 16
 # 10 % slower and 64 25 % slower
 _PANEL_BASE = 16
 
-PURE_NUMPY = os.environ.get("NODALCERT_PURE_NUMPY", "") not in ("", "0")
-
-if not PURE_NUMPY:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - exercised only without numba
-        PURE_NUMPY = True
-
-HAS_NUMBA = not PURE_NUMPY
+# read only by perfbench/run.py, which prints the backend in its env line;
+# they go with the next change to the benchmark
+HAS_NUMBA = False
+ACTIVE = SimpleNamespace(name="numpy")
 
 
 # ---------------------------------------------------------------------------
-# numpy reference implementation
+# kernels
 # ---------------------------------------------------------------------------
 
 
@@ -323,235 +312,32 @@ def _np_fuse(T: np.ndarray, X0: np.ndarray, X1: np.ndarray, Y: np.ndarray, p: in
 
 
 # ---------------------------------------------------------------------------
-# numba implementation (compiled lazily, cached on disk)
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _nb_mulmod(a, b, p, pinv):
-        s = a * b
-        q = np.int64(np.float64(s) * pinv)
-        t = s - q * p
-        if t < 0:
-            t += p
-        if t >= p:
-            t -= p
-        if t >= p:
-            t -= p
-        return t
-
-    @njit(cache=True, nogil=True)
-    def _nb_modinv(a, p, pinv):
-        result = np.int64(1)
-        base = a % p
-        e = p - 2
-        while e:
-            if e & 1:
-                result = _nb_mulmod(result, base, p, pinv)
-            base = _nb_mulmod(base, base, p, pinv)
-            e >>= 1
-        return result
-
-    @njit(cache=True, nogil=True)
-    def _nb_rref(A, p):
-        R, C = A.shape
-        pinv = 1.0 / p
-        cap = R if R < C else C
-        pivots = np.empty(cap, dtype=np.int64)
-        r = 0
-        for c in range(C):
-            if r >= R:
-                break
-            piv = -1
-            for i in range(r, R):
-                if A[i, c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for j in range(c, C):
-                    t = A[r, j]
-                    A[r, j] = A[piv, j]
-                    A[piv, j] = t
-            inv = _nb_modinv(A[r, c], p, pinv)
-            if inv != 1:
-                for j in range(c, C):
-                    a = A[r, j]
-                    if a != 0:
-                        A[r, j] = _nb_mulmod(a, inv, p, pinv)
-            for i in range(R):
-                if i == r:
-                    continue
-                f = A[i, c]
-                if f == 0:
-                    continue
-                negf = p - f
-                for j in range(c, C):
-                    b = A[r, j]
-                    if b != 0:
-                        s = A[i, j] + negf * b
-                        q = np.int64(np.float64(s) * pinv)
-                        t = s - q * p
-                        if t < 0:
-                            t += p
-                        if t >= p:
-                            t -= p
-                        if t >= p:
-                            t -= p
-                        A[i, j] = t
-            pivots[r] = c
-            r += 1
-        return r, pivots[:r].copy()
-
-    @njit(cache=True, nogil=True)
-    def _nb_panel(A, r0, c0, w, p, F):
-        R, C = A.shape
-        pinv = 1.0 / p
-        cend = c0 + w
-        if cend > C:
-            cend = C
-        pivcols = np.empty(cend - c0, dtype=np.int64)
-        npiv = 0
-        for c in range(c0, cend):
-            rr = r0 + npiv
-            if rr >= R:
-                break
-            piv = -1
-            for i in range(rr, R):
-                if A[i, c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != rr:
-                for j in range(C):
-                    t = A[rr, j]
-                    A[rr, j] = A[piv, j]
-                    A[piv, j] = t
-                for s in range(npiv):
-                    t = F[rr - r0, s]
-                    F[rr - r0, s] = F[piv - r0, s]
-                    F[piv - r0, s] = t
-            inv = _nb_modinv(A[rr, c], p, pinv)
-            for i in range(rr + 1, R):
-                a = A[i, c]
-                if a == 0:
-                    F[i - r0, npiv] = 0
-                    continue
-                f = _nb_mulmod(a, inv, p, pinv)
-                F[i - r0, npiv] = f
-                negf = p - f
-                A[i, c] = 0
-                for j in range(c + 1, cend):
-                    b = A[rr, j]
-                    if b != 0:
-                        s = A[i, j] + negf * b
-                        q = np.int64(np.float64(s) * pinv)
-                        t = s - q * p
-                        if t < 0:
-                            t += p
-                        if t >= p:
-                            t -= p
-                        if t >= p:
-                            t -= p
-                        A[i, j] = t
-            pivcols[npiv] = c
-            npiv += 1
-        return npiv, pivcols[:npiv].copy()
-
-    @njit(cache=True, nogil=True)
-    def _nb_triangular(A, r0, npiv, ctrail, p, F):
-        R, C = A.shape
-        pinv = 1.0 / p
-        if ctrail >= C:
-            return
-        for s in range(1, npiv):
-            for t in range(s):
-                f = F[s, t]
-                if f == 0:
-                    continue
-                negf = p - f
-                for j in range(ctrail, C):
-                    b = A[r0 + t, j]
-                    if b != 0:
-                        v = A[r0 + s, j] + negf * b
-                        q = np.int64(np.float64(v) * pinv)
-                        u = v - q * p
-                        if u < 0:
-                            u += p
-                        if u >= p:
-                            u -= p
-                        if u >= p:
-                            u -= p
-                        A[r0 + s, j] = u
-        return
-
-    @njit(cache=True, nogil=True)
-    def _nb_fuse(T, S, p):
-        R, C = T.shape
-        for i in range(R):
-            for j in range(C):
-                t = T[i, j] - S[i, j] % p
-                if t < 0:
-                    t += p
-                T[i, j] = t
-
-    def _nb_fuse_limbs(T, X0, X1, Y, p):
-        """T -= (X @ Y) mod p from the balanced limbs of X and Y: BLAS limb
-        products, jitted fuse."""
-        _nb_fuse(T, _np_limb_product(X0, X1, Y, p), p)
-
-
-class _Impl:
-    """One complete kernel set; ``rref``/``panel`` mutate A in place and
-    ``fuse(T, X0, X1, Y, p)`` does T -= (X @ Y) mod p from the balanced
-    limbs of X and Y with entries in [0, p)."""
-
-    def __init__(self, name, rref, panel, triangular, fuse):
-        self.name = name
-        self.rref = rref
-        self.panel = panel
-        self.triangular = triangular
-        self.fuse = fuse
-
-
-IMPL_NUMPY = _Impl("numpy", _np_rref, _np_panel, _np_triangular, _np_fuse)
-IMPL_NUMBA = (
-    _Impl("numba", _nb_rref, _nb_panel, _nb_triangular, _nb_fuse_limbs) if HAS_NUMBA else None
-)
-ACTIVE: _Impl = IMPL_NUMBA if HAS_NUMBA else IMPL_NUMPY
-
-
-# ---------------------------------------------------------------------------
-# shared drivers
+# drivers
 # ---------------------------------------------------------------------------
 
 
-def rref_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> tuple[int, np.ndarray]:
+def rref_mod(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """Reduced row echelon form of A over F_p, in place: scalar at or below
     _SCALAR_CUTOFF entries, blocked_rref_mod above. A must be int64,
     C-contiguous, with entries already reduced into [0, p)."""
-    impl = impl or ACTIVE
     if A.size == 0:
         return 0, np.zeros(0, dtype=np.int64)
     if A.size <= _SCALAR_CUTOFF:
-        return impl.rref(A, p)
-    return blocked_rref_mod(A, p, impl)
+        return _np_rref(A, p)
+    return blocked_rref_mod(A, p)
 
 
-def _fuse_product(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int, impl: _Impl) -> None:
-    """T -= (X @ Y) mod p in place, one ``impl.fuse`` per column chunk; X has
+def _fuse_product(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
+    """T -= (X @ Y) mod p in place, one ``_np_fuse`` per column chunk; X has
     at most PANEL_WIDTH columns, is the factor split into limbs and is read
     in full before T is written."""
     X0, X1 = _limbs(X)
     chunk = _chunk_columns(T.shape[0])
     for j0 in range(0, T.shape[1], chunk):
-        impl.fuse(T[:, j0 : j0 + chunk], X0, X1, Y[:, j0 : j0 + chunk], p)
+        _np_fuse(T[:, j0 : j0 + chunk], X0, X1, Y[:, j0 : j0 + chunk], p)
 
 
-def _forward(A: np.ndarray, p: int, impl: _Impl) -> np.ndarray:
+def _forward(A: np.ndarray, p: int) -> np.ndarray:
     """Blocked forward elimination of A over F_p, in place; returns the pivot
     columns.
 
@@ -566,24 +352,24 @@ def _forward(A: np.ndarray, p: int, impl: _Impl) -> np.ndarray:
     while c0 < C and r < R:
         cend = min(c0 + PANEL_WIDTH, C)
         F = np.zeros((R - r, cend - c0), dtype=np.int64)
-        npiv, pivcols = impl.panel(A, r, c0, cend - c0, p, F)
+        npiv, pivcols = _np_panel(A, r, c0, cend - c0, p, F)
         if npiv:
             pivots.append(pivcols)
-            impl.triangular(A, r, npiv, cend, p, F)
+            _np_triangular(A, r, npiv, cend, p, F)
             if r + npiv < R and cend < C:
-                _fuse_product(A[r + npiv :, cend:], F[npiv:, :npiv], A[r : r + npiv, cend:], p, impl)
+                _fuse_product(A[r + npiv :, cend:], F[npiv:, :npiv], A[r : r + npiv, cend:], p)
         r += npiv
         c0 = cend
     return np.concatenate(pivots)
 
 
-def blocked_rank_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> int:
+def blocked_rank_mod(A: np.ndarray, p: int) -> int:
     """Rank of A over F_p via blocked elimination; destroys A. A must be
     int64 with entries already reduced into [0, p)."""
-    return _forward(A, p, impl or ACTIVE).size
+    return _forward(A, p).size
 
 
-def blocked_rref_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> tuple[int, np.ndarray]:
+def blocked_rref_mod(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """Reduced row echelon form of A over F_p by blocked elimination, in
     place; the same rows, pivots and zero rows below the rank as the scalar
     rref, since the reduced form is unique.
@@ -596,8 +382,7 @@ def blocked_rref_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> tuple[
     column chunk. A block's rows are zero in the pivot columns of the blocks
     below it, cleared before, so the fuse keeps those zero.
     """
-    impl = impl or ACTIVE
-    pivots = _forward(A, p, impl)
+    pivots = _forward(A, p)
     rank = pivots.size
     inv = np.array([pow(int(a), p - 2, p) for a in A[np.arange(rank), pivots]], dtype=np.int64)
     U = A[:rank]
@@ -610,19 +395,19 @@ def blocked_rref_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> tuple[
         if cols.size > 1:
             _np_left_multiply(B, _np_unit_lower_inverse(A[b0 : b0 + cols.size, cols].T, p).T, p)
         if b0:
-            _fuse_product(A[:b0, c:], A[:b0, cols], B, p, impl)
+            _fuse_product(A[:b0, c:], A[:b0, cols], B, p)
     return rank, pivots
 
 
-def rank_mod(A: np.ndarray, p: int, impl: _Impl | None = None) -> int:
+def rank_mod(A: np.ndarray, p: int) -> int:
     """Rank over F_p, routing matrices of at most _SCALAR_CUTOFF entries to
     plain rref and larger ones to blocked_rank_mod; destroys A."""
     if A.size == 0:
         return 0
     if A.size <= _SCALAR_CUTOFF:
-        rank, _ = rref_mod(A, p, impl)
+        rank, _ = rref_mod(A, p)
         return rank
-    return blocked_rank_mod(A, p, impl)
+    return blocked_rank_mod(A, p)
 
 
 def kernel_from_rref(rows: np.ndarray, pivots: np.ndarray, ncols: int, p: int) -> np.ndarray:

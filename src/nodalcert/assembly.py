@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import InconsistentResult
 from .monomials import exponent_matrix, monomial_basis, monomial_rank_rows, space_dim
 from .polynomials import HomogeneousPolynomial, common_denominator_scale, polynomial_vector
 
@@ -40,17 +41,15 @@ class IntCOO:
     vals: np.ndarray
 
     def __post_init__(self) -> None:
-        assert self.rows.shape == self.cols.shape == self.vals.shape
+        if not self.rows.shape == self.cols.shape == self.vals.shape:
+            raise InconsistentResult(f"COO triplets of shapes {self.rows.shape}, {self.cols.shape}, {self.vals.shape}")
         if self.vals.size:
             if int(np.abs(self.vals).max()) >= _INT64_SAFE:
                 raise ValueError("integer matrix entries exceed the int64 safety bound")
-            if __debug__:
-                keys = self.rows * np.int64(self.shape[1]) + self.cols
-                assert np.unique(keys).size == keys.size, "duplicate COO cell"
-
-    @property
-    def nnz(self) -> int:
-        return int(self.vals.size)
+            # dense_mod would keep one value of a duplicate cell and drop the rest
+            keys = self.rows * np.int64(self.shape[1]) + self.cols
+            if np.unique(keys).size != keys.size:
+                raise InconsistentResult("duplicate COO cell")
 
     def transposed(self) -> "IntCOO":
         return IntCOO(
@@ -76,7 +75,8 @@ class IntCOO:
 def coo_vstack(blocks: Sequence[IntCOO]) -> IntCOO:
     """Stack generator matrices sharing a column space."""
     ncols = blocks[0].shape[1]
-    assert all(b.shape[1] == ncols for b in blocks)
+    if any(b.shape[1] != ncols for b in blocks):
+        raise InconsistentResult(f"stacking blocks with column counts {[b.shape[1] for b in blocks]}")
     offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
     rows = np.concatenate([b.rows + off for b, off in zip(blocks, offsets)]) if blocks else np.zeros(0, np.int64)
     cols = np.concatenate([b.cols for b in blocks])
@@ -92,23 +92,6 @@ def _poly_term_arrays(g: HomogeneousPolynomial, scale: int) -> tuple[np.ndarray,
     return expos, vals
 
 
-def multiplication_coo(g: HomogeneousPolynomial, a: int) -> IntCOO:
-    """Generator matrix of {u * g : u in S_a}: row per source monomial u of
-    degree a, column per monomial of degree a + deg(g)."""
-    n = g.n
-    k = a + g.degree
-    scale = common_denominator_scale([g])
-    t_expos, t_vals = _poly_term_arrays(g, scale)
-    T = t_vals.size
-    E = exponent_matrix(n, a)
-    Ns = E.shape[0]
-    summed = (E[:, None, :] + t_expos[None, :, :]).reshape(Ns * T, n + 1)
-    cols = monomial_rank_rows(summed, n, k)
-    rows = np.repeat(np.arange(Ns, dtype=np.int64), T)
-    vals = np.tile(t_vals, Ns)
-    return IntCOO((Ns, space_dim(n, k)), rows, cols, vals)
-
-
 def jacobian_generator_coo(partials: Sequence[HomogeneousPolynomial], k: int) -> IntCOO:
     """Generator matrix of the degree-k slice of the ideal spanned by the
     given degree-(d-1) polynomials: rows are u * g_j (j-major, then source
@@ -117,7 +100,8 @@ def jacobian_generator_coo(partials: Sequence[HomogeneousPolynomial], k: int) ->
     n = partials[0].n
     dm1 = partials[0].degree
     r = k - dm1
-    assert r >= 0
+    if r < 0:
+        raise ValueError(f"Jacobian slice of degree {k} below the partials' degree {dm1}")
     scale = common_denominator_scale(partials)
     E = exponent_matrix(n, r)
     Ns = E.shape[0]
@@ -204,7 +188,8 @@ def polys_to_exact_rows(polys: Sequence[HomogeneousPolynomial], k: int) -> list[
         if g.is_zero:
             rows.append([Fraction(0)] * N)
             continue
-        assert g.degree == k
+        if g.degree != k:
+            raise ValueError(f"polynomial of degree {g.degree} in a degree-{k} coordinate matrix")
         rows.append(polynomial_vector(g))
     return rows
 
@@ -216,7 +201,8 @@ def evaluation_rows(points: Sequence[Sequence[Fraction]], n: int, k: int) -> lis
     basis = monomial_basis(n, k)
     out = []
     for pt in points:
-        assert len(pt) == n + 1
+        if len(pt) != n + 1:
+            raise ValueError(f"point with {len(pt)} coordinates in P^{n}")
         powers = [[Fraction(1)] * (k + 1) for _ in range(n + 1)]
         for i in range(n + 1):
             for e in range(1, k + 1):

@@ -14,6 +14,8 @@ from math import comb
 
 import numpy as np
 
+from .errors import InconsistentResult
+
 Exponents = tuple[int, ...]
 
 
@@ -47,7 +49,8 @@ def monomial_basis(n: int, k: int) -> tuple[Exponents, ...]:
     if n < 0 or k < 0:
         raise ValueError("monomial_basis needs n >= 0 and k >= 0")
     basis = _basis_cached(n, k)
-    assert len(basis) == space_dim(n, k)
+    if len(basis) != space_dim(n, k):
+        raise InconsistentResult(f"{len(basis)} monomials of degree {k} in {n + 1} variables, not {space_dim(n, k)}")
     return basis
 
 

@@ -1,17 +1,16 @@
-"""Modular elimination kernels: the accelerated and plain implementations
-must agree bit-for-bit, and both must agree with exact arithmetic."""
+"""Modular elimination kernels: the blocked kernels must agree bit-for-bit
+with the scalar RREF, and every rank with exact arithmetic."""
 
-import os
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nodalcert import _kernels
 from nodalcert._kernels import (
-    HAS_NUMBA,
-    IMPL_NUMPY,
     PANEL_WIDTH,
     blocked_rank_mod,
     blocked_rref_mod,
@@ -173,7 +172,7 @@ def test_limb_products_refuse_an_inner_dimension_beyond_the_panel():
     with pytest.raises(InconsistentResult):
         _kernels._np_mulmod(*_kernels._limbs(X), Y, P)
     with pytest.raises(InconsistentResult):
-        _kernels._fuse_product(np.zeros((3, 4), dtype=np.int64), X, Y, P, IMPL_NUMPY)
+        _kernels._fuse_product(np.zeros((3, 4), dtype=np.int64), X, Y, P)
 
 
 def _column_panel(A, r0, c0, w, p, F):
@@ -322,8 +321,8 @@ def _assert_blocked_rref_is_scalar_rref(A, p):
     """Blocked and scalar RREF of A agree in rank, pivots and every entry,
     the zero rows below the rank included; returns (rank, pivots)."""
     scalar, blocked = A.copy(), A.copy()
-    rank, pivots = IMPL_NUMPY.rref(scalar, p)
-    got_rank, got_pivots = blocked_rref_mod(blocked, p, IMPL_NUMPY)
+    rank, pivots = _kernels._np_rref(scalar, p)
+    got_rank, got_pivots = blocked_rref_mod(blocked, p)
     assert got_rank == rank
     assert got_pivots.dtype == pivots.dtype and np.array_equal(got_pivots, pivots)
     assert np.array_equal(blocked, scalar)
@@ -379,14 +378,14 @@ def test_rref_mod_on_both_sides_of_the_scalar_cutoff(monkeypatch):
     mats = {n: _random_with_rank(rng, n, n, n - 7) for n in (side - 8, side + 8)}
     blocked_calls = []
 
-    def spy(A, p, impl=None):
+    def spy(A, p):
         blocked_calls.append(A.shape)
-        return blocked_rref_mod(A, p, impl)
+        return blocked_rref_mod(A, p)
 
     monkeypatch.setattr(_kernels, "blocked_rref_mod", spy)
     for n, A in mats.items():
         expected = A.copy()
-        expected_rank, expected_pivots = IMPL_NUMPY.rref(expected, P)
+        expected_rank, expected_pivots = _kernels._np_rref(expected, P)
         rank, pivots = rref_mod(A, P)
         assert rank == expected_rank == n - 7
         assert np.array_equal(pivots, expected_pivots)
@@ -459,37 +458,9 @@ def test_kernel_from_rref_matches_one_row_per_free_column():
         assert np.array_equal(got, expected)
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="accelerated backend not active")
-def test_numba_and_numpy_backends_agree_bitwise():
-    from nodalcert._kernels import IMPL_NUMBA
-
-    rng = np.random.default_rng(23)
-    for rows, cols, r in [(40, 60, 25), (170, 140, 100)]:
-        A = _random_with_rank(rng, rows, cols, r)
-        a1, a2 = A.copy(), A.copy()
-        r1, piv1 = rref_mod(a1, P, impl=IMPL_NUMPY)
-        r2, piv2 = rref_mod(a2, P, impl=IMPL_NUMBA)
-        assert r1 == r2
-        assert piv1.tolist() == piv2.tolist()
-        assert np.array_equal(a1, a2)
-        b1 = blocked_rank_mod(A.copy(), P, impl=IMPL_NUMPY)
-        b2 = blocked_rank_mod(A.copy(), P, impl=IMPL_NUMBA)
-        assert b1 == b2 == r1
-        e1, e2 = A.copy(), A.copy()
-        q1, qiv1 = blocked_rref_mod(e1, P, impl=IMPL_NUMPY)
-        q2, qiv2 = blocked_rref_mod(e2, P, impl=IMPL_NUMBA)
-        assert q1 == q2 == r1
-        assert qiv1.tolist() == qiv2.tolist() == piv1.tolist()
-        assert np.array_equal(e1, e2) and np.array_equal(e1, a1)
-
-
-def test_pure_numpy_env_flag_disables_acceleration():
-    env = dict(os.environ, NODALCERT_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from nodalcert._kernels import HAS_NUMBA; print(HAS_NUMBA)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
+def test_elimination_benchmark_runs_without_disagreements():
+    # a subprocess, so the script's one-BLAS-thread settings stay out of this one
+    script = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_elimination.py"
+    out = subprocess.run([sys.executable, str(script), "--quick"], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1])["disagreements"] == 0

@@ -5,6 +5,8 @@ from math import comb
 import numpy as np
 import pytest
 
+from nodalcert import monomials
+from nodalcert.errors import InconsistentResult
 from nodalcert.monomials import (
     binomial,
     exponent_matrix,
@@ -64,3 +66,9 @@ def test_exponent_matrix_agrees_with_basis():
     mat = exponent_matrix(n, k)
     assert mat.shape == (space_dim(n, k), n + 1)
     assert [tuple(row) for row in mat.tolist()] == list(monomial_basis(n, k))
+
+
+def test_basis_of_the_wrong_length_raises(monkeypatch):
+    monkeypatch.setattr(monomials, "_basis_cached", lambda n, k: ((k, 0),))
+    with pytest.raises(InconsistentResult):
+        monomial_basis(1, 2)
