@@ -11,10 +11,20 @@ uses at or below ``_SCALAR_CUTOFF`` entries), the blocked one
   nodal fixtures, which are rank-deficient by the node count.
 
 BLAS runs on one thread. Times are the sum over both primes, best of three
-runs for matrices of at most one million entries. The table shows which
+runs (two with ``--quick``) for matrices of at most one million entries,
+one run for larger ones. The table shows which
 kernel is faster at each size; ``rank_mod`` and ``rref_mod`` both switch
 from scalar to blocked above ``_SCALAR_CUTOFF`` entries. The last line of
 output is one JSON object with every timing.
+
+On the blocked slices (above ``_SCALAR_CUTOFF`` entries) two more columns
+time the blocked rank of int32 copies, as the engine ranks them: ``i32/64``
+is their time in turn over that of the int64 copies, and ``once/turn`` the
+wall time of both primes ranked at once (``linalg._rank_pair``, the
+engine's concurrent pair) over their time in turn. The engine ranks the
+primes at once above ``_CONCURRENT_ENTRIES`` entries, where ``once/turn``
+stays below 1. Without a second core or OpenBLAS thread control the pair
+is not timed.
 
 Any disagreement — a rank differing between kernels, a random matrix whose
 rank is not the requested one, or blocked RREF rows or pivots differing
@@ -47,7 +57,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from nodalcert import _kernels  # noqa: E402
 from nodalcert._kernels import _np_rref, blocked_rank_mod, blocked_rref_mod  # noqa: E402
 from nodalcert.assembly import jacobian_generator_coo  # noqa: E402
-from nodalcert.field import DEFAULT_PRIMES  # noqa: E402
+from nodalcert.field import DEFAULT_PRIMES, PrimeField  # noqa: E402
+from nodalcert.linalg import _pair_worker, _rank_pair  # noqa: E402
 from nodalcert.fixtures import one_node  # noqa: E402
 from nodalcert.polynomials import partial_derivatives  # noqa: E402
 
@@ -61,12 +72,13 @@ RANDOM_CASES = [
 JACOBIAN_CASES = [
     (3, 4, (6, 7, 8, 9, 10)),
     (3, 5, (7, 8, 9, 10, 11, 12, 13, 14)),
-    (2, 19, (51, 53)),
+    (2, 19, (45, 51, 53)),
 ]
 QUICK_RANDOM = RANDOM_CASES[:2]
 QUICK_JACOBIAN = [(3, 4, (6, 7, 8, 9, 10)), (3, 5, (7, 8, 9, 10, 11, 12))]
 REPEAT_ENTRIES = 1_000_000
 REPEATS = 3
+QUICK_REPEATS = 2
 
 
 def mulmod(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
@@ -119,6 +131,19 @@ def best_time(algo, A: np.ndarray, p: int, repeats: int):
     return best, rank, None if pivots is None else (M, pivots)
 
 
+def best_pair_time(mats: dict[int, np.ndarray], repeats: int) -> tuple[float, list[int]]:
+    """Best wall time of ``repeats`` runs of the engine's concurrent pair on
+    fresh copies of the two primes' matrices, and the two ranks."""
+    fields = [PrimeField(p) for p in mats]
+    best = float("inf")
+    for _ in range(repeats):
+        copies = [A.copy() for A in mats.values()]
+        t0 = time.perf_counter()
+        ranks = _rank_pair(fields, copies)
+        best = min(best, time.perf_counter() - t0)
+    return best, ranks
+
+
 def inputs(seed: int, quick: bool):
     """Yield (label, {p: matrix}, requested rank or None)."""
     rng = np.random.default_rng(seed)
@@ -142,17 +167,19 @@ def main(argv: list[str] | None = None) -> int:
     for algo in ALGORITHMS.values():
         algo(warm.copy(), DEFAULT_PRIMES[0])
 
+    pair = _pair_worker() is not None
     header = (f"{'case':<30} {'shape':>11} {'entries':>9} {'rank':>6}"
-              f" {'scalar':>14} {'b.rref':>14} {'b.rank':>14} {'ratio':>6}")
+              f" {'scalar':>14} {'b.rref':>14} {'b.rank':>14} {'ratio':>6} {'i32/64':>6} {'once/turn':>9}")
     print(f"primes {DEFAULT_PRIMES}, seed {args.seed}, _SCALAR_CUTOFF {_kernels._SCALAR_CUTOFF},"
-          f" {BLAS_THREADS} BLAS thread")
+          f" _CONCURRENT_ENTRIES {_kernels._CONCURRENT_ENTRIES}, {BLAS_THREADS} BLAS thread,"
+          f" pair {'timed' if pair else 'not timed'}")
     print(header)
     print("-" * len(header))
     records = []
     disagreements = 0
     for label, mats, requested in inputs(args.seed, args.quick):
         rows, cols = next(iter(mats.values())).shape
-        repeats = REPEATS if rows * cols <= REPEAT_ENTRIES else 1
+        repeats = (QUICK_REPEATS if args.quick else REPEATS) if rows * cols <= REPEAT_ENTRIES else 1
         record = {"case": label, "rows": rows, "cols": cols, "entries": rows * cols, "requested_rank": requested}
         ranks: dict[int, set[int]] = {p: set() for p in mats}
         reference: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -169,6 +196,21 @@ def main(argv: list[str] | None = None) -> int:
             record[f"{aname}_s"] = round(secs[aname], 6)
         line = (f" {secs['scalar']:>13.4f}s {secs['blocked_rref']:>13.4f}s {secs['blocked']:>13.4f}s"
                 f" {secs['scalar'] / secs['blocked_rref']:>6.2f}")
+        if rows * cols > _kernels._SCALAR_CUTOFF:
+            mats32 = {p: A.astype(np.int32) for p, A in mats.items()}
+            int32_s = 0.0
+            for p, A in mats32.items():
+                dt, got, _ = best_time(ALGORITHMS["blocked"], A, p, repeats)
+                int32_s += dt
+                ranks[p].add(got)
+            record["blocked_int32_s"] = round(int32_s, 6)
+            line += f" {int32_s / secs['blocked']:>6.2f}"
+            if pair:
+                pair_s, got = best_pair_time(mats32, repeats)
+                for p, r in zip(mats32, got):
+                    ranks[p].add(r)
+                record["pair_int32_s"] = round(pair_s, 6)
+                line += f" {pair_s / int32_s:>9.2f}"
         bad_rank = any(len(v) != 1 or (requested is not None and v != {requested}) for v in ranks.values())
         record["ranks"] = {str(p): sorted(v) for p, v in ranks.items()}
         record["echelon_differs"] = echelon_differs
@@ -179,13 +221,16 @@ def main(argv: list[str] | None = None) -> int:
         disagreements += bad_rank or echelon_differs
         records.append(record)
     print("b.rref = blocked_rref_mod, b.rank = blocked_rank_mod; "
-          "ratio = scalar time / b.rref time (above 1: the blocked RREF is faster)")
+          "ratio = scalar time / b.rref time (above 1: the blocked RREF is faster); "
+          "i32/64 = b.rank time on int32 / on int64 copies; "
+          "once/turn = int32 b.rank wall time of both primes at once / in turn")
     if disagreements:
         print(f"{disagreements} case(s) with disagreeing ranks or RREFs", file=sys.stderr)
     print(json.dumps({
         "seed": args.seed,
         "primes": list(DEFAULT_PRIMES),
         "scalar_cutoff": _kernels._SCALAR_CUTOFF,
+        "concurrent_entries": _kernels._CONCURRENT_ENTRIES,
         "disagreements": disagreements,
         "cases": records,
     }))

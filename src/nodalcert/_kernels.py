@@ -40,10 +40,21 @@ later, near 100,000 entries (see the constant).
   that each float64 product buffer stays near ``_PRODUCT_BYTES``; the
   other temporaries (the transposed panel, the multipliers, their limbs
   and the products inside the panel) are at most 128 columns or rows wide.
+
+``blocked_rank_mod`` also takes an int32 matrix, half the bytes of int64;
+every residue below p < 2^31 fits. It reads int32 entries into int64 (the
+transposed panel, the factor of every product) and writes back residues,
+so its rank and every intermediate matrix are those of an int64 copy.
+``LinearEngine`` ranks in int32, and above ``_CONCURRENT_ENTRIES`` runs
+the two primes of a pair at once, the second in a worker thread, with
+OpenBLAS pinned to one thread through ``openblas_threads``. The kernels
+themselves start no thread and set no BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,6 +74,15 @@ PANEL_WIDTH = 128
 # loses at most a few milliseconds to the blocked kernel, and a rank gains
 # as much.
 _SCALAR_CUTOFF = 40_000
+# entries; above this LinearEngine ranks a prime pair's two int32 matrices at
+# once, one per core, on one BLAS thread. Measured on Jacobian slices of
+# one_node fixtures, 2-core VM, one BLAS thread, median of 7 or 9 runs,
+# at-once / in-turn wall time: 0.93-1.03 on the (3,4) and (3,5) slices up to
+# 0.78 M entries, 0.98-1.04 at 0.71 M and 1.32 M and 1.00-1.13 at 1.64 M of
+# (2,19); from 1.82 M up every run gained: 0.79 at 1.82 M, 0.71-0.73 at
+# 2.02 M, 0.78 at 2.46 M, 0.65 at 2.97 M and 0.68 at the 4.65 M (2,22) slice.
+# Smaller pairs gained nothing; the panel loops hold the GIL.
+_CONCURRENT_ENTRIES = 1_750_000
 # bytes of one float64 product buffer in the blocked kernel's column chunks
 _PRODUCT_BYTES = 1 << 20
 # order up to which _np_unit_lower_inverse eliminates column by column
@@ -133,13 +153,14 @@ def _np_panel(A: np.ndarray, r0: int, c0: int, w: int, p: int, F: np.ndarray) ->
     swapped into place r0, r0+1, ...; returns (npiv, global pivot columns).
 
     The panel is factored in a contiguous transposed copy, so a column is a
-    row of length R - r0, by recursive halving (_np_panel_block). Its row
-    swaps are recorded and replayed on the whole rows of A before the
+    row of length R - r0, by recursive halving (_np_panel_block). The copy
+    is int64 whatever the dtype of A, so its products do not overflow. Its
+    row swaps are recorded and replayed on the whole rows of A before the
     factored panel is written back: the trailing columns are swapped in
     place, never gathered.
     """
     cend = min(c0 + w, A.shape[1])
-    T = np.ascontiguousarray(A[r0:, c0:cend].T)
+    T = np.ascontiguousarray(A[r0:, c0:cend].T, dtype=np.int64)
     swaps: list[tuple[int, int]] = []
     pivcols = _np_panel_block(T, F, 0, cend - c0, 0, p, swaps)
     for i, j in swaps:
@@ -224,8 +245,9 @@ def _chunk_columns(rows: int) -> int:
 
 def _np_limb_product(X0: np.ndarray, X1: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
     """A fresh int64 S congruent to X @ Y modulo p, from the balanced limbs
-    of X (``_limbs``) and Y with entries in [0, p):
-    S = X1 @ (2^16 Y mod p) + X0 @ Y, two float64 products.
+    of X (``_limbs``) and Y (int64 or int32) with entries in [0, p):
+    S = X1 @ (2^16 Y mod p) + X0 @ Y, two float64 products. The shift is
+    taken in int64, where 2^16 Y < 2^47 fits.
 
     With inner dimension at most PANEL_WIDTH = 2^7, each product is a sum of
     at most 2^7 terms below 2^15 * 2^31 = 2^46 in size, so below 2^53 and
@@ -237,7 +259,7 @@ def _np_limb_product(X0: np.ndarray, X1: np.ndarray, Y: np.ndarray, p: int) -> n
     """
     if X0.shape[1] > PANEL_WIDTH:
         raise InconsistentResult(f"limb product with inner dimension {X0.shape[1]} > {PANEL_WIDTH} is not exact")
-    P = X1 @ _np_reduce(Y << 16, p).astype(np.float64)
+    P = X1 @ _np_reduce(np.left_shift(Y, 16, dtype=np.int64), p).astype(np.float64)
     S = P.astype(np.int64)
     np.matmul(X0, Y.astype(np.float64), out=P)
     S += P.astype(np.int64)
@@ -364,8 +386,12 @@ def _forward(A: np.ndarray, p: int) -> np.ndarray:
 
 
 def blocked_rank_mod(A: np.ndarray, p: int) -> int:
-    """Rank of A over F_p via blocked elimination; destroys A. A must be
-    int64 with entries already reduced into [0, p)."""
+    """Rank of A over F_p via blocked elimination; destroys A. A must hold
+    entries already reduced into [0, p), as int64, or as int32 (half the
+    bytes) when p < 2^31. Every step reads int32 entries into int64 before
+    it computes, and writes back residues, which fit."""
+    if not (A.dtype == np.int64 or (A.dtype == np.int32 and p < 1 << 31)):
+        raise InconsistentResult(f"blocked rank of a {A.dtype} matrix modulo {p}")
     return _forward(A, p).size
 
 
@@ -401,13 +427,37 @@ def blocked_rref_mod(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
 
 def rank_mod(A: np.ndarray, p: int) -> int:
     """Rank over F_p, routing matrices of at most _SCALAR_CUTOFF entries to
-    plain rref and larger ones to blocked_rank_mod; destroys A."""
+    plain rref (on an int64 copy of an int32 A) and larger ones to
+    blocked_rank_mod; destroys A."""
     if A.size == 0:
         return 0
     if A.size <= _SCALAR_CUTOFF:
-        rank, _ = rref_mod(A, p)
+        rank, _ = rref_mod(A.astype(np.int64, copy=False), p)
         return rank
     return blocked_rank_mod(A, p)
+
+
+@functools.cache
+def openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy loaded,
+    found among the libraries mapped into this process (as listed in
+    /proc/self/maps, so on Linux), or None.
+
+    The setter, ``openblas_set_num_threads_local``, sets the count of the
+    whole process in this OpenBLAS (a call from one thread changes what
+    another reads), so a caller pins and restores it around all threads."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+            return lib.scipy_openblas_get_num_threads64_, lib.openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+    return None
 
 
 def kernel_from_rref(rows: np.ndarray, pivots: np.ndarray, ncols: int, p: int) -> np.ndarray:

@@ -17,6 +17,7 @@ Row/column conventions:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,21 +47,26 @@ class IntCOO:
         if self.vals.size:
             if int(np.abs(self.vals).max()) >= _INT64_SAFE:
                 raise ValueError("integer matrix entries exceed the int64 safety bound")
-            # dense_mod would keep one value of a duplicate cell and drop the rest
+            # dense_mod would keep one value of a duplicate cell and drop the
+            # rest; equal cell keys are neighbours once sorted
             keys = self.rows * np.int64(self.shape[1]) + self.cols
-            if np.unique(keys).size != keys.size:
+            keys.sort()
+            if np.any(keys[1:] == keys[:-1]):
                 raise InconsistentResult("duplicate COO cell")
 
     def transposed(self) -> "IntCOO":
-        return IntCOO(
-            (self.shape[1], self.shape[0]),
-            rows=self.cols,
-            cols=self.rows,
-            vals=self.vals,
-        )
+        """The transpose. Its cells are this matrix's, checked already, so it
+        is built without the checks of ``__post_init__``."""
+        out = copy.copy(self)
+        object.__setattr__(out, "shape", (self.shape[1], self.shape[0]))
+        object.__setattr__(out, "rows", self.cols)
+        object.__setattr__(out, "cols", self.rows)
+        return out
 
-    def dense_mod(self, p: int) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.int64)
+    def dense_mod(self, p: int, dtype: type = np.int64) -> np.ndarray:
+        """A fresh dense matrix of the entries reduced into [0, p), of
+        ``dtype``: int64, or int32 for p < 2^31 at half the bytes."""
+        out = np.zeros(self.shape, dtype=dtype)
         if self.vals.size:
             out[self.rows, self.cols] = self.vals % p
         return out

@@ -10,7 +10,9 @@ everything that differs by field: the payload type of its matrices and the
 few operations on them the engine and the graded algebra need. Payloads are
 2-D numpy arrays in both: int64 entries reduced into [0, p) over F_p, and
 ``dtype=object`` entries (Fractions or ints) over Q, so indexing, stacking
-and reshaping are written once for both.
+and reshaping are written once for both. A matrix made only to be ranked
+has the realization's ``rank_dtype``: int32 over F_p, half the bytes,
+since a residue below p < 2**31 fits.
 """
 
 from __future__ import annotations
@@ -69,14 +71,15 @@ class PrimeField:
 
     p: int
     dtype = np.int64
+    rank_dtype = np.int32
 
     @property
     def key(self) -> str:
         return f"fp:{self.p}"
 
-    def dense(self, coo) -> np.ndarray:
-        """A fresh dense matrix of an integer COO matrix."""
-        return coo.dense_mod(self.p)
+    def dense(self, coo, dtype: type = np.int64) -> np.ndarray:
+        """A fresh dense matrix of an integer COO matrix, of ``dtype``."""
+        return coo.dense_mod(self.p, dtype)
 
     def convert(self, values) -> np.ndarray:
         """Exact rationals (a scalar, a vector or rows) reduced into F_p."""
@@ -88,7 +91,7 @@ class PrimeField:
         return arr % self.p
 
     def rank(self, mat: np.ndarray) -> int:
-        """Rank of mat; overwrites it."""
+        """Rank of mat (int64 or int32); overwrites it."""
         return _kernels.rank_mod(mat, self.p)
 
     def rref(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -106,11 +109,11 @@ class PrimeField:
 class Rationals:
     """Q: ``dtype=object`` payloads of Fractions (or ints)."""
 
-    dtype = object
+    dtype = rank_dtype = object
     key = "exact"
 
-    def dense(self, coo) -> np.ndarray:
-        return np.array(coo.dense_int_rows(), dtype=object).reshape(coo.shape)
+    def dense(self, coo, dtype: type = object) -> np.ndarray:
+        return np.array(coo.dense_int_rows(), dtype=dtype).reshape(coo.shape)
 
     def convert(self, values) -> np.ndarray:
         return np.asarray(_map(Fraction, values), dtype=object)

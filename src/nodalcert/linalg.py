@@ -18,17 +18,32 @@ the field, so ledgers from different fields line up.
 
 Payloads map each field key to a 2-D numpy matrix of that realization's
 dtype: int64 entries in [0, p) for a prime key, ``dtype=object`` rationals
-for the exact key.
+for the exact key. A matrix made only to be ranked has the realization's
+``rank_dtype`` instead, int32 for a prime key.
+
+A prime-pair rank of more than ``_kernels._CONCURRENT_ENTRIES`` entries
+ranks its two primes at once when the process has at least two cores and
+the OpenBLAS that numpy loaded lets its thread count be set: both int32
+matrices are made first (as many bytes as one int64 matrix), the first
+prime is ranked in the calling thread and the second in one worker thread,
+started on first use, with OpenBLAS pinned to one thread until both are
+done. Otherwise the primes run in turn. The ranks, their agreement check
+and the ledger are the same either way. The engine itself is not
+thread-safe: a caller uses it from one thread.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .assembly import IntCOO
 from .errors import FieldDisagreement, InconsistentResult
 from .field import FieldConfig, Realization, realization
@@ -97,6 +112,43 @@ class RankRecord:
     rank: int
 
 
+@functools.cache
+def _pair_worker() -> ThreadPoolExecutor | None:
+    """The worker that ranks the second prime of a pair ranked at once, or
+    None when the pair runs in turn: the process has fewer than two cores,
+    or OpenBLAS cannot be pinned to one thread. Its one thread starts with
+    the first pair."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cores < 2 or _kernels.openblas_threads() is None:
+        return None
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="nodalcert-rank")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the worker but not its thread: it makes its own
+    os.register_at_fork(after_in_child=_pair_worker.cache_clear)
+
+
+def _rank_pair(fields: Sequence[Realization], mats: Sequence[np.ndarray]) -> list[int]:
+    """The ranks of two matrices, each in its realization, at once: the
+    first in this thread and the second in the worker, with OpenBLAS pinned
+    to one thread from before the worker starts until both are done (its
+    setter acts on the whole process, so only this thread sets it). An
+    exception of either rank is re-raised once both have finished."""
+    get_threads, set_threads = _kernels.openblas_threads()
+    threads = get_threads()
+    set_threads(1)
+    try:
+        second = _pair_worker().submit(fields[1].rank, mats[1])
+        try:
+            first = fields[0].rank(mats[0])
+        finally:
+            wait([second])
+        return [first, second.result()]
+    finally:
+        set_threads(threads)
+
+
 class LinearEngine:
     """Runs eliminations in every realization of a field configuration."""
 
@@ -135,8 +187,9 @@ class LinearEngine:
         """Run ``op`` ("rank", "rref" or "kernel") in every realization on the
         fresh matrix ``matrix(F)``, which the kernel may overwrite; insist the
         realizations agree on the rank or the pivot columns; record the rank
-        under ``label``. A rank is answered from the ledger; a basis (the
-        span for "rref", the echelonized kernel for "kernel", both in
+        under ``label``. A rank is answered from the ledger, and a large
+        prime-pair rank runs both primes at once (module docstring); a basis
+        (the span for "rref", the echelonized kernel for "kernel", both in
         ``ambient``) from the span cache, which it then fills."""
         if op == "rank":
             cached = self._cached_rank(label, shape)
@@ -144,13 +197,19 @@ class LinearEngine:
                 return cached
         elif label in self._span_cache:
             return self._span_cache[label]
+        fields = self.field.realizations
         checks: dict[str, object] = {}
         payload: dict[str, np.ndarray] = {}
-        for F in self.field.realizations:
-            if op == "rank":
-                checks[F.key] = F.rank(matrix(F))
-            else:
-                checks[F.key], payload[F.key] = getattr(F, op)(matrix(F))
+        at_once = op == "rank" and len(fields) == 2 and shape[0] * shape[1] > _kernels._CONCURRENT_ENTRIES
+        if at_once and _pair_worker():
+            ranks = _rank_pair(fields, [matrix(F) for F in fields])
+            checks = {F.key: rank for F, rank in zip(fields, ranks)}
+        else:
+            for F in fields:
+                if op == "rank":
+                    checks[F.key] = F.rank(matrix(F))
+                else:
+                    checks[F.key], payload[F.key] = getattr(F, op)(matrix(F))
         first = next(iter(checks.values()))
         if any(v != first for v in checks.values()):
             what = "rank" if op == "rank" else "pivot columns"
@@ -179,10 +238,12 @@ class LinearEngine:
     # -- public entry points ------------------------------------------------
 
     def rank_coo(self, coo: IntCOO, label: str) -> int:
-        return self._eliminate("rank", label, coo.shape, lambda F: F.dense(coo))
+        return self._eliminate("rank", label, coo.shape, lambda F: F.dense(coo, F.rank_dtype))
 
     def rank_payload(self, payload: Payload, shape: tuple[int, int], label: str) -> int:
-        return self._eliminate("rank", label, shape, self._matrices(payload))
+        return self._eliminate(
+            "rank", label, shape, lambda F: np.array(payload[F.key], dtype=F.rank_dtype, order="C")
+        )
 
     def echelon_coo(self, coo: IntCOO, ambient: AmbientSpace, label: str) -> SubspaceBasis:
         return self._eliminate("rref", label, coo.shape, lambda F: F.dense(coo), ambient)

@@ -80,11 +80,15 @@ def _empty_rows(field: FieldConfig, ncols: int) -> dict[str, np.ndarray]:
 
 class JacobianContext:
     """Caches bases, dimensions, and quotient-reduction tables for one
-    hypersurface over one field configuration.
+    hypersurface over one field configuration. Generator matrices are not
+    cached: each use assembles its slice again, so no slice outlives the
+    elimination that needs it.
 
-    Single-threaded by design: parallel drivers give each worker its own
-    context. The engine's rank ledger accumulates every elimination run
-    through this context, in order, for replay comparisons.
+    Single-threaded by design for its callers: parallel drivers give each
+    worker its own context. (Inside one rank call the engine may run the
+    two primes in two threads of its own; see ``linalg``.) The engine's
+    rank ledger accumulates every elimination run through this context, in
+    order, for replay comparisons.
     """
 
     def __init__(self, f: HomogeneousPolynomial, field: FieldConfig | None = None):
@@ -99,7 +103,6 @@ class JacobianContext:
         self.partials = partial_derivatives(f)
         self._monomial_partials = all(len(g.terms) <= 1 for g in self.partials)
         self._dims: dict[int, int] = {}
-        self._coo: dict[int, IntCOO] = {}
         self._qr: dict[int, dict[str, np.ndarray]] = {}
         # ledger tags handed out to successive deformation checks
         self.deformation_tag = 0
@@ -107,9 +110,7 @@ class JacobianContext:
     # -- raw ideal slices ---------------------------------------------------
 
     def generator_coo(self, k: int) -> IntCOO:
-        if k not in self._coo:
-            self._coo[k] = jacobian_generator_coo(self.partials, k)
-        return self._coo[k]
+        return jacobian_generator_coo(self.partials, k)
 
     def _monomial_dim(self, k: int) -> int:
         """Monomial-ideal fast path: count degree-k monomials divisible by

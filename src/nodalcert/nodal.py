@@ -35,7 +35,10 @@ from .monomials import space_dim
 from .polynomials import HomogeneousPolynomial, partial_derivatives
 
 _LITERAL_SCAN_LIMIT = 2000  # max dim S_(socle+2) for the literal route
-_PERSISTENCE_ENTRY_CAP = 400_000_000  # max generator-matrix entries per degree
+# max generator-matrix entries per degree, checked before any matrix is
+# assembled: a rank densifies both primes' int32 matrices at once, 3.2 GB at
+# the cap, as many bytes as the one int64 matrix of a rank in turn
+_PERSISTENCE_ENTRY_CAP = 400_000_000
 
 
 @dataclass(frozen=True)

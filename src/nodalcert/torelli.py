@@ -103,9 +103,10 @@ def effective_deformation_check(ctx: JacobianContext, V: Sequence[HomogeneousPol
         if g.is_zero or g.degree != d or g.n != ctx.n:
             raise ValueError("deformation entries must be nonzero of degree d in the same variables")
     v_rows = polys_to_exact_rows(V, d)
-    v_coo = exact_rows_to_int_coo(v_rows, ctx.generator_coo(d).shape[1])
+    generators = ctx.generator_coo(d)
+    v_coo = exact_rows_to_int_coo(v_rows, generators.shape[1])
     v_rank = ctx.engine.rank_coo(v_coo, f"deformation-span/{_span_tag(ctx)}")
-    stacked = coo_vstack([ctx.generator_coo(d), v_coo])
+    stacked = coo_vstack([generators, v_coo])
     total = ctx.engine.rank_coo(stacked, f"deformation-stack/{_span_tag(ctx)}")
     return v_rank == len(V) and total == ctx.jacobian_dim(d) + len(V)
 

@@ -464,3 +464,54 @@ def test_elimination_benchmark_runs_without_disagreements():
     out = subprocess.run([sys.executable, str(script), "--quick"], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout.splitlines()[-1])["disagreements"] == 0
+
+
+def _rank_inputs(rng, p):
+    """Blocked-rank inputs at the int32 edge: all p - 1, mixes of p - 1 and
+    2^31 - 2^15 (the largest residue whose low limb is -2^15), and
+    rank-deficient random matrices."""
+    edge = np.array([p - 1, (1 << 31) - (1 << 15)], dtype=np.int64)
+    yield np.full((300, 260), p - 1, dtype=np.int64)
+    yield rng.choice(edge, size=(300, 260))
+    mixed = _random_with_rank(rng, 300, 260, 200, p)
+    mixed[rng.random(mixed.shape) < 0.3] = edge[1]
+    yield mixed
+    yield _random_with_rank(rng, 300, 260, 150, p)
+    yield _random_with_rank(rng, 2 * PANEL_WIDTH + 9, 3 * PANEL_WIDTH, 2 * PANEL_WIDTH - 5, p)
+
+
+def test_blocked_rank_of_int32_and_int64_copies_equals_the_scalar_rank():
+    rng = np.random.default_rng(79)
+    for p in DEFAULT_PRIMES:
+        for A in _rank_inputs(rng, p):
+            scalar, _ = rref_mod(A.copy(), p)
+            assert blocked_rank_mod(A.copy(), p) == scalar
+            assert blocked_rank_mod(A.astype(np.int32), p) == scalar
+            assert rank_mod(A.astype(np.int32), p) == scalar
+
+
+def test_rank_mod_upcasts_a_small_int32_matrix_for_the_scalar_rref():
+    rng = np.random.default_rng(83)
+    A = _random_with_rank(rng, 40, 30, 21)
+    A[:, 0] = P - 1
+    assert A.size <= _kernels._SCALAR_CUTOFF
+    assert rank_mod(A.astype(np.int32), P) == rref_mod(A, P)[0]
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_limb_product_of_an_int32_factor_of_p_minus_1_entries_is_exact(p):
+    rng = np.random.default_rng(89)
+    X, _ = _edge_operands(rng, p)
+    Y = np.full((PANEL_WIDTH, 50), p - 1, dtype=np.int32)
+    S = _kernels._np_limb_product(*_kernels._limbs(X), Y, p)
+    expected = [[sum(int(a) * (p - 1) for a in row) % p] * Y.shape[1] for row in X.tolist()]
+    assert S.dtype == np.int64 and (S % p).tolist() == expected
+
+
+def test_blocked_rank_refuses_an_int32_matrix_past_its_range_or_another_dtype():
+    A = np.eye(140, dtype=np.int64)
+    with pytest.raises(InconsistentResult):
+        blocked_rank_mod(A.astype(np.int32), (1 << 31) + 11)
+    for dtype in (np.int16, np.uint32, np.uint64, np.float64, object):
+        with pytest.raises(InconsistentResult):
+            blocked_rank_mod(A.astype(dtype), P)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nodalcert import _kernels
 from nodalcert.assembly import IntCOO, exact_rows_to_int_coo
 from nodalcert.errors import FieldDisagreement, InconsistentResult
 from nodalcert.field import FieldConfig
@@ -107,3 +108,119 @@ def test_ambient_space_constructors():
     s = AmbientSpace.graded_sum(3, 2, 4)
     assert s.dim == 40
     assert AmbientSpace.abstract(7).dim == 7
+
+
+_RANK_MOD = _kernels.rank_mod
+
+
+def _pair_or_skip():
+    from nodalcert import linalg
+
+    if linalg._pair_worker() is None:
+        pytest.skip("the pair runs in turn here: fewer than two cores or no OpenBLAS thread control")
+
+
+def _spy_ranks(monkeypatch, fail_on=None, error=None):
+    """Record (prime, thread name) of every prime-field rank, raising
+    ``error`` in the rank modulo ``fail_on`` once it is recorded. A rank
+    in the worker thread takes 0.2 s longer, so it ends last."""
+    import threading
+    import time
+
+    calls = []
+
+    def spy(A, p):
+        result = _RANK_MOD(A, p)
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)
+        calls.append((p, threading.current_thread().name))
+        if p == fail_on:
+            raise error
+        return result
+
+    monkeypatch.setattr(_kernels, "rank_mod", spy)
+    return calls
+
+
+def _jacobian_ledger(gate, monkeypatch):
+    from nodalcert.fixtures import one_node
+    from nodalcert.milnor import JacobianContext
+
+    monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", gate)
+    ctx = JacobianContext(one_node(3, 4, 1).f)
+    for k in range(3, 11):
+        ctx.jacobian_dim(k, force_generic=True)
+    ctx.jacobian_basis(6)
+    return list(ctx.engine.rank_ledger.items())
+
+
+def test_a_rank_above_the_gate_records_the_ledger_of_the_primes_in_turn(monkeypatch):
+    _pair_or_skip()
+    calls = _spy_ranks(monkeypatch)
+    in_turn = _jacobian_ledger(10**12, monkeypatch)
+    assert all(name == "MainThread" for _, name in calls)
+    del calls[:]
+    at_once = _jacobian_ledger(0, monkeypatch)
+    assert at_once == in_turn
+    p1, p2 = FieldConfig.prime_pair().primes
+    assert {(p, name.startswith("nodalcert-rank")) for p, name in calls} == {(p1, False), (p2, True)}
+
+
+def test_an_exception_of_either_prime_propagates_with_its_type(monkeypatch):
+    _pair_or_skip()
+    get_threads, set_threads = _kernels.openblas_threads()
+    monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", 0)
+    p1, p2 = FieldConfig.prime_pair().primes
+
+    class Boom(Exception):
+        pass
+
+    before = set_threads(2)
+    try:
+        for fail_on in (p2, p1):
+            calls = _spy_ranks(monkeypatch, fail_on, Boom())
+            with pytest.raises(Boom):
+                LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [3, 4]]), "boom")
+            # the other prime's rank finished before the exception left the engine
+            assert sorted(p for p, _ in calls) == sorted([p1, p2])
+            assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_a_disagreeing_prime_above_the_gate_raises(monkeypatch):
+    _pair_or_skip()
+    monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", 0)
+    calls = _spy_ranks(monkeypatch)
+    with pytest.raises(FieldDisagreement):
+        LinearEngine(FieldConfig.prime_pair(5, 7)).rank_coo(_coo([[5]]), "bad-rank")
+    assert {name.startswith("nodalcert-rank") for _, name in calls} == {False, True}
+
+
+def test_importing_the_library_starts_no_thread():
+    import subprocess
+    import sys
+
+    code = "import threading, nodalcert; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1"]
+
+
+def _rank_in_child(queue):
+    queue.put(LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [2, 4]]), "child"))
+
+
+def test_a_forked_child_ranks_a_pair_after_the_parent_did(monkeypatch):
+    import multiprocessing
+
+    _pair_or_skip()
+    monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", 0)
+    assert LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [3, 4]]), "parent") == 2
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_rank_in_child, args=(queue,))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+    assert child.exitcode == 0 and queue.get(timeout=1) == 1

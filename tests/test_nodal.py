@@ -156,3 +156,16 @@ def test_multi_node_points_are_distinct_unit_points():
     assert len(set(fx.points)) == 2
     for pt in fx.points:
         assert sum(1 for c in pt.coords if c) == 1
+
+
+def test_a_job_over_the_entry_cap_fails_before_any_matrix_is_assembled(monkeypatch):
+    from nodalcert import milnor, nodal
+
+    assembled = []
+    monkeypatch.setattr(nodal, "_PERSISTENCE_ENTRY_CAP", 1_000)
+    monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k: assembled.append(k))
+    fx = one_node(3, 4, 1)
+    for points in (fx.points, ()):
+        cert = certify_nodal(JacobianContext(fx.f), points, route="hilbert-persistence")
+        assert cert.kind == "Failed" and "size cap" in cert.reason
+    assert assembled == []
