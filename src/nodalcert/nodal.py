@@ -36,8 +36,8 @@ from .polynomials import HomogeneousPolynomial, partial_derivatives
 
 _LITERAL_SCAN_LIMIT = 2000  # max dim S_(socle+2) for the literal route
 # max generator-matrix entries per degree, checked before any matrix is
-# assembled: a rank densifies both primes' int32 matrices at once, 3.2 GB at
-# the cap, as many bytes as the one int64 matrix of a rank in turn
+# assembled: a rank of both primes at once holds two int32 matrices, 3.2 GB
+# at the cap, as one int64 matrix did before ranks were int32
 _PERSISTENCE_ENTRY_CAP = 400_000_000
 
 

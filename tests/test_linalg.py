@@ -122,8 +122,9 @@ def _pair_or_skip():
 
 def _spy_ranks(monkeypatch, fail_on=None, error=None):
     """Record (prime, thread name) of every prime-field rank, raising
-    ``error`` in the rank modulo ``fail_on`` once it is recorded. A rank
-    in the worker thread takes 0.2 s longer, so it ends last."""
+    ``error`` in the rank modulo ``fail_on`` once it is recorded. With an
+    error to raise, a rank in the worker thread takes 0.2 s longer, so it
+    ends last."""
     import threading
     import time
 
@@ -131,7 +132,7 @@ def _spy_ranks(monkeypatch, fail_on=None, error=None):
 
     def spy(A, p):
         result = _RANK_MOD(A, p)
-        if threading.current_thread() is not threading.main_thread():
+        if error is not None and threading.current_thread() is not threading.main_thread():
             time.sleep(0.2)
         calls.append((p, threading.current_thread().name))
         if p == fail_on:
