@@ -22,9 +22,9 @@ time the blocked rank of int32 copies, as the engine ranks them: ``i32/64``
 is their time in turn over that of the int64 copies, and ``once/turn`` the
 wall time of both primes ranked at once (``linalg._rank_pair``, the
 engine's concurrent pair) over their time in turn. The engine ranks the
-primes at once above ``_CONCURRENT_ENTRIES`` entries, where ``once/turn``
-stays below 1. Without a second core or OpenBLAS thread control the pair
-is not timed.
+primes at once above ``_CONCURRENT_ENTRIES`` entries, from where the median
+``once/turn`` of repeated runs was below 1; single runs are noisy. Without
+a second core or OpenBLAS thread control the pair is not timed.
 
 Any disagreement — a rank differing between kernels, a random matrix whose
 rank is not the requested one, or blocked RREF rows or pivots differing
@@ -58,8 +58,8 @@ from nodalcert import _kernels  # noqa: E402
 from nodalcert._kernels import _np_rref, blocked_rank_mod, blocked_rref_mod  # noqa: E402
 from nodalcert.assembly import jacobian_generator_coo  # noqa: E402
 from nodalcert.field import DEFAULT_PRIMES, PrimeField  # noqa: E402
-from nodalcert.linalg import _pair_worker, _rank_pair  # noqa: E402
 from nodalcert.fixtures import one_node  # noqa: E402
+from nodalcert.linalg import _pair_worker, _rank_pair  # noqa: E402
 from nodalcert.polynomials import partial_derivatives  # noqa: E402
 
 # (label, rows, cols, rank): random matrices in Jacobian-slice shapes.
