@@ -59,7 +59,7 @@ from nodalcert._kernels import _np_rref, blocked_rank_mod, blocked_rref_mod  # n
 from nodalcert.assembly import jacobian_generator_coo  # noqa: E402
 from nodalcert.field import DEFAULT_PRIMES, PrimeField  # noqa: E402
 from nodalcert.fixtures import one_node  # noqa: E402
-from nodalcert.linalg import _pair_worker, _rank_pair  # noqa: E402
+from nodalcert.linalg import _can_rank_at_once, _rank_pair  # noqa: E402
 from nodalcert.polynomials import partial_derivatives  # noqa: E402
 
 # (label, rows, cols, rank): random matrices in Jacobian-slice shapes.
@@ -167,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     for algo in ALGORITHMS.values():
         algo(warm.copy(), DEFAULT_PRIMES[0])
 
-    pair = _pair_worker() is not None
+    pair = _can_rank_at_once()
     header = (f"{'case':<30} {'shape':>11} {'entries':>9} {'rank':>6}"
               f" {'scalar':>14} {'b.rref':>14} {'b.rank':>14} {'ratio':>6} {'i32/64':>6} {'once/turn':>9}")
     print(f"primes {DEFAULT_PRIMES}, seed {args.seed}, _SCALAR_CUTOFF {_kernels._SCALAR_CUTOFF},"

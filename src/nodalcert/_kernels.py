@@ -46,9 +46,10 @@ every residue below p < 2^31 fits. It reads int32 entries into int64 (the
 transposed panel, the factor of every product) and writes back residues,
 so its rank and every intermediate matrix are those of an int64 copy.
 ``LinearEngine`` ranks in int32, and above ``_CONCURRENT_ENTRIES`` runs
-the two primes of a pair at once, the second in a worker thread, with
-OpenBLAS pinned to one thread through ``openblas_threads``. The kernels
-themselves start no thread and set no BLAS thread count.
+the two primes of a pair at once, the second in a worker thread started for
+the pair, with OpenBLAS pinned to one thread through ``openblas_threads``.
+The kernels themselves start no thread and set no BLAS thread count. Kernel
+rows of a reduced form are derived in ``linalg``, for both fields.
 """
 
 from __future__ import annotations
@@ -458,17 +459,3 @@ def openblas_threads():
         except (OSError, AttributeError):
             continue
     return None
-
-
-def kernel_from_rref(rows: np.ndarray, pivots: np.ndarray, ncols: int, p: int) -> np.ndarray:
-    """Kernel basis of a map whose RREF (acting on column vectors) is given.
-
-    One kernel row per free column g: 1 at g, -R[t, g] at pivot column t.
-    The rows are independent but not echelonized; callers re-echelonize.
-    """
-    free = np.setdiff1d(np.arange(ncols), pivots)
-    out = np.zeros((free.size, ncols), dtype=np.int64)
-    out[np.arange(free.size), free] = 1
-    if rows.shape[0]:
-        out[:, pivots] = (p - rows[:, free]).T % p
-    return out

@@ -38,7 +38,7 @@ from .milnor import (
     tjurina_count,
 )
 from .monomials import space_dim
-from .nodal import NodalCertificate, ProjectivePoint, certify_nodal, parse_point
+from .nodal import _PERSISTENCE_ENTRY_CAP, NodalCertificate, ProjectivePoint, _generator_entries, certify_nodal, parse_point
 from .polynomials import HomogeneousPolynomial, parse_polynomial
 from .report import RunReport
 from .torelli import (
@@ -49,9 +49,6 @@ from .torelli import (
 )
 
 _VAR_TOKEN = re.compile(r"x(\d+)")
-
-# Matrices past this many entries are not worth attempting interactively.
-_FEASIBLE_ENTRIES = 400_000_000
 
 
 def infer_variable_count(text: str) -> int:
@@ -170,8 +167,8 @@ def _cmd_hilbert(args: argparse.Namespace) -> tuple[RunReport, int]:
     # eliminations around the socle degree; probe that size before
     # committing so the command stays responsive on huge inputs.
     probe = ctx.socle + 2
-    est = (ctx.n + 1) * space_dim(ctx.n, probe - ctx.d + 1) * space_dim(ctx.n, probe)
-    if est <= _FEASIBLE_ENTRIES:
+    est = _generator_entries(ctx, probe)
+    if est <= _PERSISTENCE_ENTRY_CAP:
         ct = coincidence_threshold(ctx)
         job.report.results["coincidence_threshold"] = (
             "Smooth" if ct is SMOOTH else ct

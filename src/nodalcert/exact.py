@@ -19,13 +19,9 @@ from typing import Sequence
 
 try:
     from gmpy2 import mpz
-
-    _HAS_GMPY2 = True
 except ImportError:  # pragma: no cover - environment dependent
     def mpz(x):  # type: ignore[misc]
         return int(x)
-
-    _HAS_GMPY2 = False
 
 
 ExactRows = tuple[tuple[Fraction, ...], ...]
@@ -123,30 +119,3 @@ def rref_fraction(rows: Sequence[Sequence]) -> tuple[ExactRows, tuple[int, ...]]
                     if row_s[j]:
                         row_t[j] -= f * row_s[j]
     return tuple(tuple(row) for row in ech), tuple(pivots)
-
-
-def kernel_from_rref_fraction(ech: ExactRows, pivots: tuple[int, ...], ncols: int) -> ExactRows:
-    """Kernel rows of the column-vector map whose RREF is (ech, pivots)."""
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    out = []
-    for g in free:
-        vec = [Fraction(0)] * ncols
-        vec[g] = Fraction(1)
-        for t, pc in enumerate(pivots):
-            vec[pc] = -ech[t][g]
-        out.append(tuple(vec))
-    return tuple(out)
-
-
-def reduce_vector(ech: ExactRows, pivots: tuple[int, ...], vec: Sequence[Fraction]) -> list[Fraction]:
-    """Residual of vec after eliminating the pivot coordinates via ech."""
-    res = [Fraction(v) for v in vec]
-    for t, pc in enumerate(pivots):
-        f = res[pc]
-        if f:
-            row = ech[t]
-            for j in range(pc, len(res)):
-                if row[j]:
-                    res[j] -= f * row[j]
-    return res

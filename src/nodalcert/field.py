@@ -12,7 +12,9 @@ few operations on them the engine and the graded algebra need. Payloads are
 ``dtype=object`` entries (Fractions or ints) over Q, so indexing, stacking
 and reshaping are written once for both. A matrix made only to be ranked
 has the realization's ``rank_dtype``: int32 over F_p, half the bytes,
-since a residue below p < 2**31 fits.
+since a residue below p < 2**31 fits. A kernel needs only ``rref``,
+``dtype`` and ``normalize``: the engine derives its rows from the reduced
+form the same way in both fields.
 """
 
 from __future__ import annotations
@@ -99,11 +101,6 @@ class PrimeField:
         rank, pivots = _kernels.rref_mod(mat, self.p)
         return tuple(int(c) for c in pivots), mat[:rank].copy()
 
-    def kernel(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-        """Pivot columns of mat and its kernel rows (not echelonized); overwrites mat."""
-        rank, pivots = _kernels.rref_mod(mat, self.p)
-        return tuple(int(c) for c in pivots), _kernels.kernel_from_rref(mat[:rank], pivots, mat.shape[1], self.p)
-
 
 @dataclass(frozen=True)
 class Rationals:
@@ -127,10 +124,6 @@ class Rationals:
     def rref(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
         ech, pivots = exact.rref_fraction(mat)
         return pivots, _rows(ech, mat.shape[1])
-
-    def kernel(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-        ech, pivots = exact.rref_fraction(mat)
-        return pivots, _rows(exact.kernel_from_rref_fraction(ech, pivots, mat.shape[1]), mat.shape[1])
 
 
 def _rows(rows: exact.ExactRows, ncols: int) -> np.ndarray:

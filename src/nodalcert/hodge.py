@@ -65,9 +65,7 @@ def ideal_of_points_dim(
         raise ValueError("point dimension mismatch")
     rows = evaluation_rows([pt.coords for pt in points], n, k)
     coo = exact_rows_to_int_coo(rows, N)
-    tag = getattr(ctx, "_ideal_points_tag", 0) + 1
-    ctx._ideal_points_tag = tag  # type: ignore[attr-defined]
-    rank = ctx.engine.rank_coo(coo, f"ideal-points/{k}/{tag}")
+    rank = ctx.engine.rank_coo(coo, f"ideal-points/{k}/{ctx.next_tag('ideal-points')}")
     return N - rank
 
 

@@ -26,17 +26,20 @@ ranks its two primes at once when the process has at least two cores and
 the OpenBLAS that numpy loaded lets its thread count be set: both int32
 matrices are made first (as many bytes as one int64 matrix), the first
 prime is ranked in the calling thread and the second in one worker thread,
-started on first use, with OpenBLAS pinned to one thread until both are
-done. Otherwise the primes run in turn. The ranks, their agreement check
-and the ledger are the same either way. The engine itself is not
-thread-safe: a caller uses it from one thread.
+started for the pair and joined after it, with OpenBLAS pinned to one
+thread until both are done. Otherwise the primes run in turn. The ranks,
+their agreement check and the ledger are the same either way. The engine
+itself is not thread-safe: a caller uses it from one thread.
+
+A kernel runs the realization's reduced echelon form and then one function
+for every field, ``kernel_rows``, before the rows are echelonized.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -113,40 +116,43 @@ class RankRecord:
 
 
 @functools.cache
-def _pair_worker() -> ThreadPoolExecutor | None:
-    """The worker that ranks the second prime of a pair ranked at once, or
-    None when the pair runs in turn: the process has fewer than two cores,
-    or OpenBLAS cannot be pinned to one thread. Its one thread starts with
-    the first pair."""
+def _can_rank_at_once() -> bool:
+    """Whether a pair can rank its two primes at once: the process has at
+    least two cores and OpenBLAS can be pinned to one thread."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if cores < 2 or _kernels.openblas_threads() is None:
-        return None
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="nodalcert-rank")
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the worker but not its thread: it makes its own
-    os.register_at_fork(after_in_child=_pair_worker.cache_clear)
+    return cores >= 2 and _kernels.openblas_threads() is not None
 
 
 def _rank_pair(fields: Sequence[Realization], mats: Sequence[np.ndarray]) -> list[int]:
     """The ranks of two matrices, each in its realization, at once: the
-    first in this thread and the second in the worker, with OpenBLAS pinned
-    to one thread from before the worker starts until both are done (its
-    setter acts on the whole process, so only this thread sets it). An
-    exception of either rank is re-raised once both have finished."""
+    first in this thread and the second in a worker thread started for the
+    pair, with OpenBLAS pinned to one thread from before the worker starts
+    until both are done (its setter acts on the whole process, so only this
+    thread sets it). The worker is joined, and an exception of either rank
+    re-raised, once both have finished."""
     get_threads, set_threads = _kernels.openblas_threads()
     threads = get_threads()
     set_threads(1)
     try:
-        second = _pair_worker().submit(fields[1].rank, mats[1])
-        try:
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="nodalcert-rank") as worker:
+            second = worker.submit(fields[1].rank, mats[1])
             first = fields[0].rank(mats[0])
-        finally:
-            wait([second])
         return [first, second.result()]
     finally:
         set_threads(threads)
+
+
+def kernel_rows(F: Realization, pivots: Sequence[int], rows: np.ndarray) -> np.ndarray:
+    """Kernel rows, of F's dtype, of the map x -> M x whose reduced echelon
+    rows over F are ``rows`` with pivot columns ``pivots``: one row per free
+    column g, with 1 at g and -rows[t, g] at pivots[t]. The rows are
+    independent but not echelonized."""
+    pivots = np.array(pivots, dtype=np.int64)
+    free = np.delete(np.arange(rows.shape[1]), pivots)
+    out = np.zeros((len(free), rows.shape[1]), dtype=F.dtype)
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = F.normalize(-rows[:, free]).T
+    return out
 
 
 class LinearEngine:
@@ -184,8 +190,9 @@ class LinearEngine:
         matrix: Callable[[Realization], np.ndarray],
         ambient: AmbientSpace | None = None,
     ) -> int | SubspaceBasis:
-        """Run ``op`` ("rank", "rref" or "kernel") in every realization on the
-        fresh matrix ``matrix(F)``, which the kernel may overwrite; insist the
+        """Run ``op`` ("rank", "rref" or "kernel", which turns the reduced
+        echelon rows into ``kernel_rows``) in every realization on the fresh
+        matrix ``matrix(F)``, which the kernel may overwrite; insist the
         realizations agree on the rank or the pivot columns; record the rank
         under ``label``. A rank is answered from the ledger, and a large
         prime-pair rank runs both primes at once (module docstring); a basis
@@ -201,7 +208,7 @@ class LinearEngine:
         checks: dict[str, object] = {}
         payload: dict[str, np.ndarray] = {}
         at_once = op == "rank" and len(fields) == 2 and shape[0] * shape[1] > _kernels._CONCURRENT_ENTRIES
-        if at_once and _pair_worker():
+        if at_once and _can_rank_at_once():
             ranks = _rank_pair(fields, [matrix(F) for F in fields])
             checks = {F.key: rank for F, rank in zip(fields, ranks)}
         else:
@@ -209,7 +216,10 @@ class LinearEngine:
                 if op == "rank":
                     checks[F.key] = F.rank(matrix(F))
                 else:
-                    checks[F.key], payload[F.key] = getattr(F, op)(matrix(F))
+                    checks[F.key], payload[F.key] = F.rref(matrix(F))
+                    if op == "kernel":
+                        # replaces the reduced form, freed before the kernel is echelonized
+                        payload[F.key] = kernel_rows(F, checks[F.key], payload[F.key])
         first = next(iter(checks.values()))
         if any(v != first for v in checks.values()):
             what = "rank" if op == "rank" else "pivot columns"

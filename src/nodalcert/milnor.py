@@ -13,6 +13,7 @@ realizes; comparing against it detects and quantifies singularity.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -104,8 +105,13 @@ class JacobianContext:
         self._monomial_partials = all(len(g.terms) <= 1 for g in self.partials)
         self._dims: dict[int, int] = {}
         self._qr: dict[int, dict[str, np.ndarray]] = {}
-        # ledger tags handed out to successive deformation checks
-        self.deformation_tag = 0
+        self._tags: Counter[str] = Counter()
+
+    def next_tag(self, kind: str) -> int:
+        """The next ledger tag of ``kind`` (1, 2, ...): distinct labels for
+        the successive checks of one kind on this context."""
+        self._tags[kind] += 1
+        return self._tags[kind]
 
     # -- raw ideal slices ---------------------------------------------------
 
@@ -236,20 +242,10 @@ def _colon_step_kernel(
     amb = AmbientSpace.graded(n, k0)
     if q_cols == 0:
         return ctx.engine.echelon_payload(_empty_rows(ctx.field, amb.dim), amb, label + "/empty")
-    QR = ctx.quotient_reduction(k0 + m)
-    qdim = _qr_width(QR)
-    E_m = exponent_matrix(n, m)
-    Nm = E_m.shape[0]
-    E_k0 = exponent_matrix(n, k0)
-    # target monomial index of (free monomial u) * (degree-m monomial b)
-    prod = (E_k0[free][:, None, :] + E_m[None, :, :]).reshape(q_cols * Nm, n + 1)
-    prod_rank = monomial_rank_rows(prod, n, k0 + m)
-    # column u stacks the classes of u * b over b: one row per (b, class coordinate)
-    payload = {
-        key: np.ascontiguousarray(table[prod_rank].reshape(q_cols, Nm * qdim).T)
-        for key, table in QR.items()
-    }
-    shape = (Nm * qdim, q_cols)
+    # column u stacks the classes of u * b over the degree-m monomials b
+    payload, shape = _multiplication_payload(
+        ctx.quotient_reduction(k0 + m), exponent_matrix(n, m), exponent_matrix(n, k0)[free], n, k0 + m
+    )
     ker = ctx.engine.kernel_payload(payload, shape, AmbientSpace.abstract(q_cols), label)
     # lift kernel rows from complement coordinates back into S_k0
     lifted = {}
@@ -262,6 +258,23 @@ def _colon_step_kernel(
 def _qr_width(QR: dict[str, np.ndarray]) -> int:
     """Number of standard complement monomials of a quotient_reduction table."""
     return next(iter(QR.values())).shape[1]
+
+
+def _multiplication_payload(
+    QR: dict[str, np.ndarray], shifts: np.ndarray, expos: np.ndarray, n: int, k: int
+) -> tuple[dict[str, np.ndarray], tuple[int, int]]:
+    """Per-field matrix, and its shape, with a column per monomial of
+    ``expos`` and a row per (shift, class coordinate) pair, rows flattened
+    shift-major: the entry is the coordinate of x^(shift + expo) in the
+    degree-k quotient table QR. No matrix shares memory with QR."""
+    ns, ne = len(shifts), len(expos)
+    ranks = monomial_rank_rows((shifts[:, None, :] + expos[None, :, :]).reshape(ns * ne, n + 1), n, k)
+    q = _qr_width(QR)
+    payload = {
+        key: table[ranks].reshape(ns, ne, q).transpose(0, 2, 1).reshape(ns * q, ne)
+        for key, table in QR.items()
+    }
+    return payload, (ns * q, ne)
 
 
 _SATURATION_DIM_CAP = 5000

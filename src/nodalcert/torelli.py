@@ -27,7 +27,7 @@ import numpy as np
 from .assembly import coo_vstack, exact_rows_to_int_coo, polys_to_exact_rows
 from .errors import DegreeTooSmall, NotEffective, UnsupportedDimension
 from .linalg import AmbientSpace, SubspaceBasis
-from .milnor import JacobianContext, _qr_width
+from .milnor import JacobianContext, _multiplication_payload, _qr_width
 from .monomials import monomial_basis, monomial_rank_rows
 from .polynomials import HomogeneousPolynomial
 
@@ -40,31 +40,6 @@ def quotient_basis(ctx: JacobianContext, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(mons[g] for g in basis.free_columns())
 
 
-def _multiplication_payload(
-    QR: dict[str, np.ndarray], shifts: np.ndarray, expos: np.ndarray, n: int, k: int
-) -> dict[str, np.ndarray]:
-    """Per-field matrix with a column per monomial of ``expos`` and a row per
-    (shift, class coordinate) pair, rows flattened shift-major: the entry is
-    the coordinate of x^(shift + expo) in the degree-k quotient table QR."""
-    ns, ne = len(shifts), len(expos)
-    ranks = monomial_rank_rows((shifts[:, None, :] + expos[None, :, :]).reshape(ns * ne, n + 1), n, k)
-    q = _qr_width(QR)
-    return {
-        key: table[ranks].reshape(ns, ne, q).transpose(0, 2, 1).reshape(ns * q, ne)
-        for key, table in QR.items()
-    }
-
-
-def _pairing_payload(ctx: JacobianContext) -> tuple[dict[str, np.ndarray], tuple[int, int]]:
-    """Per-field pairing matrix and its shape."""
-    n, d = ctx.n, ctx.d
-    k2 = 2 * d - n - 1
-    QR2 = ctx.quotient_reduction(k2)
-    src = _expos(quotient_basis(ctx, d - n - 1), n)
-    mid = _expos(quotient_basis(ctx, d), n)
-    return _multiplication_payload(QR2, src, mid, n, k2), (len(src) * _qr_width(QR2), len(mid))
-
-
 def pairing_matrix(ctx: JacobianContext) -> tuple[dict[str, np.ndarray], tuple[int, int]]:
     """Matrix of the multiplication pairing (per field key) with shape
     (q_(d-n-1) * q_(2d-n-1), q_d); raises DegreeTooSmall when d < n + 1."""
@@ -72,7 +47,12 @@ def pairing_matrix(ctx: JacobianContext) -> tuple[dict[str, np.ndarray], tuple[i
         raise DegreeTooSmall(
             f"pairing needs degree >= n+1 = {ctx.n + 1}, got {ctx.d}"
         )
-    return _pairing_payload(ctx)
+    n, d = ctx.n, ctx.d
+    k2 = 2 * d - n - 1
+    QR2 = ctx.quotient_reduction(k2)
+    src = _expos(quotient_basis(ctx, d - n - 1), n)
+    mid = _expos(quotient_basis(ctx, d), n)
+    return _multiplication_payload(QR2, src, mid, n, k2)
 
 
 def pairing_injective(ctx: JacobianContext) -> bool:
@@ -88,9 +68,9 @@ def variable_multiplication_kernel(ctx: JacobianContext, t: int) -> SubspaceBasi
     in standard-monomial coordinates of the degree-t quotient."""
     n = ctx.n
     std = _expos(quotient_basis(ctx, t), n)
-    QR1 = ctx.quotient_reduction(t + 1)
-    payload = _multiplication_payload(QR1, np.eye(n + 1, dtype=np.int64), std, n, t + 1)
-    shape = ((n + 1) * _qr_width(QR1), len(std))
+    payload, shape = _multiplication_payload(
+        ctx.quotient_reduction(t + 1), np.eye(n + 1, dtype=np.int64), std, n, t + 1
+    )
     return ctx.engine.kernel_payload(payload, shape, AmbientSpace.abstract(len(std)), f"varmul/{t}")
 
 
@@ -105,16 +85,10 @@ def effective_deformation_check(ctx: JacobianContext, V: Sequence[HomogeneousPol
     v_rows = polys_to_exact_rows(V, d)
     generators = ctx.generator_coo(d)
     v_coo = exact_rows_to_int_coo(v_rows, generators.shape[1])
-    v_rank = ctx.engine.rank_coo(v_coo, f"deformation-span/{_span_tag(ctx)}")
+    v_rank = ctx.engine.rank_coo(v_coo, f"deformation-span/{ctx.next_tag('deformation')}")
     stacked = coo_vstack([generators, v_coo])
-    total = ctx.engine.rank_coo(stacked, f"deformation-stack/{_span_tag(ctx)}")
+    total = ctx.engine.rank_coo(stacked, f"deformation-stack/{ctx.next_tag('deformation')}")
     return v_rank == len(V) and total == ctx.jacobian_dim(d) + len(V)
-
-
-def _span_tag(ctx: JacobianContext) -> int:
-    """Distinct ledger tags for successive deformation checks on one context."""
-    ctx.deformation_tag += 1
-    return ctx.deformation_tag
 
 
 @dataclass(frozen=True)
@@ -164,7 +138,7 @@ def period_differential(
                 acc[j] = F.normalize(acc[j] + F.convert(coeff) * table[ranks])
         payload[F.key] = np.ascontiguousarray(F.normalize(-acc).reshape(nv, q1 * q2).T)
     shape = (q1 * q2, nv)
-    rank = ctx.engine.rank_payload(payload, shape, f"period-differential/{_span_tag(ctx)}")
+    rank = ctx.engine.rank_payload(payload, shape, f"period-differential/{ctx.next_tag('deformation')}")
     return PeriodDifferentialResult(payload, shape, rank, nv)
 
 

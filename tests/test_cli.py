@@ -55,6 +55,14 @@ def test_hilbert_shows_where_columns_diverge(capsys):
     assert doc["results"]["tjurina"] == 1
 
 
+def test_hilbert_skips_the_threshold_past_the_size_cap(capsys):
+    code, doc = run_json(capsys, ["hilbert", "--fixture", "fermat:5,6", "--kmax", "2"])
+    assert code == 0
+    assert "coincidence_threshold" not in doc["results"] and "tjurina" not in doc["results"]
+    note = doc["results"]["threshold_note"]
+    assert "around degree 26" in note and "skipped as infeasible" in note
+
+
 def test_hilbert_reads_polynomial_files(tmp_path, capsys):
     poly = tmp_path / "f.txt"
     poly.write_text("x0^4 + x1^4 + x2^4 + x3^4\n")

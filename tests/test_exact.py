@@ -5,12 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from nodalcert.exact import (
-    bareiss_rank,
-    kernel_from_rref_fraction,
-    reduce_vector,
-    rref_fraction,
-)
+from nodalcert.exact import bareiss_rank, rref_fraction
+from nodalcert.field import FieldConfig, Rationals
+from nodalcert.linalg import AmbientSpace, LinearEngine, kernel_rows, reduce_against_basis
 
 
 def _random_exact(rng, rows, cols, rank):
@@ -59,24 +56,26 @@ def test_rref_is_fully_reduced():
 def test_kernel_vectors_annihilate_rows():
     rng = np.random.default_rng(9)
     A = _random_exact(rng, 6, 8, 4)
-    ech, pivots = rref_fraction(A)
-    ker = kernel_from_rref_fraction(ech, pivots, 8)
+    F = Rationals()
+    pivots, rows = F.rref(np.array(A, dtype=object))
+    ker = kernel_rows(F, pivots, rows)
     assert len(ker) == 8 - len(pivots)
     for v in ker:
         for row in A:
             assert sum(a * b for a, b in zip(row, v)) == 0
 
 
-def test_reduce_vector_kills_members_and_fixes_residues():
+def test_reduce_against_an_exact_basis_kills_members_and_fixes_residues():
     A = [
         [Fraction(1), Fraction(0), Fraction(2)],
         [Fraction(0), Fraction(1), Fraction(-1)],
     ]
-    ech, pivots = rref_fraction([row[:] for row in A])
+    engine = LinearEngine(FieldConfig.exact())
+    basis = engine.echelon_payload({"exact": np.array(A, dtype=object)}, AmbientSpace.abstract(3), "rows")
     member = [Fraction(3), Fraction(-2), Fraction(8)]  # 3*r0 - 2*r1
-    assert reduce_vector(ech, pivots, member) == [Fraction(0)] * 3
+    assert list(reduce_against_basis(basis, member)["exact"]) == [Fraction(0)] * 3
     outside = [Fraction(0), Fraction(0), Fraction(1)]
-    residue = reduce_vector(ech, pivots, outside)
+    residue = list(reduce_against_basis(basis, outside)["exact"])
     assert residue != [Fraction(0)] * 3
     # reduction is idempotent
-    assert reduce_vector(ech, pivots, residue) == residue
+    assert list(reduce_against_basis(basis, residue)["exact"]) == residue

@@ -14,15 +14,15 @@ from nodalcert._kernels import (
     PANEL_WIDTH,
     blocked_rank_mod,
     blocked_rref_mod,
-    kernel_from_rref,
     rank_mod,
     rref_mod,
 )
 from nodalcert.assembly import jacobian_generator_coo
 from nodalcert.errors import InconsistentResult
 from nodalcert.exact import bareiss_rank
-from nodalcert.field import DEFAULT_PRIMES
+from nodalcert.field import DEFAULT_PRIMES, PrimeField, Rationals
 from nodalcert.fixtures import one_node
+from nodalcert.linalg import kernel_rows
 from nodalcert.polynomials import partial_derivatives
 
 P = DEFAULT_PRIMES[0]
@@ -416,18 +416,29 @@ def test_rank_mod_handles_degenerate_shapes():
     assert rank_mod(np.zeros((4, 4), dtype=np.int64), P) == 0
 
 
-def test_kernel_from_rref_annihilates_the_matrix():
+FIELDS = pytest.mark.parametrize("F", [PrimeField(P), Rationals()], ids=["fp", "exact"])
+
+
+def _field_matrix(F, rng, rows, cols, rank):
+    """A matrix of F's dtype and rank exactly ``rank``: entries spread over
+    [0, p) in F_p, small integers over Q."""
+    if isinstance(F, Rationals):
+        return _integer_with_rank(rng, rows, cols, rank).astype(object)
+    return _random_with_rank(rng, rows, cols, rank, F.p)
+
+
+@FIELDS
+def test_kernel_rows_annihilate_the_matrix(F):
     rng = np.random.default_rng(3)
-    A = _random_with_rank(rng, 20, 15, 8)
-    original = A.copy()
-    rank, pivots = rref_mod(A, P)
-    ker = kernel_from_rref(A[:rank], pivots, 15, P)
-    assert rank == 8
-    assert ker.shape == (15 - rank, 15)
-    assert not _mulmod(original, ker.T, P).any()
+    A = _field_matrix(F, rng, 20, 15, 8)
+    original = A.astype(object)
+    pivots, rows = F.rref(A)
+    ker = kernel_rows(F, pivots, rows)
+    assert len(pivots) == 8
+    assert ker.shape == (15 - 8, 15)
+    assert not F.normalize(original @ ker.T.astype(object)).any()
     # the kernel rows are independent
-    got, _ = rref_mod(ker.copy(), P)
-    assert got == 15 - rank
+    assert len(F.rref(ker.copy())[0]) == 15 - 8
 
 
 def test_kernel_from_blocked_rref_annihilates_the_matrix():
@@ -435,26 +446,26 @@ def test_kernel_from_blocked_rref_annihilates_the_matrix():
     A = _random_with_rank(rng, 260, 200, 150)
     original = A.copy()
     rank, pivots = blocked_rref_mod(A, P)
-    ker = kernel_from_rref(A[:rank], pivots, 200, P)
+    ker = kernel_rows(PrimeField(P), pivots, A[:rank])
     assert rank == 150
     assert ker.shape == (50, 200)
     assert not _mulmod(original, ker.T, P).any()
     assert rref_mod(ker.copy(), P)[0] == 50
 
 
-def test_kernel_from_rref_matches_one_row_per_free_column():
+@FIELDS
+def test_kernel_rows_match_one_row_per_free_column(F):
     rng = np.random.default_rng(47)
     for rows, cols, rank in [(20, 15, 8), (10, 12, 0), (12, 12, 12), (30, 40, 25)]:
-        A = _random_with_rank(rng, rows, cols, rank)
-        got_rank, pivots = rref_mod(A, P)
-        expected = np.zeros((cols - rank, cols), dtype=np.int64)
-        free = [c for c in range(cols) if c not in set(pivots.tolist())]
+        pivots, R = F.rref(_field_matrix(F, rng, rows, cols, rank))
+        expected = np.zeros((cols - rank, cols), dtype=F.dtype)
+        free = [c for c in range(cols) if c not in set(pivots)]
         for idx, g in enumerate(free):
             expected[idx, g] = 1
-            if rank:
-                expected[idx, pivots] = (P - A[:rank, g]) % P
-        got = kernel_from_rref(A[:rank], pivots, cols, P)
-        assert got.dtype == np.int64
+            for t, pc in enumerate(pivots):
+                expected[idx, pc] = -R[t, g] if isinstance(F, Rationals) else (F.p - R[t, g]) % F.p
+        got = kernel_rows(F, pivots, R)
+        assert got.dtype == F.dtype
         assert np.array_equal(got, expected)
 
 

@@ -116,7 +116,7 @@ _RANK_MOD = _kernels.rank_mod
 def _pair_or_skip():
     from nodalcert import linalg
 
-    if linalg._pair_worker() is None:
+    if not linalg._can_rank_at_once():
         pytest.skip("the pair runs in turn here: fewer than two cores or no OpenBLAS thread control")
 
 
@@ -165,6 +165,19 @@ def test_a_rank_above_the_gate_records_the_ledger_of_the_primes_in_turn(monkeypa
     assert at_once == in_turn
     p1, p2 = FieldConfig.prime_pair().primes
     assert {(p, name.startswith("nodalcert-rank")) for p, name in calls} == {(p1, False), (p2, True)}
+
+
+def test_a_pair_leaves_no_thread_behind(monkeypatch):
+    import threading
+
+    _pair_or_skip()
+    monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", 0)
+    calls = _spy_ranks(monkeypatch)
+    before = threading.active_count()
+    assert LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [3, 4]]), "pair") == 2
+    assert {name.startswith("nodalcert-rank") for _, name in calls} == {False, True}
+    assert threading.active_count() == before
+    assert not [t for t in threading.enumerate() if t.name.startswith("nodalcert-rank")]
 
 
 def test_an_exception_of_either_prime_propagates_with_its_type(monkeypatch):

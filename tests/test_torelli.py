@@ -7,6 +7,7 @@ import pytest
 from nodalcert.errors import DegreeTooSmall, NotEffective, UnsupportedDimension
 from nodalcert.field import FieldConfig
 from nodalcert.fixtures import fermat, one_node
+from nodalcert.hodge import ideal_of_points_dim
 from nodalcert.milnor import JacobianContext
 from nodalcert.linalg import quotient_coordinates
 from nodalcert.monomials import monomial_basis, monomial_index
@@ -131,3 +132,24 @@ def test_period_differential_rejects_ineffective_subspaces(roster):
     g0 = partial_derivatives(roster.fixture("A").f)[0]
     with pytest.raises(NotEffective):
         period_differential(ctx, [g0.shift((1, 0, 0, 0))])
+
+
+def test_ledger_tags_count_each_kind_of_check_on_its_own():
+    # the tags are part of the ledger labels, so they must not be renumbered
+    fx = one_node(3, 4, 1)
+    ctx = JacobianContext(fx.f, FieldConfig.prime_pair())
+    V = _standard_monomials(ctx, ctx.d)
+    for k in (2, 3):
+        ideal_of_points_dim(ctx, fx.points, k)
+        period_differential(ctx, V)
+    tagged = [label for label in ctx.engine.rank_ledger if label.startswith(("ideal-points/", "deformation-", "period-"))]
+    assert tagged == [
+        "ideal-points/2/1",
+        "deformation-span/1",
+        "deformation-stack/2",
+        "period-differential/3",
+        "ideal-points/3/2",
+        "deformation-span/4",
+        "deformation-stack/5",
+        "period-differential/6",
+    ]
