@@ -21,10 +21,12 @@ On the blocked slices (above ``_SCALAR_CUTOFF`` entries) two more columns
 time the blocked rank of int32 copies, as the engine ranks them: ``i32/64``
 is their time in turn over that of the int64 copies, and ``once/turn`` the
 wall time of both primes ranked at once (``linalg._rank_pair``, the
-engine's concurrent pair) over their time in turn. The engine ranks the
-primes at once above ``_CONCURRENT_ENTRIES`` entries, from where the median
-``once/turn`` of repeated runs was below 1; single runs are noisy. Without
-a second core or OpenBLAS thread control the pair is not timed.
+engine's concurrent pair: the second prime in a forked child process,
+which copies its own matrix, fork and reap included) over their time in
+turn. The engine ranks the primes at once above ``_CONCURRENT_ENTRIES``
+entries, from where the median ``once/turn`` of repeated runs was below 1;
+single runs are noisy. Without a second core, ``os.fork`` or OpenBLAS
+thread control the pair is not timed.
 
 Any disagreement — a rank differing between kernels, a random matrix whose
 rank is not the requested one, or blocked RREF rows or pivots differing
@@ -133,13 +135,13 @@ def best_time(algo, A: np.ndarray, p: int, repeats: int):
 
 def best_pair_time(mats: dict[int, np.ndarray], repeats: int) -> tuple[float, list[int]]:
     """Best wall time of ``repeats`` runs of the engine's concurrent pair on
-    fresh copies of the two primes' matrices, and the two ranks."""
+    fresh copies of the two primes' matrices, each made in the process that
+    ranks it, and the two ranks."""
     fields = [PrimeField(p) for p in mats]
     best = float("inf")
     for _ in range(repeats):
-        copies = [A.copy() for A in mats.values()]
         t0 = time.perf_counter()
-        ranks = _rank_pair(fields, copies)
+        ranks = _rank_pair(fields, lambda F: mats[F.p].copy())
         best = min(best, time.perf_counter() - t0)
     return best, ranks
 
@@ -223,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     print("b.rref = blocked_rref_mod, b.rank = blocked_rank_mod; "
           "ratio = scalar time / b.rref time (above 1: the blocked RREF is faster); "
           "i32/64 = b.rank time on int32 / on int64 copies; "
-          "once/turn = int32 b.rank wall time of both primes at once / in turn")
+          "once/turn = int32 b.rank wall time of both primes at once (the second in a forked child) / in turn")
     if disagreements:
         print(f"{disagreements} case(s) with disagreeing ranks or RREFs", file=sys.stderr)
     print(json.dumps({

@@ -46,10 +46,11 @@ every residue below p < 2^31 fits. It reads int32 entries into int64 (the
 transposed panel, the factor of every product) and writes back residues,
 so its rank and every intermediate matrix are those of an int64 copy.
 ``LinearEngine`` ranks in int32, and above ``_CONCURRENT_ENTRIES`` runs
-the two primes of a pair at once, the second in a worker thread started for
+the two primes of a pair at once, the second in a child process forked for
 the pair, with OpenBLAS pinned to one thread through ``openblas_threads``.
-The kernels themselves start no thread and set no BLAS thread count. Kernel
-rows of a reduced form are derived in ``linalg``, for both fields.
+The kernels themselves start no thread or process and set no BLAS thread
+count. Kernel rows of a reduced form are derived in ``linalg``, for both
+fields.
 """
 
 from __future__ import annotations
@@ -76,14 +77,31 @@ PANEL_WIDTH = 128
 # as much.
 _SCALAR_CUTOFF = 40_000
 # entries; above this LinearEngine ranks a prime pair's two int32 matrices at
-# once, one per core, on one BLAS thread. Measured on Jacobian slices of
-# one_node fixtures, 2-core VM, one BLAS thread, median of 7 or 9 runs,
-# at-once / in-turn wall time: 0.93-1.03 on the (3,4) and (3,5) slices up to
-# 0.78 M entries, 0.98-1.04 at 0.71 M and 1.32 M and 1.00-1.13 at 1.64 M of
-# (2,19); from 1.82 M up every run gained: 0.79 at 1.82 M, 0.71-0.73 at
-# 2.02 M, 0.78 at 2.46 M, 0.65 at 2.97 M and 0.68 at the 4.65 M (2,22) slice.
-# Smaller pairs gained nothing; the panel loops hold the GIL.
-_CONCURRENT_ENTRIES = 1_750_000
+# once, the second in a forked child, each on one BLAS thread. Measured on
+# Jacobian slices of one_node fixtures (seeds 1, 2, 3), 2-core VM, one BLAS
+# thread, at-once / in-turn wall time, fork and reap included, median of 9
+# rounds that each time every slice once (both orders in turn):
+#
+#   entries    slice          at once / in turn
+#     36,960   (3,4) k=8      0.78  0.84  0.81
+#     37,908   (2,19) k=25    0.81  0.82  0.79
+#     49,280   (3,5) k=9      0.77  0.69  0.76
+#     73,920   (3,4) k=9      0.72  0.76  0.69
+#     86,130   (2,19) k=28    0.74  0.78  0.72
+#     96,096   (3,5) k=10     0.71  0.69  0.67
+#    137,280   (3,4) k=10     0.68  0.71  0.64
+#    174,720   (3,5) k=11     0.66  0.70  0.66
+#    300,300   (3,5) k=12     0.65  0.63  0.62
+#    492,800   (3,5) k=13     0.61  0.59  0.61
+#    777,920   (3,5) k=14     0.55  0.58  0.56
+#  1,316,658   (2,19) k=45    0.59  0.56  0.57
+#
+# Timed slice by slice instead (7 runs of one slice, then the next), small
+# pairs often lost: medians 0.82-1.33 from 16,800 to 86,130 entries, 1.06
+# at 96,096 and 0.56-0.84 from 137,280 up. A fork and reap alone take
+# about 2 ms. So the gate sits at 90,000: below it a pair saves at most
+# 31 % of 30-45 ms and sometimes loses, above it it saves 30-45 %.
+_CONCURRENT_ENTRIES = 90_000
 # bytes of one float64 product buffer in the blocked kernel's column chunks
 _PRODUCT_BYTES = 1 << 20
 # order up to which _np_unit_lower_inverse eliminates column by column

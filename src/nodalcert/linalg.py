@@ -22,14 +22,17 @@ for the exact key. A matrix made only to be ranked has the realization's
 ``rank_dtype`` instead, int32 for a prime key.
 
 A prime-pair rank of more than ``_kernels._CONCURRENT_ENTRIES`` entries
-ranks its two primes at once when the process has at least two cores and
-the OpenBLAS that numpy loaded lets its thread count be set: both int32
-matrices are made first (as many bytes as one int64 matrix), the first
-prime is ranked in the calling thread and the second in one worker thread,
-started for the pair and joined after it, with OpenBLAS pinned to one
-thread until both are done. Otherwise the primes run in turn. The ranks,
-their agreement check and the ledger are the same either way. The engine
-itself is not thread-safe: a caller uses it from one thread.
+ranks its two primes at once when the process has at least two cores, can
+fork, runs no other Python thread and the OpenBLAS that numpy loaded lets
+its thread count be set: the calling process forks a child, which inherits
+the COO or payload copy-on-write, moves off the caller's core, makes only
+the second prime's int32 matrix, ranks it and writes the rank (or its
+exception) to a pipe, while the caller makes and ranks the first prime's;
+OpenBLAS is pinned to one thread until both are done, and the child is
+reaped before the rank returns or raises. Otherwise the primes run in
+turn. The ranks, their agreement check and the ledger are the same either
+way. The engine itself is not thread-safe: a caller uses it from one
+thread.
 
 A kernel runs the realization's reduced echelon form and then one function
 for every field, ``kernel_rows``, before the rows are echelonized.
@@ -37,12 +40,15 @@ for every field, ``kernel_rows``, before the rows are echelonized.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -117,29 +123,123 @@ class RankRecord:
 
 @functools.cache
 def _can_rank_at_once() -> bool:
-    """Whether a pair can rank its two primes at once: the process has at
-    least two cores and OpenBLAS can be pinned to one thread."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return cores >= 2 and _kernels.openblas_threads() is not None
+    """Whether a pair can rank its two primes at once: the process can fork,
+    may run on at least two cores, and OpenBLAS can be pinned to one
+    thread."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and _kernels.openblas_threads() is not None
+    )
 
 
-def _rank_pair(fields: Sequence[Realization], mats: Sequence[np.ndarray]) -> list[int]:
-    """The ranks of two matrices, each in its realization, at once: the
-    first in this thread and the second in a worker thread started for the
-    pair, with OpenBLAS pinned to one thread from before the worker starts
-    until both are done (its setter acts on the whole process, so only this
-    thread sets it). The worker is joined, and an exception of either rank
-    re-raised, once both have finished."""
+@functools.cache
+def _sched_getcpu() -> Callable[[], int]:
+    """libc's ``sched_getcpu``: the CPU the calling thread runs on."""
+    return ctypes.CDLL(None).sched_getcpu
+
+
+def _rank_in_child(
+    F: Realization, matrix: Callable[[Realization], np.ndarray], read_end: int, write_end: int, parent_cpu: int
+) -> NoReturn:
+    """The forked child of a pair: close the parent's ``read_end``, move off
+    ``parent_cpu``, rank ``matrix(F)`` and write the pickled rank, or the
+    exception it raised, to ``write_end``. It never returns into the
+    caller's stack: it ends with ``os._exit`` on every path, which also
+    leaves the buffers of the parent's open files unflushed. An exception
+    that does not survive pickling is replaced by an ``InconsistentResult``
+    naming its type.
+
+    Left to itself, the scheduler of a 2-core VM often kept the child on its
+    parent's core for the whole rank, and the pair took 1.2-1.7 times as
+    long as the two ranks in turn."""
+    status = 1
+    try:
+        os.close(read_end)
+        away = os.sched_getaffinity(0) - {parent_cpu}
+        if away:
+            os.sched_setaffinity(0, away)
+        try:
+            reply = pickle.dumps(F.rank(matrix(F)))
+        except BaseException as exc:
+            try:
+                reply = pickle.dumps(exc)
+                pickle.loads(reply)
+            except Exception:
+                reply = pickle.dumps(
+                    InconsistentResult(f"the rank modulo {F.p} raised {type(exc).__qualname__}, which does not pickle")
+                )
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _rank_pair(fields: Sequence[Realization], matrix: Callable[[Realization], np.ndarray]) -> list[int]:
+    """The ranks of ``matrix(F)`` for the two realizations at once: the
+    second in a forked child (``_rank_in_child``), the first in this
+    process, with OpenBLAS pinned to one thread from before the fork until
+    both are done. The child is reaped before this returns or raises; it is
+    killed first when the first rank raises. The child's exception is
+    re-raised here, and a child that ends without a result raises
+    ``InconsistentResult``. If the fork fails, the primes run in turn."""
     get_threads, set_threads = _kernels.openblas_threads()
     threads = get_threads()
     set_threads(1)
     try:
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="nodalcert-rank") as worker:
-            second = worker.submit(fields[1].rank, mats[1])
-            first = fields[0].rank(mats[0])
-        return [first, second.result()]
+        read_end, write_end = os.pipe()
+        cpu = _sched_getcpu()()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            return [F.rank(matrix(F)) for F in fields]
+        if pid == 0:
+            _rank_in_child(fields[1], matrix, read_end, write_end, cpu)
+        os.close(write_end)
+        try:
+            with os.fdopen(read_end, "rb") as pipe:
+                first = fields[0].rank(matrix(fields[0]))
+                reply = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
     finally:
         set_threads(threads)
+    try:
+        second = pickle.loads(reply)
+    except Exception:
+        raise InconsistentResult(
+            f"the rank modulo {fields[1].p} ended without a result (exit status {os.waitstatus_to_exitcode(status)})"
+        ) from None
+    if isinstance(second, BaseException):
+        raise second
+    return [first, second]
+
+
+class _DenseOnRead(Mapping):
+    """The payload of a COO matrix for the given field keys, densified when a
+    key is read, so an elimination in turn holds one field's matrix at a
+    time."""
+
+    def __init__(self, coo: IntCOO, keys: Sequence[str]):
+        self._coo, self._keys = coo, tuple(keys)
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        if key not in self._keys:
+            raise KeyError(key)
+        return realization(key).dense(self._coo)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
 
 
 def kernel_rows(F: Realization, pivots: Sequence[int], rows: np.ndarray) -> np.ndarray:
@@ -208,8 +308,9 @@ class LinearEngine:
         checks: dict[str, object] = {}
         payload: dict[str, np.ndarray] = {}
         at_once = op == "rank" and len(fields) == 2 and shape[0] * shape[1] > _kernels._CONCURRENT_ENTRIES
-        if at_once and _can_rank_at_once():
-            ranks = _rank_pair(fields, [matrix(F) for F in fields])
+        if at_once and _can_rank_at_once() and threading.active_count() == 1:
+            # forking a process that runs other threads is unsafe
+            ranks = _rank_pair(fields, matrix)
             checks = {F.key: rank for F, rank in zip(fields, ranks)}
         else:
             for F in fields:
@@ -267,7 +368,8 @@ class LinearEngine:
 
         Consumes the payload: a C-contiguous matrix of its realization's
         dtype is eliminated in place, so callers pass matrices built for the
-        call (the COO form passes its freshly densified ones)."""
+        call (the COO form passes a payload that densifies each field's
+        matrix when the elimination reads it)."""
         if ambient.dim != shape[1]:
             raise InconsistentResult(
                 f"kernel {label!r}: ambient dimension {ambient.dim} differs from the map's {shape[1]} columns"
@@ -275,7 +377,7 @@ class LinearEngine:
         return self._eliminate("kernel", label, shape, self._matrices(payload, copy=False), ambient)
 
     def kernel_coo(self, coo: IntCOO, ambient: AmbientSpace, label: str) -> SubspaceBasis:
-        return self.kernel_payload({F.key: F.dense(coo) for F in self.field.realizations}, coo.shape, ambient, label)
+        return self.kernel_payload(_DenseOnRead(coo, self.field.keys), coo.shape, ambient, label)
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ class JacobianContext:
     elimination that needs it.
 
     Single-threaded by design for its callers: parallel drivers give each
-    worker its own context. (Inside one rank call the engine may run the
-    two primes in two threads of its own; see ``linalg``.) The engine's
+    worker its own context. (Inside one rank call the engine may rank the
+    second prime in a child process it forks; see ``linalg``.) The engine's
     rank ledger accumulates every elimination run through this context, in
     order, for replay comparisons.
     """

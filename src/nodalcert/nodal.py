@@ -37,8 +37,8 @@ from .polynomials import HomogeneousPolynomial, partial_derivatives
 _LITERAL_SCAN_LIMIT = 2000  # max dim S_(socle+2) for the literal route
 # max generator-matrix entries per degree, checked before any matrix is
 # assembled (here and by the hilbert command's probe): a rank of both
-# primes at once holds two int32 matrices, 3.2 GB at the cap, as one int64
-# matrix did before ranks were int32
+# primes at once holds one int32 matrix per process, the caller's and its
+# forked child's: 1.6 GB each at the cap, 3.2 GB between them
 _PERSISTENCE_ENTRY_CAP = 400_000_000
 
 

@@ -66,3 +66,38 @@ def test_threshold_identity_on_small_fixtures(roster):
         ctx = roster.ctx(key)
         ct = coincidence_threshold(ctx)
         assert ct == min_relation_degree(ctx) + ctx.d - 2
+
+
+def test_a_syzygy_kernel_densifies_one_field_at_a_time():
+    # both int64 matrices at once peaked at 12.09 MB; the basis is that of
+    # the eagerly densified payload
+    import tracemalloc
+
+    import numpy as np
+
+    from nodalcert.fixtures import one_node
+    from nodalcert.linalg import AmbientSpace
+    from nodalcert.milnor import JacobianContext
+
+    f = one_node(3, 5, 1).f
+    ctx = JacobianContext(f)
+    r = 8
+    ctx.jacobian_dim(r + ctx.d - 1)  # the rank-nullity count, outside the measured kernel
+    tracemalloc.start()
+    try:
+        basis = syzygy_space(ctx, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.09e6
+
+    eager = JacobianContext(f)
+    coo = eager.generator_coo(r + eager.d - 1).transposed()
+    payload = {F.key: F.dense(coo) for F in eager.field.realizations}
+    ambient = AmbientSpace.graded_sum(eager.n, r, eager.n + 1)
+    reference = eager.engine.kernel_payload(payload, coo.shape, ambient, "eager")
+    assert basis.pivots == reference.pivots
+    assert basis.payload.keys() == reference.payload.keys()
+    for key, rows in reference.payload.items():
+        assert basis.payload[key].dtype == rows.dtype
+        assert np.array_equal(basis.payload[key], rows)

@@ -1,6 +1,7 @@
 """The multi-field linear engine: rank/echelon/kernel agreement across
 field realizations, the rank ledger, and quotient-coordinate helpers."""
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -113,34 +114,53 @@ def test_ambient_space_constructors():
 _RANK_MOD = _kernels.rank_mod
 
 
+class Boom(Exception):
+    """The error a spied rank raises; defined at module level, so it pickles."""
+
+
+class NeedsTwoArguments(Exception):
+    """Pickles, but does not unpickle: its constructor needs two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
 def _pair_or_skip():
     from nodalcert import linalg
 
     if not linalg._can_rank_at_once():
-        pytest.skip("the pair runs in turn here: fewer than two cores or no OpenBLAS thread control")
+        pytest.skip("the pair runs in turn here: fewer than two cores, no fork or no OpenBLAS thread control")
 
 
-def _spy_ranks(monkeypatch, fail_on=None, error=None):
-    """Record (prime, thread name) of every prime-field rank, raising
-    ``error`` in the rank modulo ``fail_on`` once it is recorded. With an
-    error to raise, a rank in the worker thread takes 0.2 s longer, so it
-    ends last."""
-    import threading
+def _spy_ranks(monkeypatch, tmp_path, fail_on=None, error=None):
+    """Log (prime, pid) of every prime-field rank to a file, so that ranks
+    in a forked child are seen too, raising ``error`` in the rank modulo
+    ``fail_on`` once it is logged. With an error to raise, a rank in
+    another pid waits 0.5 s before it logs, so it ends last. Returns a
+    function that reads the log."""
     import time
 
-    calls = []
+    log = tmp_path / "ranks.log"
+    log.write_text("")
+    parent = os.getpid()
 
     def spy(A, p):
         result = _RANK_MOD(A, p)
-        if error is not None and threading.current_thread() is not threading.main_thread():
-            time.sleep(0.2)
-        calls.append((p, threading.current_thread().name))
+        if error is not None and os.getpid() != parent:
+            time.sleep(0.5)
+        with open(log, "a") as out:
+            out.write(f"{p} {os.getpid()}\n")
         if p == fail_on:
             raise error
         return result
 
     monkeypatch.setattr(_kernels, "rank_mod", spy)
-    return calls
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _jacobian_ledger(gate, monkeypatch):
@@ -155,60 +175,157 @@ def _jacobian_ledger(gate, monkeypatch):
     return list(ctx.engine.rank_ledger.items())
 
 
-def test_a_rank_above_the_gate_records_the_ledger_of_the_primes_in_turn(monkeypatch):
+def test_a_rank_above_the_gate_records_the_ledger_of_the_primes_in_turn(monkeypatch, tmp_path):
     _pair_or_skip()
-    calls = _spy_ranks(monkeypatch)
+    calls = _spy_ranks(monkeypatch, tmp_path)
     in_turn = _jacobian_ledger(10**12, monkeypatch)
-    assert all(name == "MainThread" for _, name in calls)
-    del calls[:]
+    seen = len(calls())
+    assert seen and all(pid == os.getpid() for _, pid in calls())
     at_once = _jacobian_ledger(0, monkeypatch)
     assert at_once == in_turn
     p1, p2 = FieldConfig.prime_pair().primes
-    assert {(p, name.startswith("nodalcert-rank")) for p, name in calls} == {(p1, False), (p2, True)}
+    # p2 was ranked in another pid
+    assert {(p, pid != os.getpid()) for p, pid in calls()[seen:]} == {(p1, False), (p2, True)}
 
 
-def test_a_pair_leaves_no_thread_behind(monkeypatch):
+def test_a_pair_leaves_no_thread_behind(monkeypatch, tmp_path):
     import threading
 
     _pair_or_skip()
     monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", 0)
-    calls = _spy_ranks(monkeypatch)
+    calls = _spy_ranks(monkeypatch, tmp_path)
     before = threading.active_count()
     assert LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [3, 4]]), "pair") == 2
-    assert {name.startswith("nodalcert-rank") for _, name in calls} == {False, True}
+    assert {pid != os.getpid() for _, pid in calls()} == {False, True}
     assert threading.active_count() == before
     assert not [t for t in threading.enumerate() if t.name.startswith("nodalcert-rank")]
 
 
-def test_an_exception_of_either_prime_propagates_with_its_type(monkeypatch):
+def test_an_exception_of_either_prime_propagates_with_its_type(monkeypatch, tmp_path):
     _pair_or_skip()
     get_threads, set_threads = _kernels.openblas_threads()
     monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", 0)
     p1, p2 = FieldConfig.prime_pair().primes
-
-    class Boom(Exception):
-        pass
-
     before = set_threads(2)
     try:
         for fail_on in (p2, p1):
-            calls = _spy_ranks(monkeypatch, fail_on, Boom())
+            calls = _spy_ranks(monkeypatch, tmp_path, fail_on, Boom())
             with pytest.raises(Boom):
                 LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [3, 4]]), "boom")
-            # the other prime's rank finished before the exception left the engine
-            assert sorted(p for p, _ in calls) == sorted([p1, p2])
+            if fail_on == p2:
+                # the first prime's rank finished before the child's exception left the engine
+                assert sorted((p, pid == os.getpid()) for p, pid in calls()) == sorted([(p1, True), (p2, False)])
+            else:
+                # the child was killed in its 0.5 s wait, before it logged its rank
+                assert calls() == [(p1, os.getpid())]
+            _assert_no_child_left()
             assert get_threads() == 2
     finally:
         set_threads(before)
 
 
-def test_a_disagreeing_prime_above_the_gate_raises(monkeypatch):
+def test_a_disagreeing_prime_above_the_gate_raises(monkeypatch, tmp_path):
     _pair_or_skip()
     monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", 0)
-    calls = _spy_ranks(monkeypatch)
+    calls = _spy_ranks(monkeypatch, tmp_path)
     with pytest.raises(FieldDisagreement):
         LinearEngine(FieldConfig.prime_pair(5, 7)).rank_coo(_coo([[5]]), "bad-rank")
-    assert {name.startswith("nodalcert-rank") for _, name in calls} == {False, True}
+    assert {pid != os.getpid() for _, pid in calls()} == {False, True}
+
+
+def test_no_child_process_outlives_a_pair(monkeypatch, tmp_path):
+    _pair_or_skip()
+    monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", 0)
+    p1, p2 = FieldConfig.prime_pair().primes
+    for fail_on in (None, p2, p1):
+        calls = _spy_ranks(monkeypatch, tmp_path, fail_on, None if fail_on is None else Boom())
+        if fail_on is None:
+            assert LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [3, 4]]), "pair") == 2
+        else:
+            with pytest.raises(Boom):
+                LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [3, 4]]), "pair")
+        assert (p1, os.getpid()) in calls()
+        _assert_no_child_left()
+
+
+def test_a_child_that_exits_without_a_result_is_inconsistent(monkeypatch):
+    _pair_or_skip()
+    monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", 0)
+    parent = os.getpid()
+
+    def dies_in_child(A, p):
+        if os.getpid() != parent:
+            os._exit(3)
+        return _RANK_MOD(A, p)
+
+    monkeypatch.setattr(_kernels, "rank_mod", dies_in_child)
+    with pytest.raises(InconsistentResult, match="exit status 3"):
+        LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [3, 4]]), "dies")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("unpicklable", ["dumps", "loads"])
+def test_an_unpicklable_child_exception_is_inconsistent(monkeypatch, unpicklable):
+    _pair_or_skip()
+    monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", 0)
+    parent = os.getpid()
+
+    def raises_in_child(A, p):
+        if os.getpid() != parent:
+            if unpicklable == "dumps":
+                exc = Boom("holds a lambda")
+                exc.hook = lambda: None
+                raise exc
+            raise NeedsTwoArguments(1, 2)
+        return _RANK_MOD(A, p)
+
+    monkeypatch.setattr(_kernels, "rank_mod", raises_in_child)
+    name = "Boom" if unpicklable == "dumps" else "NeedsTwoArguments"
+    with pytest.raises(InconsistentResult, match=f"raised {name}, which does not pickle"):
+        LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [3, 4]]), "unpicklable")
+    _assert_no_child_left()
+
+
+def test_a_pair_ranks_in_turn_while_another_thread_runs(monkeypatch, tmp_path):
+    import threading
+
+    _pair_or_skip()
+    monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", 0)
+    calls = _spy_ranks(monkeypatch, tmp_path)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [3, 4]]), "threaded") == 2
+    finally:
+        release.set()
+        other.join()
+    assert sorted(calls()) == sorted((p, os.getpid()) for p in FieldConfig.prime_pair().primes)
+
+
+def test_buffered_output_is_written_once_across_a_pair():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nodalcert
+
+    _pair_or_skip()
+    code = (
+        "import numpy as np\n"
+        "from nodalcert import _kernels, linalg\n"
+        "from nodalcert.assembly import IntCOO\n"
+        "from nodalcert.field import FieldConfig\n"
+        "_kernels._CONCURRENT_ENTRIES = 0\n"
+        "print('at once' if linalg._can_rank_at_once() else 'in turn')\n"
+        "coo = IntCOO((2, 2), rows=np.array([0, 0, 1, 1]), cols=np.array([0, 1, 0, 1]), vals=np.array([1, 2, 3, 4]))\n"
+        "print(linalg.LinearEngine(FieldConfig.prime_pair()).rank_coo(coo, 'pair'))\n"
+    )
+    # a pipe and no PYTHONUNBUFFERED: the first line stays in the buffer the child inherits
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(nodalcert.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.splitlines() == ["at once", "2"]
 
 
 def test_importing_the_library_starts_no_thread():
@@ -221,14 +338,16 @@ def test_importing_the_library_starts_no_thread():
 
 
 def _rank_in_child(queue):
-    queue.put(LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [2, 4]]), "child"))
+    rank = LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [2, 4]]), "child")
+    queue.put((rank, os.getpid()))
 
 
-def test_a_forked_child_ranks_a_pair_after_the_parent_did(monkeypatch):
+def test_a_forked_child_ranks_a_pair_after_the_parent_did(monkeypatch, tmp_path):
     import multiprocessing
 
     _pair_or_skip()
     monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", 0)
+    calls = _spy_ranks(monkeypatch, tmp_path)
     assert LinearEngine(FieldConfig.prime_pair()).rank_coo(_coo([[1, 2], [3, 4]]), "parent") == 2
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
@@ -237,4 +356,13 @@ def test_a_forked_child_ranks_a_pair_after_the_parent_did(monkeypatch):
     child.join(60)
     if child.is_alive():
         child.kill()
-    assert child.exitcode == 0 and queue.get(timeout=1) == 1
+    assert child.exitcode == 0
+    rank, child_pid = queue.get(timeout=1)
+    assert rank == 1
+    p1, p2 = FieldConfig.prime_pair().primes
+    # the child ranked its pair as the parent did: p1 itself, p2 in a pid of its own
+    by_prime = {}
+    for p, pid in calls():
+        by_prime.setdefault(p, []).append(pid)
+    assert by_prime[p1][1] == child_pid
+    assert by_prime[p2][1] not in (os.getpid(), child_pid)
