@@ -10,7 +10,10 @@ Row/column conventions:
 
 * generator matrices (``jacobian_generator_coo``, ``trivial_syzygy_coo``)
   have one row per generator and one column per target monomial — their row
-  space is the subspace they span.
+  space is the subspace they span. ``jacobian_generator_coo`` is the only
+  builder of rows that are monomial multiples of polynomials: the pair-swap
+  syzygies re-index its blocks, and a deformation subspace is its degree-0
+  case.
 * ``.transposed()`` turns a generator matrix into the matrix of the linear
   map acting on column vectors, which is what kernel computations consume.
 """
@@ -27,7 +30,7 @@ import numpy as np
 
 from .errors import InconsistentResult
 from .monomials import exponent_matrix, monomial_basis, monomial_rank_rows, space_dim
-from .polynomials import HomogeneousPolynomial, common_denominator_scale, polynomial_vector
+from .polynomials import HomogeneousPolynomial, common_denominator_scale
 
 _INT64_SAFE = 1 << 62
 
@@ -98,106 +101,61 @@ def _poly_term_arrays(g: HomogeneousPolynomial, scale: int) -> tuple[np.ndarray,
     return expos, vals
 
 
-def jacobian_generator_coo(partials: Sequence[HomogeneousPolynomial], k: int) -> IntCOO:
-    """Generator matrix of the degree-k slice of the ideal spanned by the
-    given degree-(d-1) polynomials: rows are u * g_j (j-major, then source
-    monomials u of degree k-d+1 in basis order), columns are S_k monomials.
+def _cells_coo(shape: tuple[int, int], cells: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> IntCOO:
+    """The matrix of the given (rows, cols, vals) blocks of cells; no blocks
+    give the zero matrix."""
+    empty = np.zeros(0, np.int64)
+    return IntCOO(shape, *(np.concatenate([empty] + [block[t] for block in cells]) for t in range(3)))
+
+
+def jacobian_generator_coo(polys: Sequence[HomogeneousPolynomial], k: int) -> IntCOO:
+    """Generator matrix of the degree-k multiples of the given polynomials
+    g_j, all of one degree e, after clearing one common denominator: rows
+    are u * g_j (j-major, then source monomials u of degree k-e in basis
+    order), columns are S_k monomials. This is the one place where
+    polynomials are multiplied by monomials; for the partials it is the
+    degree-k slice of the Jacobian ideal.
     """
-    n = partials[0].n
-    dm1 = partials[0].degree
-    r = k - dm1
+    n = polys[0].n
+    r = k - polys[0].degree
     if r < 0:
-        raise ValueError(f"Jacobian slice of degree {k} below the partials' degree {dm1}")
-    scale = common_denominator_scale(partials)
+        raise ValueError(f"slice of degree {k} below the generators' degree {polys[0].degree}")
+    scale = common_denominator_scale(polys)
     E = exponent_matrix(n, r)
     Ns = E.shape[0]
-    N = space_dim(n, k)
-    rows_parts = []
-    cols_parts = []
-    vals_parts = []
-    for j, g in enumerate(partials):
+    cells = []
+    for j, g in enumerate(polys):
         if g.is_zero:
             continue
         t_expos, t_vals = _poly_term_arrays(g, scale)
         T = t_vals.size
         summed = (E[:, None, :] + t_expos[None, :, :]).reshape(Ns * T, n + 1)
-        cols_parts.append(monomial_rank_rows(summed, n, k))
-        rows_parts.append(np.repeat(np.arange(Ns, dtype=np.int64) + j * Ns, T))
-        vals_parts.append(np.tile(t_vals, Ns))
-    if not rows_parts:
-        return IntCOO(((len(partials)) * Ns, N), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64))
-    return IntCOO(
-        (len(partials) * Ns, N),
-        np.concatenate(rows_parts),
-        np.concatenate(cols_parts),
-        np.concatenate(vals_parts),
-    )
+        rows = np.repeat(np.arange(Ns, dtype=np.int64) + j * Ns, T)
+        cells.append((rows, monomial_rank_rows(summed, n, k), np.tile(t_vals, Ns)))
+    return _cells_coo((len(polys) * Ns, space_dim(n, k)), cells)
 
 
 def trivial_syzygy_coo(partials: Sequence[HomogeneousPolynomial], r: int) -> IntCOO:
     """Generator matrix of the obvious relations among the partials in
     degree r: for every pair i < j and every monomial h of degree r-d+1 the
     row places h*g_j in slot i and -h*g_i in slot j of the slot-major
-    column space (S_r)^(n+1).
+    column space (S_r)^(n+1). Its blocks are those of the degree-r
+    generator matrix, whose row j*N_h + h is h*g_j.
     """
     n = partials[0].n
-    dm1 = partials[0].degree
-    h_deg = r - dm1
     Nr = space_dim(n, r)
-    ncols = (n + 1) * Nr
+    if r < partials[0].degree:
+        return _cells_coo((0, (n + 1) * Nr), [])
     pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
-    if h_deg < 0:
-        return IntCOO((0, ncols), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64))
-    scale = common_denominator_scale(partials)
-    E = exponent_matrix(n, h_deg)
-    Nh = E.shape[0]
-    term_cache = {}
-    for j, g in enumerate(partials):
-        if not g.is_zero:
-            term_cache[j] = _poly_term_arrays(g, scale)
-    rows_parts = []
-    cols_parts = []
-    vals_parts = []
-
-    def emit(pair_idx: int, slot: int, src: int, sign: int) -> None:
-        # rows h (basis order) of pair pair_idx; entries sign * h * g_src in slot
-        if src not in term_cache:
-            return
-        t_expos, t_vals = term_cache[src]
-        T = t_vals.size
-        summed = (E[:, None, :] + t_expos[None, :, :]).reshape(Nh * T, n + 1)
-        local = monomial_rank_rows(summed, n, r)
-        cols_parts.append(local + slot * Nr)
-        rows_parts.append(np.repeat(np.arange(Nh, dtype=np.int64) + pair_idx * Nh, T))
-        vals_parts.append(np.tile(sign * t_vals, Nh))
-
+    gen = jacobian_generator_coo(partials, r)
+    Nh = gen.shape[0] // (n + 1)
+    src, h = np.divmod(gen.rows, Nh)
+    cells = []
     for pair_idx, (i, j) in enumerate(pairs):
-        emit(pair_idx, i, j, +1)
-        emit(pair_idx, j, i, -1)
-    nrows = len(pairs) * Nh
-    if not rows_parts:
-        return IntCOO((nrows, ncols), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64))
-    return IntCOO(
-        (nrows, ncols),
-        np.concatenate(rows_parts),
-        np.concatenate(cols_parts),
-        np.concatenate(vals_parts),
-    )
-
-
-def polys_to_exact_rows(polys: Sequence[HomogeneousPolynomial], k: int) -> list[list[Fraction]]:
-    """Coordinate rows of the given degree-k polynomials over the monomial
-    basis of S_k (exact rationals)."""
-    N = space_dim(polys[0].n, k) if polys else 0
-    rows = []
-    for g in polys:
-        if g.is_zero:
-            rows.append([Fraction(0)] * N)
-            continue
-        if g.degree != k:
-            raise ValueError(f"polynomial of degree {g.degree} in a degree-{k} coordinate matrix")
-        rows.append(polynomial_vector(g))
-    return rows
+        for slot, s, sign in ((i, j, 1), (j, i, -1)):
+            mine = src == s
+            cells.append((h[mine] + pair_idx * Nh, gen.cols[mine] + slot * Nr, sign * gen.vals[mine]))
+    return _cells_coo((len(pairs) * Nh, (n + 1) * Nr), cells)
 
 
 def evaluation_rows(points: Sequence[Sequence[Fraction]], n: int, k: int) -> list[list[Fraction]]:

@@ -14,11 +14,13 @@ dimension, non-effective subspace).
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
+from ._kernels import openblas_threads
 from .errors import (
     DegreeTooSmall,
     NodalcertError,
@@ -66,14 +68,10 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_points(path: str, n: int) -> tuple[ProjectivePoint, ...]:
-    out = []
-    for line in _read_text(path).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(parse_point(line, n))
-    return tuple(out)
+def _read_lines(path: str) -> list[str]:
+    """The file's lines, stripped, without blank lines and '#' comments."""
+    lines = (line.strip() for line in _read_text(path).splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 class _Job:
@@ -95,7 +93,7 @@ class _Job:
         else:
             raise ParseError("need --fixture or --input")
         if getattr(args, "points", None):
-            points = _load_points(args.points, f.n)
+            points = tuple(parse_point(line, f.n) for line in _read_lines(args.points))
         self.f = f
         self.points = points
         self.ctx = JacobianContext(f, self.field)
@@ -146,6 +144,24 @@ class _Job:
         return cert, None
 
 
+def _certify_first(
+    body: Callable[[_Job, NodalCertificate], int], n: int | None = None
+) -> Callable[[argparse.Namespace], tuple[RunReport, int]]:
+    """The subcommand that resolves its input, certifies it, and runs
+    ``body`` for its exit code when the certificate lets it go on. A given
+    ``n`` is the one ambient dimension the subcommand supports, checked
+    before certification."""
+
+    def run(args: argparse.Namespace) -> tuple[RunReport, int]:
+        job = _Job(args, args.command)
+        if n is not None and job.ctx.n != n:
+            raise UnsupportedDimension(f"{args.command} not certified for n = {job.ctx.n}")
+        cert, forced = job.certify()
+        return job.finish(body(job, cert) if forced is None else forced)
+
+    return run
+
+
 def _cmd_hilbert(args: argparse.Namespace) -> tuple[RunReport, int]:
     job = _Job(args, "hilbert")
     ctx = job.ctx
@@ -182,11 +198,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> tuple[RunReport, int]:
     return job.finish(0)
 
 
-def _cmd_pairing_check(args: argparse.Namespace) -> tuple[RunReport, int]:
-    job = _Job(args, "pairing-check")
-    cert, forced = job.certify()
-    if forced is not None:
-        return job.finish(forced)
+def _pairing_check(job: _Job, cert: NodalCertificate) -> int:
     t0 = time.perf_counter()
     ok = pairing_injective(job.ctx)
     job.report.timings["pairing"] = time.perf_counter() - t0
@@ -199,17 +211,13 @@ def _cmd_pairing_check(args: argparse.Namespace) -> tuple[RunReport, int]:
             "pairing_injective": ok,
         }
     )
-    return job.finish(0 if ok else 1)
+    return 0 if ok else 1
 
 
-def _cmd_koszul(args: argparse.Namespace) -> tuple[RunReport, int]:
-    job = _Job(args, "koszul")
+def _koszul(job: _Job, cert: NodalCertificate) -> int:
     ctx = job.ctx
-    cert, forced = job.certify()
-    if forced is not None:
-        return job.finish(forced)
     n, d = ctx.n, ctx.d
-    m_top = args.kmax if args.kmax is not None else (n * d - 1) // 2
+    m_top = job.args.kmax if job.args.kmax is not None else (n * d - 1) // 2
     t0 = time.perf_counter()
     dims = {m: koszul_cohomology_dim(ctx, m) for m in range(m_top + 1)}
     job.report.timings["koszul"] = time.perf_counter() - t0
@@ -221,8 +229,8 @@ def _cmd_koszul(args: argparse.Namespace) -> tuple[RunReport, int]:
         job.report.results["vanishing_holds"] = not bad
         if bad:
             code = 1
-    if args.qmax is not None:
-        mdr = min_relation_degree(ctx, args.qmax)
+    if job.args.qmax is not None:
+        mdr = min_relation_degree(ctx, job.args.qmax)
         ct = coincidence_threshold(ctx)
         job.report.results["min_relation_degree"] = mdr
         job.report.results["coincidence_threshold"] = "Smooth" if ct is SMOOTH else ct
@@ -231,15 +239,11 @@ def _cmd_koszul(args: argparse.Namespace) -> tuple[RunReport, int]:
             job.report.results["threshold_identity"] = identity
             if not identity:
                 code = 1
-    return job.finish(code)
+    return code
 
 
-def _cmd_varmul(args: argparse.Namespace) -> tuple[RunReport, int]:
-    job = _Job(args, "varmul")
+def _varmul(job: _Job, cert: NodalCertificate) -> int:
     ctx = job.ctx
-    cert, forced = job.certify()
-    if forced is not None:
-        return job.finish(forced)
     n, d = ctx.n, ctx.d
     top = 2 * d - n - 2
     t0 = time.perf_counter()
@@ -252,15 +256,11 @@ def _cmd_varmul(args: argparse.Namespace) -> tuple[RunReport, int]:
         job.report.results["kernels_vanish"] = not bad
         if bad:
             code = 1
-    return job.finish(code)
+    return code
 
 
-def _cmd_hodge(args: argparse.Namespace) -> tuple[RunReport, int]:
-    job = _Job(args, "hodge")
+def _hodge(job: _Job, cert: NodalCertificate) -> int:
     ctx = job.ctx
-    cert, forced = job.certify()
-    if forced is not None:
-        return job.finish(forced)
     t0 = time.perf_counter()
     dims = hodge_graded_dims(ctx)
     job.report.timings["hodge"] = time.perf_counter() - t0
@@ -276,25 +276,13 @@ def _cmd_hodge(args: argparse.Namespace) -> tuple[RunReport, int]:
         job.report.results["saturation_matches_points"] = sat_dim == pts_dim
         if cert.kind == "Nodal" and sat_dim != pts_dim:
             code = 1
-    return job.finish(code)
+    return code
 
 
-def _cmd_period_diff(args: argparse.Namespace) -> tuple[RunReport, int]:
-    job = _Job(args, "period-diff")
+def _period_diff(job: _Job, cert: NodalCertificate) -> int:
     ctx = job.ctx
-    if ctx.n != 3:
-        raise UnsupportedDimension(f"period differential not certified for n = {ctx.n}")
-    cert, forced = job.certify()
-    if forced is not None:
-        return job.finish(forced)
-    if getattr(args, "subspace", None):
-        polys = []
-        for line in _read_text(args.subspace).splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            polys.append(parse_polynomial(line, ctx.n))
-        V = polys
+    if job.args.subspace:
+        V = [parse_polynomial(line, ctx.n) for line in _read_lines(job.args.subspace)]
     else:
         V = [
             HomogeneousPolynomial.monomial(ctx.n, expo)
@@ -310,15 +298,7 @@ def _cmd_period_diff(args: argparse.Namespace) -> tuple[RunReport, int]:
             "injective": result.injective,
         }
     )
-    return job.finish(0 if result.injective else 1)
-
-
-def _cmd_certify(args: argparse.Namespace) -> tuple[RunReport, int]:
-    job = _Job(args, "certify")
-    cert, forced = job.certify()
-    if forced is not None:
-        return job.finish(forced)
-    return job.finish(0)
+    return 0 if result.injective else 1
 
 
 def _sweep_one(spec_text: str, field_text: str | None) -> dict:
@@ -347,6 +327,16 @@ def _sweep_one(spec_text: str, field_text: str | None) -> dict:
     return entry
 
 
+def _share_blas_threads(workers: int) -> None:
+    """Pool-worker initializer: give this worker's OpenBLAS its share of the
+    cores. Left at one thread per core in every worker, the workers' BLAS
+    threads oversubscribe the cores, and ``sweep --threads 2`` ran slower
+    than in-process on a 2-core VM."""
+    blas = openblas_threads()
+    if blas is not None:
+        blas[1](max(1, len(os.sched_getaffinity(0)) // workers))
+
+
 def _cmd_sweep(args: argparse.Namespace) -> tuple[RunReport, int]:
     report = RunReport(command="sweep")
     field = parse_field_flag(args.field) if args.field else FieldConfig.prime_pair()
@@ -356,7 +346,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[RunReport, int]:
     if args.threads and args.threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        with ProcessPoolExecutor(args.threads, initializer=_share_blas_threads, initargs=(args.threads,)) as pool:
             entries = list(pool.map(_sweep_one, args.specs, [args.field] * len(args.specs)))
     else:
         entries = [_sweep_one(spec, args.field) for spec in args.specs]
@@ -426,30 +416,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pairing-check", help="injectivity of the degree-d multiplication pairing")
     common(p)
-    p.set_defaults(func=_cmd_pairing_check)
+    p.set_defaults(func=_certify_first(_pairing_check))
 
     p = sub.add_parser("koszul", help="nontrivial-syzygy counts per internal degree")
     common(p)
     p.add_argument("--kmax", type=int, help="top internal degree to report")
     p.add_argument("--qmax", type=int, help="also scan the minimal relation degree up to this cap")
-    p.set_defaults(func=_cmd_koszul)
+    p.set_defaults(func=_certify_first(_koszul))
 
     p = sub.add_parser("varmul", help="kernels of multiplication by each variable")
     common(p)
-    p.set_defaults(func=_cmd_varmul)
+    p.set_defaults(func=_certify_first(_varmul))
 
     p = sub.add_parser("hodge", help="top Hodge graded pieces; node-ideal comparison for n=3")
     common(p)
-    p.set_defaults(func=_cmd_hodge)
+    p.set_defaults(func=_certify_first(_hodge))
 
     p = sub.add_parser("period-diff", help="period differential on a deformation subspace")
     common(p)
     p.add_argument("--subspace", help="file of degree-d polynomials, one per line")
-    p.set_defaults(func=_cmd_period_diff)
+    p.set_defaults(func=_certify_first(_period_diff, n=3))
 
     p = sub.add_parser("certify", help="certify the nodal hypothesis")
     common(p)
-    p.set_defaults(func=_cmd_certify)
+    p.set_defaults(func=_certify_first(lambda job, cert: 0))
 
     p = sub.add_parser("sweep", help="certify + compare graded dims across fixtures")
     p.add_argument("specs", nargs="+", help="fixture specs kind:n,d[,m][,seed=S]")

@@ -135,7 +135,7 @@ def one_node(n: int, d: int, seed: int) -> FixtureSpec:
         if any(is_singular_at(f, _unit_point(n, i)) for i in range(n)):
             continue
         return FixtureSpec("one_node", n, d, 1, seed, f, (node,), attempt)
-    raise RuntimeError(f"no locally valid one_node({n},{d}) candidate in {_MAX_ATTEMPTS} tries")
+    raise ValueError(f"no locally valid one_node({n},{d}) candidate in {_MAX_ATTEMPTS} tries")
 
 
 def multi_node(n: int, d: int, m: int, seed: int) -> FixtureSpec:
@@ -177,7 +177,7 @@ def multi_node(n: int, d: int, m: int, seed: int) -> FixtureSpec:
         if any(is_singular_at(f, _unit_point(n, i)) for i in range(m, n + 1)):
             continue
         return FixtureSpec("multi_node", n, d, m, seed, f, points, attempt)
-    raise RuntimeError(
+    raise ValueError(
         f"no locally valid multi_node({n},{d},{m}) candidate in {_MAX_ATTEMPTS} tries"
     )
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assembly import coo_vstack, exact_rows_to_int_coo, polys_to_exact_rows
+from .assembly import coo_vstack, jacobian_generator_coo
 from .errors import DegreeTooSmall, NotEffective, UnsupportedDimension
 from .linalg import AmbientSpace, SubspaceBasis
 from .milnor import JacobianContext, _multiplication_payload, _qr_width
@@ -82,9 +82,8 @@ def effective_deformation_check(ctx: JacobianContext, V: Sequence[HomogeneousPol
     for g in V:
         if g.is_zero or g.degree != d or g.n != ctx.n:
             raise ValueError("deformation entries must be nonzero of degree d in the same variables")
-    v_rows = polys_to_exact_rows(V, d)
     generators = ctx.generator_coo(d)
-    v_coo = exact_rows_to_int_coo(v_rows, generators.shape[1])
+    v_coo = jacobian_generator_coo(V, d)
     v_rank = ctx.engine.rank_coo(v_coo, f"deformation-span/{ctx.next_tag('deformation')}")
     stacked = coo_vstack([generators, v_coo])
     total = ctx.engine.rank_coo(stacked, f"deformation-stack/{ctx.next_tag('deformation')}")

@@ -1,6 +1,8 @@
-"""Guards of the integer matrix assembly: a malformed matrix or a caller's
+"""The integer matrix assembly: its matrices of polynomial multiples match
+rows built one polynomial at a time, and a malformed matrix or a caller's
 bad input raises, under ``python -O`` too."""
 
+import math
 import os
 import subprocess
 import sys
@@ -14,11 +16,19 @@ from nodalcert.assembly import (
     coo_vstack,
     evaluation_rows,
     jacobian_generator_coo,
-    polys_to_exact_rows,
+    trivial_syzygy_coo,
 )
 from nodalcert.errors import InconsistentResult
-from nodalcert.fixtures import one_node
-from nodalcert.polynomials import HomogeneousPolynomial, partial_derivatives
+from nodalcert.fixtures import fermat, multi_node, one_node
+from nodalcert.milnor import JacobianContext
+from nodalcert.monomials import monomial_basis, space_dim
+from nodalcert.polynomials import (
+    HomogeneousPolynomial,
+    parse_polynomial,
+    partial_derivatives,
+    polynomial_vector,
+)
+from nodalcert.torelli import effective_deformation_check
 
 
 def _ints(*values):
@@ -49,8 +59,75 @@ def test_jacobian_slice_below_the_partials_degree_raises():
 
 
 def test_polynomial_of_another_degree_raises():
+    ctx = JacobianContext(one_node(3, 4, 1).f)
     with pytest.raises(ValueError):
-        polys_to_exact_rows([HomogeneousPolynomial.monomial(2, (1, 1, 0))], 3)
+        effective_deformation_check(ctx, [HomogeneousPolynomial.monomial(3, (2, 1, 1, 1))])
+
+
+def _scale(polys):
+    return math.lcm(1, *(c.denominator for g in polys for c in g.terms.values()))
+
+
+def _pair_swap_rows(partials, r):
+    """The pair-swap syzygy rows built one product at a time: for i < j and
+    each monomial h of degree r-d+1, scale*h*g_j in slot i and
+    -scale*h*g_i in slot j."""
+    n, h_deg, scale = partials[0].n, r - partials[0].degree, _scale(partials)
+    nr = space_dim(n, r)
+    rows = []
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            for h in monomial_basis(n, h_deg) if h_deg >= 0 else ():
+                row = [0] * ((n + 1) * nr)
+                for slot, g, sign in ((i, partials[j], 1), (j, partials[i], -1)):
+                    row[slot * nr:(slot + 1) * nr] = [int(sign * scale * c) for c in polynomial_vector(g.shift(h))]
+                rows.append(row)
+    return rows
+
+
+_RATIONAL_PARTIALS = [
+    parse_polynomial("x0^2 + 1/2*x1*x2", 2),
+    HomogeneousPolynomial.zero(2, 2),
+    parse_polynomial("1/3*x2^2 - x0*x1", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "partials, degrees",
+    [
+        (partial_derivatives(one_node(3, 4, 1).f), range(10)),
+        (partial_derivatives(multi_node(3, 5, 2, 404).f), range(7)),
+        (partial_derivatives(fermat(3, 4).f), range(10)),
+        (partial_derivatives(one_node(2, 7, 3).f), range(10)),
+        (_RATIONAL_PARTIALS, range(6)),
+        (partial_derivatives(HomogeneousPolynomial.monomial(0, (3,))), range(5)),
+    ],
+    ids=["one_node(3,4,1)", "multi_node(3,5,2,404)", "fermat(3,4)", "one_node(2,7,3)", "rational-with-zero", "n=0"],
+)
+def test_trivial_syzygy_rows_are_the_pair_swaps(partials, degrees):
+    for r in degrees:
+        coo = trivial_syzygy_coo(partials, r)
+        expected = _pair_swap_rows(partials, r)
+        n = partials[0].n
+        assert coo.shape == (len(expected), (n + 1) * space_dim(n, r))
+        assert coo.dense_int_rows() == expected
+
+
+def test_deformation_rows_are_the_scaled_coordinate_vectors(monkeypatch):
+    ctx = JacobianContext(one_node(3, 4, 1).f)
+    V = [parse_polynomial(t, 3) for t in ("x0^4 + 1/2*x1^4", "1/3*x2^4 - 3/4*x3^4", "x0*x1*x2*x3")]
+    ranked = {}
+    rank_coo = ctx.engine.rank_coo
+
+    def spy(coo, label):
+        ranked[label.split("/")[0]] = coo
+        return rank_coo(coo, label)
+
+    monkeypatch.setattr(ctx.engine, "rank_coo", spy)
+    assert effective_deformation_check(ctx, V)
+    v_rows = [[int(c * 12) for c in polynomial_vector(g)] for g in V]
+    assert ranked["deformation-span"].dense_int_rows() == v_rows
+    assert ranked["deformation-stack"].dense_int_rows() == ctx.generator_coo(4).dense_int_rows() + v_rows
 
 
 def test_point_of_the_wrong_length_raises():

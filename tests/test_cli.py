@@ -180,6 +180,7 @@ def test_certify_with_a_wrong_points_file(tmp_path, capsys):
 def test_input_error_exit_codes(capsys):
     assert main(["certify", "--fixture", "bogus-spec"]) == 2
     assert main(["certify", "--fixture", "one_node:3,4"]) == 2  # missing seed
+    assert main(["certify", "--fixture", "multi_node:1,3,2,seed=1"]) == 2  # no candidate in the tries
     assert main(["certify", "--input", "/nonexistent/path.txt"]) == 2
     assert main(["certify"]) == 2  # neither --fixture nor --input
     capsys.readouterr()
@@ -204,17 +205,34 @@ def test_sweep_reports_constancy(capsys):
     assert all(e["gr_top"] == 1 and e["gr_next"] == 18 for e in entries)
 
 
+def test_sweep_with_a_smooth_entry(capsys, monkeypatch):
+    import nodalcert.cli as cli
+
+    grouped = []
+    check = cli.corollary_constancy_check
+    monkeypatch.setattr(cli, "corollary_constancy_check", lambda items: grouped.append(items) or check(items))
+    code, doc = run_json(capsys, ["sweep", "fermat:3,4", "one_node:3,4,seed=11", "one_node:3,4,seed=22"])
+    assert code == 2
+    smooth, *nodal = doc["results"]["fixtures"]
+    assert smooth["verdict"] == "Smooth"
+    assert not any(key.startswith("gr_") for key in smooth)
+    assert [count for count, _ in grouped[0]] == [1, 1]
+    assert doc["results"]["constancy"] is True
+    prefixes = [e["fixture"] + "/" for e in nodal]
+    assert all(label.startswith(tuple(prefixes)) for label in doc["rank_ledger"])
+    assert all(any(label.startswith(p) for label in doc["rank_ledger"]) for p in prefixes)
+
+
 def test_sweep_parallel_matches_serial_byte_for_byte():
     argv = [
         sys.executable, "-m", "nodalcert.cli", "sweep",
-        "one_node:3,4,seed=11", "one_node:3,4,seed=22", "--json",
+        "fermat:3,4", "one_node:3,4,seed=11", "one_node:3,4,seed=22", "--json",
     ]
-    serial = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
-    threaded = subprocess.run(
-        argv + ["--threads", "2"], capture_output=True, text=True, check=True
-    ).stdout
+    serial = subprocess.run(argv, capture_output=True, text=True)
+    threaded = subprocess.run(argv + ["--threads", "2"], capture_output=True, text=True)
+    assert serial.returncode == threaded.returncode == 2
     strip = lambda raw: {k: v for k, v in json.loads(raw).items() if k != "timings"}
-    assert strip(serial) == strip(threaded)
+    assert strip(serial.stdout) == strip(threaded.stdout)
 
 
 def test_fixture_subcommand_prints_the_surface(capsys):
