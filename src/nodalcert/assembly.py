@@ -12,8 +12,8 @@ Row/column conventions:
   have one row per generator and one column per target monomial — their row
   space is the subspace they span. ``jacobian_generator_coo`` is the only
   builder of rows that are monomial multiples of polynomials: the pair-swap
-  syzygies re-index its blocks, and a deformation subspace is its degree-0
-  case.
+  syzygies re-index its blocks, and a deformation subspace and the
+  evaluations at points (one polynomial per point) are its degree-0 case.
 * ``.transposed()`` turns a generator matrix into the matrix of the linear
   map acting on column vectors, which is what kernel computations consume.
 """
@@ -21,15 +21,13 @@ Row/column conventions:
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InconsistentResult
-from .monomials import exponent_matrix, monomial_basis, monomial_rank_rows, space_dim
+from .monomials import exponent_matrix, monomial_rank_rows, space_dim
 from .polynomials import HomogeneousPolynomial, common_denominator_scale
 
 _INT64_SAFE = 1 << 62
@@ -94,11 +92,14 @@ def coo_vstack(blocks: Sequence[IntCOO]) -> IntCOO:
 
 
 def _poly_term_arrays(g: HomogeneousPolynomial, scale: int) -> tuple[np.ndarray, np.ndarray]:
-    """(term exponent matrix, integer coefficients) for scale * g."""
+    """(term exponent matrix, integer coefficients) for scale * g; raises
+    ``ValueError`` before a coefficient can overflow int64."""
     items = g.sorted_terms()
     expos = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), g.n + 1)
-    vals = np.array([int(c * scale) for _, c in items], dtype=np.int64)
-    return expos, vals
+    ints = [int(c * scale) for _, c in items]
+    if max(map(abs, ints)) >= _INT64_SAFE:
+        raise ValueError("integer matrix entries exceed the int64 safety bound")
+    return expos, np.array(ints, dtype=np.int64)
 
 
 def _cells_coo(shape: tuple[int, int], cells: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> IntCOO:
@@ -156,51 +157,3 @@ def trivial_syzygy_coo(partials: Sequence[HomogeneousPolynomial], r: int) -> Int
             mine = src == s
             cells.append((h[mine] + pair_idx * Nh, gen.cols[mine] + slot * Nr, sign * gen.vals[mine]))
     return _cells_coo((len(pairs) * Nh, (n + 1) * Nr), cells)
-
-
-def evaluation_rows(points: Sequence[Sequence[Fraction]], n: int, k: int) -> list[list[Fraction]]:
-    """Evaluation matrix rows: row per point, column per S_k monomial; the
-    kernel of this matrix (acting on coefficient column vectors) is the
-    degree-k part of the ideal of the points."""
-    basis = monomial_basis(n, k)
-    out = []
-    for pt in points:
-        if len(pt) != n + 1:
-            raise ValueError(f"point with {len(pt)} coordinates in P^{n}")
-        powers = [[Fraction(1)] * (k + 1) for _ in range(n + 1)]
-        for i in range(n + 1):
-            for e in range(1, k + 1):
-                powers[i][e] = powers[i][e - 1] * pt[i]
-        row = []
-        for expo in basis:
-            v = Fraction(1)
-            for i, e in enumerate(expo):
-                if e:
-                    v *= powers[i][e]
-            row.append(v)
-        out.append(row)
-    return out
-
-
-def exact_rows_to_int_coo(rows: Sequence[Sequence[Fraction]], ncols: int) -> IntCOO:
-    """Clear one common denominator across all rows and return the integer
-    COO (global scaling preserves rank, kernel, and row space)."""
-    denom = 1
-    for row in rows:
-        for v in row:
-            fr = Fraction(v)
-            denom = denom * fr.denominator // math.gcd(denom, fr.denominator)
-    rr, cc, vv = [], [], []
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                iv = int(Fraction(v) * denom)
-                rr.append(i)
-                cc.append(j)
-                vv.append(iv)
-    return IntCOO(
-        (len(rows), ncols),
-        np.array(rr, dtype=np.int64),
-        np.array(cc, dtype=np.int64),
-        np.array(vv, dtype=np.int64),
-    )

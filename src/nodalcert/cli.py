@@ -319,7 +319,7 @@ def _sweep_one(spec_text: str, field_text: str | None) -> dict:
         dims = hodge_graded_dims(ctx)
         entry["gr_top"] = dims.gr_top
         entry["gr_next"] = "absent" if dims.gr_next is None else dims.gr_next
-        entry["_dims"] = (dims.n, dims.d, dims.gr_top, dims.gr_next)
+        entry["_dims"] = dims
     entry["rank_ledger"] = {
         f"{fixture.describe()}/{label}": (rec.rows, rec.cols, rec.rank)
         for label, rec in ctx.engine.rank_ledger.items()
@@ -343,10 +343,11 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[RunReport, int]:
     report.parameters["field"] = field.describe()
     report.parameters["fixtures"] = list(args.specs)
     t0 = time.perf_counter()
-    if args.threads and args.threads > 1:
+    workers = min(args.threads, len(args.specs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(args.threads, initializer=_share_blas_threads, initargs=(args.threads,)) as pool:
+        with ProcessPoolExecutor(workers, initializer=_share_blas_threads, initargs=(workers,)) as pool:
             entries = list(pool.map(_sweep_one, args.specs, [args.field] * len(args.specs)))
     else:
         entries = [_sweep_one(spec, args.field) for spec in args.specs]
@@ -357,11 +358,9 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[RunReport, int]:
         report.rank_ledger.update(
             {label: tuple(v) for label, v in entry.pop("rank_ledger").items()}
         )
-        dims_tuple = entry.pop("_dims", None)
-        if dims_tuple is not None:
-            from .hodge import HodgeGradedDims
-
-            items.append((entry["node_count"], HodgeGradedDims(*dims_tuple)))
+        dims = entry.pop("_dims", None)
+        if dims is not None:
+            items.append((entry["node_count"], dims))
         if not entry["verdict"].startswith("Nodal"):
             code = 2
         report.results.setdefault("fixtures", []).append(entry)
@@ -391,6 +390,13 @@ def _cmd_fixture(args: argparse.Namespace) -> tuple[RunReport, int]:
     if fixture.seed is not None:
         report.parameters["seed"] = fixture.seed
     return report, 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="certify + compare graded dims across fixtures")
     p.add_argument("specs", nargs="+", help="fixture specs kind:n,d[,m][,seed=S]")
     p.add_argument("--field", help="'fp:<p1>,fp:<p2>' (default) or 'exact'")
-    p.add_argument("--threads", type=int, default=1, help="parallel fixtures")
+    p.add_argument("--threads", type=_positive_int, default=1, help="parallel fixtures")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 

@@ -15,14 +15,17 @@ the rank of the point-evaluation matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
-from .assembly import evaluation_rows, exact_rows_to_int_coo
+from .assembly import jacobian_generator_coo
 from .errors import MixedParameters
 from .milnor import JacobianContext, saturation_graded
-from .monomials import space_dim
+from .monomials import monomial_basis, space_dim
 from .nodal import ProjectivePoint
+from .polynomials import HomogeneousPolynomial
 
 
 @dataclass(frozen=True)
@@ -56,16 +59,24 @@ def ideal_of_points_dim(
     ctx: JacobianContext, points: Sequence[ProjectivePoint], k: int
 ) -> int:
     """Dimension of the degree-k part of the vanishing ideal of the points:
-    dim S_k minus the rank of the evaluation matrix."""
+    dim S_k minus the rank of the evaluation matrix, whose row for a point
+    P is the polynomial sum_u P^u x^u over the degree-k monomials u."""
     n = ctx.n
     N = space_dim(n, k)
     if not points:
         return N
     if any(pt.n != n for pt in points):
         raise ValueError("point dimension mismatch")
-    rows = evaluation_rows([pt.coords for pt in points], n, k)
-    coo = exact_rows_to_int_coo(rows, N)
-    rank = ctx.engine.rank_coo(coo, f"ideal-points/{k}/{ctx.next_tag('ideal-points')}")
+    basis = monomial_basis(n, k)
+    rows = []
+    for pt in points:
+        # P = (integer coordinates) / den, so P^u = (integer product) / den^k
+        den = math.lcm(*(c.denominator for c in pt.coords))
+        powers = [[int(c * den) ** e for e in range(k + 1)] for c in pt.coords]
+        den_k = den**k
+        values = {u: Fraction(math.prod(p[e] for p, e in zip(powers, u)), den_k) for u in basis}
+        rows.append(HomogeneousPolynomial.make(n, k, values))
+    rank = ctx.engine.rank_coo(jacobian_generator_coo(rows, k), f"ideal-points/{k}/{ctx.next_tag('ideal-points')}")
     return N - rank
 
 

@@ -35,7 +35,8 @@ way. The engine itself is not thread-safe: a caller uses it from one
 thread.
 
 A kernel runs the realization's reduced echelon form and then one function
-for every field, ``kernel_rows``, before the rows are echelonized.
+for every field, ``kernel_rows``, before the rows are echelonized; the
+quotient tables of ``milnor`` are those rows, transposed.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import signal
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -222,26 +223,6 @@ def _rank_pair(fields: Sequence[Realization], matrix: Callable[[Realization], np
     return [first, second]
 
 
-class _DenseOnRead(Mapping):
-    """The payload of a COO matrix for the given field keys, densified when a
-    key is read, so an elimination in turn holds one field's matrix at a
-    time."""
-
-    def __init__(self, coo: IntCOO, keys: Sequence[str]):
-        self._coo, self._keys = coo, tuple(keys)
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        if key not in self._keys:
-            raise KeyError(key)
-        return realization(key).dense(self._coo)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-
 def kernel_rows(F: Realization, pivots: Sequence[int], rows: np.ndarray) -> np.ndarray:
     """Kernel rows, of F's dtype, of the map x -> M x whose reduced echelon
     rows over F are ``rows`` with pivot columns ``pivots``: one row per free
@@ -298,6 +279,10 @@ class LinearEngine:
         prime-pair rank runs both primes at once (module docstring); a basis
         (the span for "rref", the echelonized kernel for "kernel", both in
         ``ambient``) from the span cache, which it then fills."""
+        if op == "kernel" and ambient.dim != shape[1]:
+            raise InconsistentResult(
+                f"kernel {label!r}: ambient dimension {ambient.dim} differs from the map's {shape[1]} columns"
+            )
         if op == "rank":
             cached = self._cached_rank(label, shape)
             if cached is not None:
@@ -368,16 +353,11 @@ class LinearEngine:
 
         Consumes the payload: a C-contiguous matrix of its realization's
         dtype is eliminated in place, so callers pass matrices built for the
-        call (the COO form passes a payload that densifies each field's
-        matrix when the elimination reads it)."""
-        if ambient.dim != shape[1]:
-            raise InconsistentResult(
-                f"kernel {label!r}: ambient dimension {ambient.dim} differs from the map's {shape[1]} columns"
-            )
+        call."""
         return self._eliminate("kernel", label, shape, self._matrices(payload, copy=False), ambient)
 
     def kernel_coo(self, coo: IntCOO, ambient: AmbientSpace, label: str) -> SubspaceBasis:
-        return self.kernel_payload(_DenseOnRead(coo, self.field.keys), coo.shape, ambient, label)
+        return self._eliminate("kernel", label, coo.shape, lambda F: F.dense(coo), ambient)
 
 
 # ---------------------------------------------------------------------------

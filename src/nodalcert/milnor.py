@@ -21,7 +21,7 @@ import numpy as np
 from .assembly import IntCOO, jacobian_generator_coo
 from .errors import InconsistentResult, NoStabilization
 from .field import FieldConfig
-from .linalg import AmbientSpace, LinearEngine, SubspaceBasis
+from .linalg import AmbientSpace, LinearEngine, SubspaceBasis, kernel_rows
 from .monomials import exponent_matrix, monomial_rank_rows, space_dim
 from .polynomials import HomogeneousPolynomial, partial_derivatives
 
@@ -171,18 +171,15 @@ class JacobianContext:
     def quotient_reduction(self, k: int) -> dict[str, np.ndarray]:
         """Per-field table (N_k x q_k) sending a monomial index to the
         coordinates of its class over the standard complement monomials of
-        the degree-k ideal slice."""
+        the degree-k ideal slice. A pivot row of the slice's reduced echelon
+        form writes its pivot monomial through the complement, so the table
+        is the transpose of that form's kernel rows."""
         if k not in self._qr:
             basis = self.jacobian_basis(k)
-            free = np.array(basis.free_columns(), dtype=np.int64)
-            pivots = np.array(basis.pivots, dtype=np.int64)
-            tables = {}
-            for F in self.field.realizations:
-                table = np.zeros((space_dim(self.n, k), len(free)), dtype=F.dtype)
-                table[free, np.arange(len(free))] = 1
-                table[pivots] = F.normalize(-basis.payload[F.key][:, free])
-                tables[F.key] = table
-            self._qr[k] = tables
+            self._qr[k] = {
+                F.key: np.ascontiguousarray(kernel_rows(F, basis.pivots, basis.payload[F.key]).T)
+                for F in self.field.realizations
+            }
         return self._qr[k]
 
 
@@ -255,11 +252,6 @@ def _colon_step_kernel(
     return ctx.engine.echelon_payload(lifted, amb, label + "/lifted")
 
 
-def _qr_width(QR: dict[str, np.ndarray]) -> int:
-    """Number of standard complement monomials of a quotient_reduction table."""
-    return next(iter(QR.values())).shape[1]
-
-
 def _multiplication_payload(
     QR: dict[str, np.ndarray], shifts: np.ndarray, expos: np.ndarray, n: int, k: int
 ) -> tuple[dict[str, np.ndarray], tuple[int, int]]:
@@ -269,7 +261,7 @@ def _multiplication_payload(
     degree-k quotient table QR. No matrix shares memory with QR."""
     ns, ne = len(shifts), len(expos)
     ranks = monomial_rank_rows((shifts[:, None, :] + expos[None, :, :]).reshape(ns * ne, n + 1), n, k)
-    q = _qr_width(QR)
+    q = next(iter(QR.values())).shape[1]  # the number of standard monomials
     payload = {
         key: table[ranks].reshape(ns, ne, q).transpose(0, 2, 1).reshape(ns * q, ne)
         for key, table in QR.items()

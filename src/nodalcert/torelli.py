@@ -27,8 +27,8 @@ import numpy as np
 from .assembly import coo_vstack, jacobian_generator_coo
 from .errors import DegreeTooSmall, NotEffective, UnsupportedDimension
 from .linalg import AmbientSpace, SubspaceBasis
-from .milnor import JacobianContext, _multiplication_payload, _qr_width
-from .monomials import monomial_basis, monomial_rank_rows
+from .milnor import JacobianContext, _multiplication_payload
+from .monomials import monomial_basis
 from .polynomials import HomogeneousPolynomial
 
 
@@ -120,25 +120,20 @@ def period_differential(
     if not effective_deformation_check(ctx, V):
         raise NotEffective("deformation subspace meets the degree-d ideal slice")
     k2 = 2 * d - n - 1
-    QR2 = ctx.quotient_reduction(k2)
-    src = _expos(quotient_basis(ctx, d - n - 1), n)
-    q1, q2, nv = len(src), _qr_width(QR2), len(V)
-    # per element of V: (monomial ranks of src * term, coefficient) per term
-    terms = [
-        [(monomial_rank_rows(src + np.array(expo, dtype=np.int64), n, k2), coeff) for expo, coeff in g.terms.items()]
-        for g in V
-    ]
-    payload: dict[str, np.ndarray] = {}
-    for F in ctx.field.realizations:
-        table = QR2[F.key]
-        acc = np.zeros((nv, q1, q2), dtype=F.dtype)
-        for j, g_terms in enumerate(terms):
-            for ranks, coeff in g_terms:
-                acc[j] = F.normalize(acc[j] + F.convert(coeff) * table[ranks])
-        payload[F.key] = np.ascontiguousarray(F.normalize(-acc).reshape(nv, q1 * q2).T)
-    shape = (q1 * q2, nv)
+    # one column per term of V, then each element's columns summed
+    expos = [e for g in V for e in g.terms]
+    coeffs = [c for g in V for c in g.terms.values()]
+    starts = np.cumsum([0] + [len(g.terms) for g in V[:-1]])
+    by_term, (rows, _) = _multiplication_payload(
+        ctx.quotient_reduction(k2), _expos(quotient_basis(ctx, d - n - 1), n), _expos(expos, n), n, k2
+    )
+    payload = {
+        F.key: F.normalize(-np.add.reduceat(F.normalize(by_term[F.key] * F.convert(coeffs)), starts, axis=1))
+        for F in ctx.field.realizations
+    }
+    shape = (rows, len(V))
     rank = ctx.engine.rank_payload(payload, shape, f"period-differential/{ctx.next_tag('deformation')}")
-    return PeriodDifferentialResult(payload, shape, rank, nv)
+    return PeriodDifferentialResult(payload, shape, rank, len(V))
 
 
 def _expos(monomials: Sequence[tuple[int, ...]], n: int) -> np.ndarray:

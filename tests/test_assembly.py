@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,14 +13,15 @@ import pytest
 from nodalcert.assembly import (
     IntCOO,
     coo_vstack,
-    evaluation_rows,
     jacobian_generator_coo,
     trivial_syzygy_coo,
 )
 from nodalcert.errors import InconsistentResult
 from nodalcert.fixtures import fermat, multi_node, one_node
+from nodalcert.hodge import ideal_of_points_dim
 from nodalcert.milnor import JacobianContext
 from nodalcert.monomials import monomial_basis, space_dim
+from nodalcert.nodal import ProjectivePoint
 from nodalcert.polynomials import (
     HomogeneousPolynomial,
     parse_polynomial,
@@ -131,8 +131,9 @@ def test_deformation_rows_are_the_scaled_coordinate_vectors(monkeypatch):
 
 
 def test_point_of_the_wrong_length_raises():
+    ctx = JacobianContext(one_node(2, 4, 1).f)
     with pytest.raises(ValueError):
-        evaluation_rows([[Fraction(1), Fraction(0)]], 2, 2)
+        ideal_of_points_dim(ctx, [ProjectivePoint([1, 0])], 2)
 
 
 _DUPLICATE_CELL = """

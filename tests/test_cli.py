@@ -177,13 +177,19 @@ def test_certify_with_a_wrong_points_file(tmp_path, capsys):
     assert doc["certificates"][0]["verdict"].startswith("Failed")
 
 
-def test_input_error_exit_codes(capsys):
+def test_input_error_exit_codes(tmp_path, capsys):
     assert main(["certify", "--fixture", "bogus-spec"]) == 2
     assert main(["certify", "--fixture", "one_node:3,4"]) == 2  # missing seed
     assert main(["certify", "--fixture", "multi_node:1,3,2,seed=1"]) == 2  # no candidate in the tries
     assert main(["certify", "--input", "/nonexistent/path.txt"]) == 2
     assert main(["certify"]) == 2  # neither --fixture nor --input
-    capsys.readouterr()
+    # coefficients past int64, in the surface and in a deformation subspace
+    poly, sub = tmp_path / "f.txt", tmp_path / "v.txt"
+    poly.write_text("x0^3 + x1^3 + x2^3 + x0*x1*x2 + 100000000000000000000000*x3^3\n")
+    sub.write_text("x0^5 + 100000000000000000000000000000*x1^5\n")
+    assert main(["certify", "--input", str(poly)]) == 2
+    assert main(["period-diff", "--fixture", "one_node:3,5,seed=1", "--subspace", str(sub)]) == 2
+    assert capsys.readouterr().err.count("int64 safety bound") == 2
 
 
 def test_corrupted_points_file(tmp_path, capsys):
@@ -233,6 +239,37 @@ def test_sweep_parallel_matches_serial_byte_for_byte():
     assert serial.returncode == threaded.returncode == 2
     strip = lambda raw: {k: v for k, v in json.loads(raw).items() if k != "timings"}
     assert strip(serial.stdout) == strip(threaded.stdout)
+
+
+def test_sweep_threads_below_one_are_rejected(capsys):
+    for threads in ("0", "-3"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "one_node:3,4,seed=11", "--threads", threads])
+        assert exit_.value.code == 2
+    capsys.readouterr()
+
+
+def test_sweep_starts_no_more_workers_than_fixtures(capsys, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    code, doc = run_json(capsys, ["sweep", "one_node:3,4,seed=11", "one_node:3,4,seed=22", "--threads", "64"])
+    assert code == 0 and doc["results"]["constancy"] is True
+    assert started == [2]
 
 
 def test_fixture_subcommand_prints_the_surface(capsys):

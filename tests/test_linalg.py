@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nodalcert import _kernels
-from nodalcert.assembly import IntCOO, exact_rows_to_int_coo
+from nodalcert.assembly import IntCOO
 from nodalcert.errors import FieldDisagreement, InconsistentResult
 from nodalcert.field import FieldConfig
 from nodalcert.linalg import (
@@ -66,8 +66,7 @@ def test_echelon_and_kernel_are_consistent(engine):
 
 
 def test_membership_and_quotient_coordinates(engine):
-    rows = [[Fraction(1), Fraction(0), Fraction(2)], [Fraction(0), Fraction(1), Fraction(1)]]
-    coo = exact_rows_to_int_coo(rows, 3)
+    coo = _coo([[1, 0, 2], [0, 1, 1]])
     basis = engine.echelon_coo(coo, AmbientSpace.abstract(3), "basis")
     inside = [Fraction(2), Fraction(3), Fraction(7)]
     outside = [Fraction(0), Fraction(0), Fraction(1)]

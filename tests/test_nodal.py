@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nodalcert.cli import main
 from nodalcert.errors import DegeneratePoint, NotSingular
 from nodalcert.field import FieldConfig
 from nodalcert.fixtures import fermat, multi_node, one_node
@@ -17,6 +18,9 @@ from nodalcert.nodal import (
     parse_point,
 )
 from nodalcert.polynomials import compose_linear, parse_polynomial
+
+_ROUTES = ("literal", "hilbert-persistence")
+_MODES = (FieldConfig.prime_pair(), FieldConfig.exact())
 
 
 def test_parse_point_normalizes_scaling():
@@ -169,3 +173,44 @@ def test_a_job_over_the_entry_cap_fails_before_any_matrix_is_assembled(monkeypat
         cert = certify_nodal(JacobianContext(fx.f), points, route="hilbert-persistence")
         assert cert.kind == "Failed" and "size cap" in cert.reason
     assert assembled == []
+
+
+def _moved_two_node_cubic():
+    """multi_node(3,3,2,5) under a rational change of coordinates that moves
+    its nodes [1 : 0 : 0 : 0] and [0 : 1 : 0 : 0] off the coordinate points."""
+    rows = [[1, Fraction(1, 2), 0, 0], [0, 1, 0, 0], [2, 0, 1, Fraction(-1, 3)], [0, 0, 0, 1]]
+    f = compose_linear(multi_node(3, 3, 2, 5).f, rows)
+    return f, (parse_point("[1 : 0 : -2 : 0]", 3), parse_point("[1 : -2 : -2 : 0]", 3))
+
+
+@pytest.mark.parametrize("field", _MODES, ids=["two-prime", "exact"])
+@pytest.mark.parametrize("route", _ROUTES)
+def test_moved_nodes_certify_only_when_all_are_claimed(field, route):
+    f, nodes = _moved_two_node_cubic()
+    assert certify_nodal(JacobianContext(f, field), nodes, route=route).verdict == "Nodal(2)"
+    for claim in (nodes[:1], nodes[1:], ()):
+        cert = certify_nodal(JacobianContext(f, field), claim, route=route)
+        assert cert.kind == "Failed", (claim, cert)
+        assert "2 !=" in cert.reason
+
+
+def test_moved_nodes_with_one_left_out_exit_2(tmp_path, capsys):
+    f, nodes = _moved_two_node_cubic()
+    poly, pts = tmp_path / "f.txt", tmp_path / "p.txt"
+    poly.write_text(f.to_text() + "\n")
+    pts.write_text("".join(pt.to_text() + "\n" for pt in nodes))
+    assert main(["certify", "--input", str(poly), "--points", str(pts)]) == 0
+    pts.write_text(nodes[1].to_text() + "\n")
+    assert main(["certify", "--input", str(poly), "--points", str(pts)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("field", _MODES, ids=["two-prime", "exact"])
+@pytest.mark.parametrize("seed", [1249710376, 1610069482])
+def test_a_third_singular_point_fails_the_two_node_claim(seed, field):
+    # seeds whose multi_node(3,3,2) surface has a singular point besides the
+    # two structural nodes: the quotient dimension is 3, not 2
+    fx = multi_node(3, 3, 2, seed)
+    for route in _ROUTES:
+        cert = certify_nodal(JacobianContext(fx.f, field), fx.points, route=route)
+        assert cert.kind == "Failed" and "3 != " in cert.reason, (route, cert)

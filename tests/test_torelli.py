@@ -1,6 +1,8 @@
 """Multiplication pairing, variable-multiplication kernels, and the
 period-map differential with its effectiveness guard."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from nodalcert.fixtures import fermat, one_node
 from nodalcert.hodge import ideal_of_points_dim
 from nodalcert.milnor import JacobianContext
 from nodalcert.linalg import quotient_coordinates
-from nodalcert.monomials import monomial_basis, monomial_index
+from nodalcert.monomials import monomial_basis, monomial_index, monomial_rank_rows
 from nodalcert.polynomials import HomogeneousPolynomial, partial_derivatives
 from nodalcert.torelli import (
     effective_deformation_check,
@@ -99,6 +101,48 @@ def test_period_differential_is_minus_the_pairing(roster):
         assert set(result.payload) == set(ctx.field.keys)
         for F in ctx.field.realizations:
             assert np.array_equal(result.payload[F.key], F.normalize(-pairing_payload[F.key]))
+
+
+def _period_payload_term_by_term(ctx, V):
+    """Minus the pairing on V, summed one term of each element at a time:
+    coeff * (classes of the source monomials shifted by the term)."""
+    n, d = ctx.n, ctx.d
+    k2 = 2 * d - n - 1
+    QR2 = ctx.quotient_reduction(k2)
+    src = np.array(quotient_basis(ctx, d - n - 1), dtype=np.int64)
+    out = {}
+    for F in ctx.field.realizations:
+        table = QR2[F.key]
+        acc = np.zeros((len(V), len(src), table.shape[1]), dtype=F.dtype)
+        for j, g in enumerate(V):
+            for expo, coeff in g.terms.items():
+                ranks = monomial_rank_rows(src + np.array(expo, dtype=np.int64), n, k2)
+                acc[j] = F.normalize(acc[j] + F.convert(coeff) * table[ranks])
+        out[F.key] = np.ascontiguousarray(F.normalize(-acc).reshape(len(V), -1).T)
+    return out
+
+
+def test_period_differential_of_rational_combinations_sums_its_terms(roster):
+    # Quintics have q_1 = 4 source classes. Standard monomials plus elements
+    # of the ideal slice keep V effective and give each element many terms.
+    x = lambda i: tuple(int(i == j) for j in range(4))
+    for ctx in roster.both_modes("C", one_node(3, 5, 1)):
+        s, g = _standard_monomials(ctx, ctx.d), ctx.partials
+        V = [
+            s[0] + s[1].scale(Fraction(1, 2)) - s[2].scale(Fraction(3, 4)) + g[0].shift(x(0)).scale(Fraction(1, 3)),
+            s[3].scale(Fraction(2, 3)) - s[0].scale(5) - g[2].shift(x(3)).scale(Fraction(1, 7)),
+            s[4],
+        ]
+        for subspace in (V, V[:1], s[5:9]):
+            result = period_differential(ctx, subspace)
+            expected = _period_payload_term_by_term(ctx, subspace)
+            assert set(result.payload) == set(expected)
+            for key, matrix in expected.items():
+                assert result.payload[key].dtype == matrix.dtype
+                assert result.payload[key].shape == matrix.shape == result.shape
+                assert result.payload[key].flags.c_contiguous
+                assert np.array_equal(result.payload[key], matrix)
+            assert result.rank == len(subspace)
 
 
 def test_pairing_entries_are_classes_of_products(roster):
