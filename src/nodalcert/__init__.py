@@ -40,7 +40,7 @@ from .koszul import (
     trivial_syzygy_dim,
     trivial_syzygy_space,
 )
-from .linalg import AmbientSpace, LinearEngine, RankRecord, SubspaceBasis, membership
+from .linalg import LinearEngine, RankRecord, SubspaceBasis, membership
 from .milnor import (
     SMOOTH,
     JacobianContext,
@@ -80,7 +80,6 @@ from .torelli import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientSpace",
     "DEFAULT_PRIMES",
     "DegeneratePoint",
     "DegreeTooSmall",

@@ -186,9 +186,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> tuple[RunReport, int]:
     est = _generator_entries(ctx, probe)
     if est <= _PERSISTENCE_ENTRY_CAP:
         ct = coincidence_threshold(ctx)
-        job.report.results["coincidence_threshold"] = (
-            "Smooth" if ct is SMOOTH else ct
-        )
+        job.report.results["coincidence_threshold"] = ct
         job.report.results["tjurina"] = tjurina_count(ctx)
     else:
         job.report.results["threshold_note"] = (
@@ -233,7 +231,7 @@ def _koszul(job: _Job, cert: NodalCertificate) -> int:
         mdr = min_relation_degree(ctx, job.args.qmax)
         ct = coincidence_threshold(ctx)
         job.report.results["min_relation_degree"] = mdr
-        job.report.results["coincidence_threshold"] = "Smooth" if ct is SMOOTH else ct
+        job.report.results["coincidence_threshold"] = ct
         if cert.kind == "Nodal" and ct is not SMOOTH:
             identity = ct == mdr + d - 2
             job.report.results["threshold_identity"] = identity

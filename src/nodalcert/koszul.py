@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .assembly import trivial_syzygy_coo
 from .errors import InconsistentResult, ScanExhausted
-from .linalg import AmbientSpace, SubspaceBasis
+from .linalg import SubspaceBasis
 from .milnor import JacobianContext
 from .monomials import space_dim
 
@@ -34,9 +34,8 @@ def syzygy_space(ctx: JacobianContext, r: int) -> SubspaceBasis:
     """Echelonized basis of the degree-r syzygy space (slot-major
     coordinates on (S_r)^(n+1)). Materializes a kernel; prefer syzygy_dim
     when only the dimension is needed."""
-    ambient = AmbientSpace.graded_sum(ctx.n, r, ctx.n + 1)
     coo = ctx.generator_coo(r + ctx.d - 1).transposed()
-    basis = ctx.engine.kernel_coo(coo, ambient, f"syzygy-map/{r}")
+    basis = ctx.engine.kernel_coo(coo, f"syzygy-map/{r}")
     expected = syzygy_dim(ctx, r)
     if basis.dim != expected:
         raise InconsistentResult(
@@ -55,9 +54,8 @@ def trivial_syzygy_dim(ctx: JacobianContext, r: int) -> int:
 
 def trivial_syzygy_space(ctx: JacobianContext, r: int) -> SubspaceBasis:
     """Echelonized basis of the span of the pair-swap syzygies in degree r."""
-    ambient = AmbientSpace.graded_sum(ctx.n, r, ctx.n + 1)
     coo = trivial_syzygy_coo(ctx.partials, r)
-    return ctx.engine.echelon_coo(coo, ambient, f"trivial-syzygy/{r}")
+    return ctx.engine.echelon_coo(coo, f"trivial-syzygy/{r}")
 
 
 def koszul_cohomology_dim(ctx: JacobianContext, m: int) -> int:

@@ -57,38 +57,8 @@ from . import _kernels
 from .assembly import IntCOO
 from .errors import FieldDisagreement, InconsistentResult
 from .field import FieldConfig, Realization, realization
-from .monomials import space_dim
 
 Payload = Mapping[str, np.ndarray]
-
-
-@dataclass(frozen=True)
-class AmbientSpace:
-    """Names the coordinate system a subspace lives in."""
-
-    kind: str  # "graded" | "graded-sum" | "abstract"
-    n: int
-    degree: int
-    copies: int = 1
-    dim_override: int = -1
-
-    @property
-    def dim(self) -> int:
-        if self.dim_override >= 0:
-            return self.dim_override
-        return self.copies * space_dim(self.n, self.degree)
-
-    @staticmethod
-    def graded(n: int, degree: int) -> "AmbientSpace":
-        return AmbientSpace("graded", n, degree)
-
-    @staticmethod
-    def graded_sum(n: int, degree: int, copies: int) -> "AmbientSpace":
-        return AmbientSpace("graded-sum", n, degree, copies)
-
-    @staticmethod
-    def abstract(dim: int) -> "AmbientSpace":
-        return AmbientSpace("abstract", -1, -1, 1, dim)
 
 
 @dataclass(frozen=True)
@@ -97,12 +67,12 @@ class SubspaceBasis:
 
     ``pivots`` are the echelon pivot columns (shared across keys — the
     engine refuses to build a basis whose realizations disagree). Each
-    payload is a dim x ambient.dim matrix of its realization's dtype (int64
-    for prime keys, ``dtype=object`` rationals for the exact key); row t has
-    a unit at pivots[t] and zeros at the other pivot columns.
+    payload is a dim x ncols matrix of its realization's dtype (int64 for
+    prime keys, ``dtype=object`` rationals for the exact key); row t has a
+    unit at pivots[t] and zeros at the other pivot columns.
     """
 
-    ambient: AmbientSpace
+    ncols: int
     pivots: tuple[int, ...]
     payload: Payload
 
@@ -112,7 +82,7 @@ class SubspaceBasis:
 
     def free_columns(self) -> tuple[int, ...]:
         pivset = set(self.pivots)
-        return tuple(c for c in range(self.ambient.dim) if c not in pivset)
+        return tuple(c for c in range(self.ncols) if c not in pivset)
 
 
 @dataclass(frozen=True)
@@ -269,20 +239,16 @@ class LinearEngine:
         label: str,
         shape: tuple[int, int],
         matrix: Callable[[Realization], np.ndarray],
-        ambient: AmbientSpace | None = None,
     ) -> int | SubspaceBasis:
         """Run ``op`` ("rank", "rref" or "kernel", which turns the reduced
         echelon rows into ``kernel_rows``) in every realization on the fresh
-        matrix ``matrix(F)``, which the kernel may overwrite; insist the
-        realizations agree on the rank or the pivot columns; record the rank
-        under ``label``. A rank is answered from the ledger, and a large
-        prime-pair rank runs both primes at once (module docstring); a basis
-        (the span for "rref", the echelonized kernel for "kernel", both in
-        ``ambient``) from the span cache, which it then fills."""
-        if op == "kernel" and ambient.dim != shape[1]:
-            raise InconsistentResult(
-                f"kernel {label!r}: ambient dimension {ambient.dim} differs from the map's {shape[1]} columns"
-            )
+        ``shape`` matrix ``matrix(F)``, which the kernel may overwrite;
+        insist the realizations agree on the rank or the pivot columns;
+        record the rank under ``label``. A rank is answered from the ledger,
+        and a large prime-pair rank runs both primes at once (module
+        docstring); a basis (the span for "rref", the echelonized kernel for
+        "kernel", both of ``shape[1]`` coordinates) from the span cache,
+        which it then fills."""
         if op == "rank":
             cached = self._cached_rank(label, shape)
             if cached is not None:
@@ -318,9 +284,9 @@ class LinearEngine:
         if op == "rank":
             return rank
         if op == "kernel":
-            basis = self.echelon_payload(payload, ambient, label + "/kernel")
+            basis = self.echelon_payload(payload, label + "/kernel")
         else:
-            basis = SubspaceBasis(ambient, first, payload)
+            basis = SubspaceBasis(shape[1], first, payload)
         self._span_cache[label] = basis
         return basis
 
@@ -336,28 +302,39 @@ class LinearEngine:
     def rank_coo(self, coo: IntCOO, label: str) -> int:
         return self._eliminate("rank", label, coo.shape, lambda F: F.dense(coo, F.rank_dtype))
 
-    def rank_payload(self, payload: Payload, shape: tuple[int, int], label: str) -> int:
+    def rank_payload(self, payload: Payload, label: str) -> int:
         return self._eliminate(
-            "rank", label, shape, lambda F: np.array(payload[F.key], dtype=F.rank_dtype, order="C")
+            "rank",
+            label,
+            _payload_shape(payload, label),
+            lambda F: np.array(payload[F.key], dtype=F.rank_dtype, order="C"),
         )
 
-    def echelon_coo(self, coo: IntCOO, ambient: AmbientSpace, label: str) -> SubspaceBasis:
-        return self._eliminate("rref", label, coo.shape, lambda F: F.dense(coo), ambient)
+    def echelon_coo(self, coo: IntCOO, label: str) -> SubspaceBasis:
+        return self._eliminate("rref", label, coo.shape, lambda F: F.dense(coo))
 
-    def echelon_payload(self, payload: Payload, ambient: AmbientSpace, label: str) -> SubspaceBasis:
-        rows = max(len(mat) for mat in payload.values())
-        return self._eliminate("rref", label, (rows, ambient.dim), self._matrices(payload), ambient)
+    def echelon_payload(self, payload: Payload, label: str) -> SubspaceBasis:
+        return self._eliminate("rref", label, _payload_shape(payload, label), self._matrices(payload))
 
-    def kernel_payload(self, payload: Payload, shape: tuple[int, int], ambient: AmbientSpace, label: str) -> SubspaceBasis:
+    def kernel_payload(self, payload: Payload, label: str) -> SubspaceBasis:
         """Echelonized kernel basis of the map x -> M x for each realization.
 
         Consumes the payload: a C-contiguous matrix of its realization's
         dtype is eliminated in place, so callers pass matrices built for the
         call."""
-        return self._eliminate("kernel", label, shape, self._matrices(payload, copy=False), ambient)
+        return self._eliminate("kernel", label, _payload_shape(payload, label), self._matrices(payload, copy=False))
 
-    def kernel_coo(self, coo: IntCOO, ambient: AmbientSpace, label: str) -> SubspaceBasis:
-        return self._eliminate("kernel", label, coo.shape, lambda F: F.dense(coo), ambient)
+    def kernel_coo(self, coo: IntCOO, label: str) -> SubspaceBasis:
+        return self._eliminate("kernel", label, coo.shape, lambda F: F.dense(coo))
+
+
+def _payload_shape(payload: Payload, label: str) -> tuple[int, int]:
+    """The one shape of a payload's matrices; raises ``InconsistentResult``
+    unless they are all 2-D and of one shape."""
+    shapes = {np.shape(matrix) for matrix in payload.values()}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 2:
+        raise InconsistentResult(f"payload {label!r} holds matrices of shapes {sorted(shapes)}")
+    return shapes.pop()
 
 
 # ---------------------------------------------------------------------------

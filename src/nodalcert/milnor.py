@@ -21,28 +21,15 @@ import numpy as np
 from .assembly import IntCOO, jacobian_generator_coo
 from .errors import InconsistentResult, NoStabilization
 from .field import FieldConfig
-from .linalg import AmbientSpace, LinearEngine, SubspaceBasis, kernel_rows
+from .linalg import LinearEngine, SubspaceBasis, kernel_rows
 from .monomials import exponent_matrix, monomial_rank_rows, space_dim
 from .polynomials import HomogeneousPolynomial, partial_derivatives
 
 
-class SmoothMarker:
-    """Returned by coincidence_threshold when no deviation exists through
-    the socle degree plus one — the Hilbert-function signature of a smooth
-    hypersurface."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "Smooth"
-
-
-SMOOTH = SmoothMarker()
+# Returned by coincidence_threshold when no deviation exists through the
+# socle degree plus one: the Hilbert-function signature of a smooth
+# hypersurface.
+SMOOTH = "Smooth"
 
 
 def socle_degree(n: int, d: int) -> int:
@@ -131,13 +118,13 @@ class JacobianContext:
             hit |= np.all(E >= ge[None, :], axis=1)
         return int(hit.sum())
 
-    def jacobian_dim(self, k: int, force_generic: bool = False) -> int:
+    def jacobian_dim(self, k: int) -> int:
         """Dimension of the degree-k slice of the partials' ideal."""
         if k < self.d - 1:
             return 0
-        if k in self._dims and not force_generic:
+        if k in self._dims:
             return self._dims[k]
-        if self._monomial_partials and not force_generic:
+        if self._monomial_partials:
             dim = self._monomial_dim(k)
         else:
             dim = self.engine.rank_coo(self.generator_coo(k), f"jacobian/{k}")
@@ -146,10 +133,9 @@ class JacobianContext:
 
     def jacobian_basis(self, k: int) -> SubspaceBasis:
         """Echelonized basis of the degree-k ideal slice."""
-        amb = AmbientSpace.graded(self.n, k)
         if k < self.d - 1:
-            return self.engine.echelon_payload(_empty_rows(self.field, amb.dim), amb, f"jacobian/{k}")
-        basis = self.engine.echelon_coo(self.generator_coo(k), amb, f"jacobian/{k}")
+            return self.engine.echelon_payload(_empty_rows(self.field, space_dim(self.n, k)), f"jacobian/{k}")
+        basis = self.engine.echelon_coo(self.generator_coo(k), f"jacobian/{k}")
         self._dims.setdefault(k, basis.dim)
         return basis
 
@@ -188,9 +174,9 @@ class JacobianContext:
 # ---------------------------------------------------------------------------
 
 
-def coincidence_threshold(ctx: JacobianContext) -> int | SmoothMarker:
+def coincidence_threshold(ctx: JacobianContext) -> int | str:
     """Largest degree through which the quotient Hilbert function matches
-    the smooth reference; the Smooth marker if they agree through the socle
+    the smooth reference; ``SMOOTH`` if they agree through the socle
     degree plus one (after which both vanish identically)."""
     top = ctx.socle + 1
     for k in range(top + 1):
@@ -235,38 +221,35 @@ def _colon_step_kernel(
     """
     n = ctx.n
     free = np.array(W.free_columns(), dtype=np.int64)
-    q_cols = len(free)
-    amb = AmbientSpace.graded(n, k0)
-    if q_cols == 0:
-        return ctx.engine.echelon_payload(_empty_rows(ctx.field, amb.dim), amb, label + "/empty")
+    if len(free) == 0:
+        return ctx.engine.echelon_payload(_empty_rows(ctx.field, W.ncols), label + "/empty")
     # column u stacks the classes of u * b over the degree-m monomials b
-    payload, shape = _multiplication_payload(
+    payload = _multiplication_payload(
         ctx.quotient_reduction(k0 + m), exponent_matrix(n, m), exponent_matrix(n, k0)[free], n, k0 + m
     )
-    ker = ctx.engine.kernel_payload(payload, shape, AmbientSpace.abstract(q_cols), label)
+    ker = ctx.engine.kernel_payload(payload, label)
     # lift kernel rows from complement coordinates back into S_k0
     lifted = {}
     for key, rows in ker.payload.items():
-        lifted[key] = np.zeros((len(rows), amb.dim), dtype=rows.dtype)
+        lifted[key] = np.zeros((len(rows), W.ncols), dtype=rows.dtype)
         lifted[key][:, free] = rows
-    return ctx.engine.echelon_payload(lifted, amb, label + "/lifted")
+    return ctx.engine.echelon_payload(lifted, label + "/lifted")
 
 
 def _multiplication_payload(
     QR: dict[str, np.ndarray], shifts: np.ndarray, expos: np.ndarray, n: int, k: int
-) -> tuple[dict[str, np.ndarray], tuple[int, int]]:
-    """Per-field matrix, and its shape, with a column per monomial of
-    ``expos`` and a row per (shift, class coordinate) pair, rows flattened
-    shift-major: the entry is the coordinate of x^(shift + expo) in the
-    degree-k quotient table QR. No matrix shares memory with QR."""
+) -> dict[str, np.ndarray]:
+    """Per-field matrix with a column per monomial of ``expos`` and a row
+    per (shift, class coordinate) pair, rows flattened shift-major: the
+    entry is the coordinate of x^(shift + expo) in the degree-k quotient
+    table QR. No matrix shares memory with QR."""
     ns, ne = len(shifts), len(expos)
     ranks = monomial_rank_rows((shifts[:, None, :] + expos[None, :, :]).reshape(ns * ne, n + 1), n, k)
     q = next(iter(QR.values())).shape[1]  # the number of standard monomials
-    payload = {
+    return {
         key: table[ranks].reshape(ns, ne, q).transpose(0, 2, 1).reshape(ns * q, ne)
         for key, table in QR.items()
     }
-    return payload, (ns * q, ne)
 
 
 _SATURATION_DIM_CAP = 5000
@@ -304,7 +287,7 @@ def saturation_graded(ctx: JacobianContext, k: int) -> SubspaceBasis:
 def _basis_union(
     ctx: JacobianContext, a: SubspaceBasis, b: SubspaceBasis, label: str
 ) -> SubspaceBasis:
-    if a.ambient != b.ambient:
-        raise InconsistentResult(f"basis union {label!r}: ambient spaces {a.ambient} and {b.ambient} differ")
+    if a.ncols != b.ncols:
+        raise InconsistentResult(f"basis union {label!r}: bases of {a.ncols} and {b.ncols} coordinates")
     payload = {key: np.vstack([a.payload[key], b.payload[key]]) for key in a.payload}
-    return ctx.engine.echelon_payload(payload, a.ambient, label)
+    return ctx.engine.echelon_payload(payload, label)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .assembly import coo_vstack, jacobian_generator_coo
 from .errors import DegreeTooSmall, NotEffective, UnsupportedDimension
-from .linalg import AmbientSpace, SubspaceBasis
+from .linalg import SubspaceBasis
 from .milnor import JacobianContext, _multiplication_payload
 from .monomials import monomial_basis
 from .polynomials import HomogeneousPolynomial
@@ -52,14 +52,15 @@ def pairing_matrix(ctx: JacobianContext) -> tuple[dict[str, np.ndarray], tuple[i
     QR2 = ctx.quotient_reduction(k2)
     src = _expos(quotient_basis(ctx, d - n - 1), n)
     mid = _expos(quotient_basis(ctx, d), n)
-    return _multiplication_payload(QR2, src, mid, n, k2)
+    payload = _multiplication_payload(QR2, src, mid, n, k2)
+    return payload, next(iter(payload.values())).shape
 
 
 def pairing_injective(ctx: JacobianContext) -> bool:
     """Whether multiplication by degree-d classes is injective: the pairing
     matrix has full column rank q_d."""
-    payload, shape = pairing_matrix(ctx)
-    rank = ctx.engine.rank_payload(payload, shape, "pairing")
+    payload, _ = pairing_matrix(ctx)
+    rank = ctx.engine.rank_payload(payload, "pairing")
     return rank == ctx.milnor_dim(ctx.d)
 
 
@@ -68,10 +69,8 @@ def variable_multiplication_kernel(ctx: JacobianContext, t: int) -> SubspaceBasi
     in standard-monomial coordinates of the degree-t quotient."""
     n = ctx.n
     std = _expos(quotient_basis(ctx, t), n)
-    payload, shape = _multiplication_payload(
-        ctx.quotient_reduction(t + 1), np.eye(n + 1, dtype=np.int64), std, n, t + 1
-    )
-    return ctx.engine.kernel_payload(payload, shape, AmbientSpace.abstract(len(std)), f"varmul/{t}")
+    payload = _multiplication_payload(ctx.quotient_reduction(t + 1), np.eye(n + 1, dtype=np.int64), std, n, t + 1)
+    return ctx.engine.kernel_payload(payload, f"varmul/{t}")
 
 
 def effective_deformation_check(ctx: JacobianContext, V: Sequence[HomogeneousPolynomial]) -> bool:
@@ -79,6 +78,8 @@ def effective_deformation_check(ctx: JacobianContext, V: Sequence[HomogeneousPol
     zero (and V itself is independent): rank [ideal gens ; V] must equal
     dim J_d + |V|."""
     d = ctx.d
+    if not V:
+        raise ValueError("the deformation subspace is empty")
     for g in V:
         if g.is_zero or g.degree != d or g.n != ctx.n:
             raise ValueError("deformation entries must be nonzero of degree d in the same variables")
@@ -93,9 +94,12 @@ def effective_deformation_check(ctx: JacobianContext, V: Sequence[HomogeneousPol
 @dataclass(frozen=True)
 class PeriodDifferentialResult:
     payload: dict[str, np.ndarray]
-    shape: tuple[int, int]
     rank: int
     dim_v: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return next(iter(self.payload.values())).shape
 
     @property
     def injective(self) -> bool:
@@ -124,16 +128,15 @@ def period_differential(
     expos = [e for g in V for e in g.terms]
     coeffs = [c for g in V for c in g.terms.values()]
     starts = np.cumsum([0] + [len(g.terms) for g in V[:-1]])
-    by_term, (rows, _) = _multiplication_payload(
+    by_term = _multiplication_payload(
         ctx.quotient_reduction(k2), _expos(quotient_basis(ctx, d - n - 1), n), _expos(expos, n), n, k2
     )
     payload = {
         F.key: F.normalize(-np.add.reduceat(F.normalize(by_term[F.key] * F.convert(coeffs)), starts, axis=1))
         for F in ctx.field.realizations
     }
-    shape = (rows, len(V))
-    rank = ctx.engine.rank_payload(payload, shape, f"period-differential/{ctx.next_tag('deformation')}")
-    return PeriodDifferentialResult(payload, shape, rank, len(V))
+    rank = ctx.engine.rank_payload(payload, f"period-differential/{ctx.next_tag('deformation')}")
+    return PeriodDifferentialResult(payload, rank, len(V))
 
 
 def _expos(monomials: Sequence[tuple[int, ...]], n: int) -> np.ndarray:

@@ -190,6 +190,13 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert main(["certify", "--input", str(poly)]) == 2
     assert main(["period-diff", "--fixture", "one_node:3,5,seed=1", "--subspace", str(sub)]) == 2
     assert capsys.readouterr().err.count("int64 safety bound") == 2
+    # a deformation subspace with no polynomial in it: an empty file, and one of comments only
+    empty, comments = tmp_path / "empty.txt", tmp_path / "comments.txt"
+    empty.write_text("")
+    comments.write_text("# nothing\n")
+    for path in (empty, comments):
+        assert main(["period-diff", "--fixture", "one_node:3,4,seed=101", "--subspace", str(path)]) == 2
+    assert capsys.readouterr().err.count("the deformation subspace is empty") == 2
 
 
 def test_corrupted_points_file(tmp_path, capsys):

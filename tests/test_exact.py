@@ -7,7 +7,7 @@ import numpy as np
 
 from nodalcert.exact import bareiss_rank, rref_fraction
 from nodalcert.field import FieldConfig, Rationals
-from nodalcert.linalg import AmbientSpace, LinearEngine, kernel_rows, reduce_against_basis
+from nodalcert.linalg import LinearEngine, kernel_rows, reduce_against_basis
 
 
 def _random_exact(rng, rows, cols, rank):
@@ -71,7 +71,7 @@ def test_reduce_against_an_exact_basis_kills_members_and_fixes_residues():
         [Fraction(0), Fraction(1), Fraction(-1)],
     ]
     engine = LinearEngine(FieldConfig.exact())
-    basis = engine.echelon_payload({"exact": np.array(A, dtype=object)}, AmbientSpace.abstract(3), "rows")
+    basis = engine.echelon_payload({"exact": np.array(A, dtype=object)}, "rows")
     member = [Fraction(3), Fraction(-2), Fraction(8)]  # 3*r0 - 2*r1
     assert list(reduce_against_basis(basis, member)["exact"]) == [Fraction(0)] * 3
     outside = [Fraction(0), Fraction(0), Fraction(1)]

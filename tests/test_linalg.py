@@ -12,7 +12,6 @@ from nodalcert.assembly import IntCOO
 from nodalcert.errors import FieldDisagreement, InconsistentResult
 from nodalcert.field import FieldConfig
 from nodalcert.linalg import (
-    AmbientSpace,
     LinearEngine,
     RankRecord,
     membership,
@@ -56,18 +55,17 @@ def test_ledger_label_reuse_with_a_different_shape_raises(engine):
 
 def test_echelon_and_kernel_are_consistent(engine):
     coo = _coo([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
-    amb = AmbientSpace.abstract(4)
-    basis = engine.echelon_coo(coo, amb, "span")
+    basis = engine.echelon_coo(coo, "span")
     assert basis.dim == 2
-    ker = engine.kernel_coo(coo.transposed(), AmbientSpace.abstract(3), "ker")
+    ker = engine.kernel_coo(coo.transposed(), "ker")
     # rank-nullity for the transpose acting on 3-space
-    assert ker.ambient.dim == 3
+    assert ker.ncols == 3
     assert ker.dim == 3 - 2
 
 
 def test_membership_and_quotient_coordinates(engine):
     coo = _coo([[1, 0, 2], [0, 1, 1]])
-    basis = engine.echelon_coo(coo, AmbientSpace.abstract(3), "basis")
+    basis = engine.echelon_coo(coo, "basis")
     inside = [Fraction(2), Fraction(3), Fraction(7)]
     outside = [Fraction(0), Fraction(0), Fraction(1)]
     mixed = [Fraction(1), Fraction(1), Fraction(0)]  # (1, 0, 2) + (0, 1, 1) - 3 e_2
@@ -90,7 +88,25 @@ def test_two_prime_rank_disagreement_is_detected():
 def test_two_prime_pivot_disagreement_is_detected():
     engine = LinearEngine(FieldConfig.prime_pair(5, 7))
     with pytest.raises(FieldDisagreement):
-        engine.echelon_coo(_coo([[5, 1]]), AmbientSpace.abstract(2), "bad-pivots")
+        engine.echelon_coo(_coo([[5, 1]]), "bad-pivots")
+
+
+def test_payload_entry_points_take_their_shape_from_the_payload():
+    engine = LinearEngine(FieldConfig.prime_pair())
+    keys = [F.key for F in engine.field.realizations]
+    A = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)
+    assert engine.rank_payload({key: A.copy() for key in keys}, "rank") == 1
+    assert engine.rank_ledger["rank"] == RankRecord(2, 3, 1)
+    # realizations of two shapes, and a matrix that is not 2-D
+    for name, bad in (("uneven", [A, A[:1]]), ("flat", [A[0], A[0]])):
+        for call in (engine.rank_payload, engine.echelon_payload, engine.kernel_payload):
+            with pytest.raises(InconsistentResult):
+                call({key: m.copy() for key, m in zip(keys, bad)}, f"{name}/{call.__name__}")
+    none = {key: np.zeros((0, 5), dtype=np.int64) for key in keys}
+    span = engine.echelon_payload(none, "no-rows")
+    assert (span.ncols, span.dim, span.free_columns()) == (5, 0, tuple(range(5)))
+    ker = engine.kernel_payload({key: m.copy() for key, m in none.items()}, "no-rows-kernel")
+    assert (ker.ncols, ker.dim) == (5, 5)
 
 
 def test_two_prime_and_exact_agree_on_random_input():
@@ -100,14 +116,6 @@ def test_two_prime_and_exact_agree_on_random_input():
     r1 = LinearEngine(FieldConfig.prime_pair()).rank_coo(coo, "x")
     r2 = LinearEngine(FieldConfig.exact()).rank_coo(coo, "x")
     assert r1 == r2
-
-
-def test_ambient_space_constructors():
-    g = AmbientSpace.graded(3, 2)
-    assert g.dim == 10
-    s = AmbientSpace.graded_sum(3, 2, 4)
-    assert s.dim == 40
-    assert AmbientSpace.abstract(7).dim == 7
 
 
 _RANK_MOD = _kernels.rank_mod
@@ -169,7 +177,7 @@ def _jacobian_ledger(gate, monkeypatch):
     monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", gate)
     ctx = JacobianContext(one_node(3, 4, 1).f)
     for k in range(3, 11):
-        ctx.jacobian_dim(k, force_generic=True)
+        ctx.jacobian_dim(k)
     ctx.jacobian_basis(6)
     return list(ctx.engine.rank_ledger.items())
 

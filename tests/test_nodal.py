@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nodalcert.cli import main
-from nodalcert.errors import DegeneratePoint, NotSingular
+from nodalcert.errors import DegeneratePoint, NoStabilization, NotSingular
 from nodalcert.field import FieldConfig
 from nodalcert.fixtures import fermat, multi_node, one_node
 from nodalcert.milnor import JacobianContext
@@ -214,3 +214,50 @@ def test_a_third_singular_point_fails_the_two_node_claim(seed, field):
     for route in _ROUTES:
         cert = certify_nodal(JacobianContext(fx.f, field), fx.points, route=route)
         assert cert.kind == "Failed" and "3 != " in cert.reason, (route, cert)
+
+
+# a node at [0 : 0 : 1] and an A2 cusp at [1 : 0 : 0]
+_CUSP_BESIDE_NODE = "x0^2*x2^2 - x0*x1^3 + x0*x1*x2^2 + x1^4"
+
+
+@pytest.mark.parametrize("field", _MODES, ids=["two-prime", "exact"])
+@pytest.mark.parametrize("route", _ROUTES)
+def test_an_unlisted_cusp_beside_a_node_fails_every_claim(field, route):
+    f = parse_polynomial(_CUSP_BESIDE_NODE, 2)
+    node, cusp = parse_point("[0 : 0 : 1]", 2), parse_point("[1 : 0 : 0]", 2)
+    assert (hessian_rank_at(f, node), hessian_rank_at(f, cusp)) == (2, 1)
+    # the quotient dimension counts the node once and the cusp twice
+    for claim in ((node,), ()):
+        cert = certify_nodal(JacobianContext(f, field), claim, route=route)
+        assert cert.kind == "Failed" and "3 != " in cert.reason, (claim, cert)
+    cert = certify_nodal(JacobianContext(f, field), (node, cusp), route=route)
+    assert cert.kind == "Failed" and "Hessian rank 1 != 2" in cert.reason, cert
+
+
+# lies in (x0, x1)^2, so every point of the line x0 = x1 = 0 is singular
+_SINGULAR_LINE = "x0^2*x2 + x1^2*x3 + x0*x1*x2 + x0^3 + x1^3 + 2*x0^2*x3"
+
+
+def test_a_surface_singular_along_a_line_claimed_smooth_fails_closed():
+    # the quotient dimension grows with the degree: the literal scan never
+    # stabilizes, the persistence check fails at its first degree
+    f = parse_polynomial(_SINGULAR_LINE, 3)
+    with pytest.raises(NoStabilization):
+        certify_nodal(JacobianContext(f, FieldConfig.prime_pair()), (), route="literal")
+    cert = certify_nodal(JacobianContext(f, FieldConfig.prime_pair()), (), route="hilbert-persistence")
+    assert cert.kind == "Failed", cert
+
+
+@pytest.mark.parametrize("field", _MODES, ids=["two-prime", "exact"])
+@pytest.mark.parametrize("route", _ROUTES)
+def test_a_point_of_a_singular_line_is_no_node(field, route):
+    f = parse_polynomial(_SINGULAR_LINE, 3)
+    cert = certify_nodal(JacobianContext(f, field), (parse_point("[0 : 0 : 1 : 0]", 3),), route=route)
+    assert cert.kind == "Failed" and "Hessian rank 2 != 3" in cert.reason, cert
+
+
+def test_a_surface_singular_along_a_line_exits_2(tmp_path, capsys):
+    poly = tmp_path / "f.txt"
+    poly.write_text(_SINGULAR_LINE + "\n")
+    assert main(["certify", "--input", str(poly)]) == 2
+    capsys.readouterr()

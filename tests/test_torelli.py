@@ -158,7 +158,7 @@ def test_pairing_entries_are_classes_of_products(roster):
         index = monomial_index(n, k2)
         for a, alpha in enumerate(src):
             for j, beta in enumerate(mid):
-                vec = [0] * basis.ambient.dim
+                vec = [0] * basis.ncols
                 vec[index[tuple(x + y for x, y in zip(alpha, beta))]] = 1
                 coords = quotient_coordinates(basis, vec)
                 for F in ctx.field.realizations:
