@@ -40,7 +40,7 @@ from .milnor import (
     tjurina_count,
 )
 from .monomials import space_dim
-from .nodal import _PERSISTENCE_ENTRY_CAP, NodalCertificate, ProjectivePoint, _generator_entries, certify_nodal, parse_point
+from .nodal import NodalCertificate, ProjectivePoint, certify_nodal, parse_point
 from .polynomials import HomogeneousPolynomial, parse_polynomial
 from .report import RunReport
 from .torelli import (
@@ -183,15 +183,15 @@ def _cmd_hilbert(args: argparse.Namespace) -> tuple[RunReport, int]:
     # eliminations around the socle degree; probe that size before
     # committing so the command stays responsive on huge inputs.
     probe = ctx.socle + 2
-    est = _generator_entries(ctx, probe)
-    if est <= _PERSISTENCE_ENTRY_CAP:
+    over = ctx.slice_over_cap(probe)
+    if not over:
         ct = coincidence_threshold(ctx)
         job.report.results["coincidence_threshold"] = ct
         job.report.results["tjurina"] = tjurina_count(ctx)
     else:
         job.report.results["threshold_note"] = (
             f"coincidence threshold and singularity count need eliminations "
-            f"around degree {probe} ({est} matrix entries); skipped as infeasible"
+            f"around degree {probe}, and {over}; skipped as infeasible"
         )
     return job.finish(0)
 

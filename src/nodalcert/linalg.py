@@ -212,7 +212,7 @@ class LinearEngine:
     def __init__(self, field: FieldConfig):
         self.field = field
         self.rank_ledger: dict[str, RankRecord] = {}
-        self._span_cache: dict[str, SubspaceBasis] = {}
+        self._span_cache: dict[str, tuple[str, SubspaceBasis]] = {}  # label -> (op, basis)
 
     # -- internal ---------------------------------------------------------
 
@@ -248,13 +248,18 @@ class LinearEngine:
         and a large prime-pair rank runs both primes at once (module
         docstring); a basis (the span for "rref", the echelonized kernel for
         "kernel", both of ``shape[1]`` coordinates) from the span cache,
-        which it then fills."""
+        which it then fills. A hit of another op or another shape raises
+        ``InconsistentResult``."""
         if op == "rank":
             cached = self._cached_rank(label, shape)
             if cached is not None:
                 return cached
         elif label in self._span_cache:
-            return self._span_cache[label]
+            self._cached_rank(label, shape)  # raises unless the shapes agree
+            held, basis = self._span_cache[label]
+            if held != op:
+                raise InconsistentResult(f"span cache label {label!r} holds a {held} basis, asked for {op}")
+            return basis
         fields = self.field.realizations
         checks: dict[str, object] = {}
         payload: dict[str, np.ndarray] = {}
@@ -287,7 +292,7 @@ class LinearEngine:
             basis = self.echelon_payload(payload, label + "/kernel")
         else:
             basis = SubspaceBasis(shape[1], first, payload)
-        self._span_cache[label] = basis
+        self._span_cache[label] = (op, basis)
         return basis
 
     @staticmethod

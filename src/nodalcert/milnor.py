@@ -26,6 +26,11 @@ from .monomials import exponent_matrix, monomial_rank_rows, space_dim
 from .polynomials import HomogeneousPolynomial, partial_derivatives
 
 
+# max generator-matrix entries per degree (JacobianContext.slice_over_cap):
+# a rank of both primes at once holds one int32 matrix per process, the
+# caller's and its forked child's: 1.6 GB each at the cap, 3.2 GB between them
+_SLICE_ENTRY_CAP = 400_000_000
+
 # Returned by coincidence_threshold when no deviation exists through the
 # socle degree plus one: the Hilbert-function signature of a smooth
 # hypersurface.
@@ -104,6 +109,16 @@ class JacobianContext:
 
     def generator_coo(self, k: int) -> IntCOO:
         return jacobian_generator_coo(self.partials, k)
+
+    def slice_over_cap(self, k: int) -> str:
+        """Why the degree-k generator matrix is too large to assemble and
+        rank, or "" when its dense entry count is within the cap. Checked
+        before any matrix is assembled, by every caller that scans degrees
+        upward: certification, tjurina_count and the hilbert command."""
+        rows, cols = (self.n + 1) * space_dim(self.n, k - self.d + 1), space_dim(self.n, k)
+        if rows * cols <= _SLICE_ENTRY_CAP:
+            return ""
+        return f"the degree-{k} ideal slice is {rows} x {cols} ({rows * cols} entries), past the feasible size cap"
 
     def _monomial_dim(self, k: int) -> int:
         """Monomial-ideal fast path: count degree-k monomials divisible by
@@ -195,10 +210,14 @@ def dims_match_reference_through(ctx: JacobianContext, q: int) -> bool:
 
 def tjurina_count(ctx: JacobianContext) -> int:
     """Stabilized value of the quotient Hilbert function: scan upward from
-    the socle degree until three consecutive degrees agree."""
+    the socle degree until three consecutive degrees agree. Raises
+    NoStabilization before assembling a slice past the size cap."""
     bound = ctx.socle + 3 * ctx.d
     k = ctx.socle
     while k + 2 <= bound:
+        over = ctx.slice_over_cap(k + 2)
+        if over:
+            raise NoStabilization(over)
         a, b, c = ctx.milnor_dim(k), ctx.milnor_dim(k + 1), ctx.milnor_dim(k + 2)
         if a == b == c:
             return a

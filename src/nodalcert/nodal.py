@@ -4,22 +4,24 @@ A certified-nodal verdict combines two ingredients:
 
 * point-local, exact over Q: every claimed point is singular (all partials
   vanish) and has a full-rank chart Hessian — an ordinary node.
-* global, over the configured fields: the claimed points exhaust the
-  singular locus. Two interchangeable routes establish this —
+* global, over the configured fields: the m claimed points exhaust the
+  singular locus. One argument, Gotzmann's persistence theorem, shows it
+  from the quotient dimensions h(k) of S/J at a fixed list of degrees.
 
-  - literal: the quotient Hilbert function stabilizes (three consecutive
-    equal values from the socle degree) and its stable value equals the
-    node count. Used when the scan degrees stay small.
-  - hilbert-persistence: the quotient dimension equals the node count m in
-    two consecutive degrees K, K+1 with m <= K. By Macaulay's growth bound
-    the ideal generated by the degree-K slice then has quotient dimension
-    exactly m in degree K+1, and by Gotzmann's persistence theorem in every
-    later degree, so its zero locus is a length-m subscheme. It contains
-    every singular point, and the m listed points (each checked singular
-    and distinct) already fill it. Two rank computations, no saturation.
+  - m = 0: h(T+1) = 0 one past the socle degree T means the ideal slice
+    is everything, so the partials have no common zero.
+  - m >= 1: h(K) = h(K+1) = m with K = max(T, m). Since m <= K, Macaulay's
+    growth bound gives the ideal I generated by the degree-K slice at most
+    m^<K> = m quotient dimensions in degree K+1, and at least m because
+    I is inside J there. By Gotzmann's persistence theorem it has exactly
+    m in every later degree, so its zero locus is a length-m subscheme. It
+    contains every singular point, and the m listed points (each checked
+    singular and distinct) already fill it.
 
-Both routes fail closed: any mismatch produces a Failed verdict, never a
-silently weaker claim.
+  Both routes rank these degrees. The literal route (small inputs) also
+  ranks one degree more, T+2 or K+2; the argument does not need it, and
+  it is kept so a literal certificate's rank ledger still holds that
+  slice. Any h != m gives a Failed verdict, never a weaker claim.
 """
 
 from __future__ import annotations
@@ -30,16 +32,13 @@ from typing import Sequence
 
 from . import exact
 from .errors import DegeneratePoint, NotSingular, ParseError
-from .milnor import JacobianContext, tjurina_count
+# tjurina_count is not called here, but perfbench/trace_layers.py traces it
+# under this module's name (tests/test_trace_layers.py runs that tracer)
+from .milnor import JacobianContext, tjurina_count  # noqa: F401
 from .monomials import space_dim
 from .polynomials import HomogeneousPolynomial, partial_derivatives
 
 _LITERAL_SCAN_LIMIT = 2000  # max dim S_(socle+2) for the literal route
-# max generator-matrix entries per degree, checked before any matrix is
-# assembled (here and by the hilbert command's probe): a rank of both
-# primes at once holds one int32 matrix per process, the caller's and its
-# forked child's: 1.6 GB each at the cap, 3.2 GB between them
-_PERSISTENCE_ENTRY_CAP = 400_000_000
 
 
 @dataclass(frozen=True)
@@ -132,25 +131,22 @@ def _failed(route: str, reason: str, **details) -> NodalCertificate:
     return NodalCertificate("Failed", 0, None, route, reason, dict(details))
 
 
-def _generator_entries(ctx: JacobianContext, k: int) -> int:
-    """Dense entry count of the degree-k generator matrix (feasibility gate)."""
-    rows = (ctx.n + 1) * space_dim(ctx.n, k - ctx.d + 1)
-    return rows * space_dim(ctx.n, k)
-
-
 def certify_nodal(
     ctx: JacobianContext, points: Sequence[ProjectivePoint], route: str = "auto"
 ) -> NodalCertificate:
     """Certify that the hypersurface is nodal with exactly the given nodes
-    (empty points = claim smoothness). See the module docstring for the two
-    routes; "auto" picks by scan feasibility."""
-    n, d = ctx.n, ctx.d
+    (empty points = claim smoothness). See the module docstring for the
+    argument and the degrees each route ranks; "auto" picks the literal
+    route when dim S_(socle+2) is small."""
+    n = ctx.n
     if route == "auto":
         route = (
             "literal"
             if space_dim(n, ctx.socle + 2) <= _LITERAL_SCAN_LIMIT
             else "hilbert-persistence"
         )
+    if route not in ("literal", "hilbert-persistence"):
+        raise ValueError(f"unknown certification route {route!r}")
     if any(pt.n != n for pt in points):
         return _failed(route, "point dimension mismatch")
     if not _distinct(points):
@@ -165,66 +161,19 @@ def certify_nodal(
                 f"listed point {pt.to_text()} has chart Hessian rank {hrank} != {n}",
             )
     m = len(points)
-
+    K = max(ctx.socle, m)
+    degrees = [ctx.socle + 1] if m == 0 else [K, K + 1]
     if route == "literal":
-        tau = tjurina_count(ctx)
-        if tau != m:
-            return _failed(
-                "literal",
-                f"stabilized quotient dimension {tau} != listed node count {m}",
-                tjurina=tau,
-            )
-        if m == 0:
-            return NodalCertificate("Smooth", 0, 0, "literal")
-        return NodalCertificate("Nodal", m, tau, "literal")
-
-    if route != "hilbert-persistence":
-        raise ValueError(f"unknown certification route {route!r}")
-
-    if m == 0:
-        # Smoothness needs a single degree: quotient dimension 0 one past
-        # the socle means the ideal slice is everything, so no common zero.
-        k = ctx.socle + 1
-        if _generator_entries(ctx, k) > _PERSISTENCE_ENTRY_CAP:
-            return _failed(
-                route,
-                f"smoothness check needs the degree-{k} ideal slice "
-                f"({(n + 1) * space_dim(n, k - d + 1)} x {space_dim(n, k)}), "
-                "past the feasible size cap",
-            )
-        q = ctx.milnor_dim(k)
-        if q != 0:
-            return _failed(
-                route, f"quotient dimension {q} != 0 at degree {k}", quotient=q
-            )
-        return NodalCertificate("Smooth", 0, 0, route, details={"degree": k})
-
-    # The two consecutive degrees where the quotient dimension of a nodal
-    # hypersurface first equals its node count are K = socle, socle + 1.
-    K = ctx.socle
-    if m > K:
-        return _failed(route, f"persistence route needs node count <= {K}, got {m}")
-    worst = max(_generator_entries(ctx, K), _generator_entries(ctx, K + 1))
-    if worst > _PERSISTENCE_ENTRY_CAP:
-        rows = (n + 1) * space_dim(n, K + 1 - d + 1)
-        return _failed(
-            route,
-            f"persistence route needs ranks at degrees {K} and {K + 1} "
-            f"(up to {rows} x {space_dim(n, K + 1)}), past the feasible size cap",
-        )
-    h0 = ctx.milnor_dim(K)
-    if h0 != m:
-        return _failed(
-            route, f"quotient dimension {h0} != {m} at degree {K}", h0=h0, degree=K
-        )
-    h1 = ctx.milnor_dim(K + 1)
-    if h1 != m:
-        return _failed(
-            route,
-            f"quotient dimension {h1} != {m} at degree {K + 1}",
-            h1=h1,
-            degree=K + 1,
-        )
+        degrees.append(degrees[-1] + 1)
+    over = ctx.slice_over_cap(degrees[-1])
+    if over:
+        return _failed(route, over)
+    for i, k in enumerate(degrees):
+        h = ctx.milnor_dim(k)
+        if h != m:
+            found = {f"h{i}": h, "degree": k} if m else {"quotient": h}
+            return _failed(route, f"quotient dimension {h} != {m} at degree {k}", **found)
+    details = {"degree": degrees[0], "h0": m, "h1": m} if m else {"degree": degrees[0]}
     return NodalCertificate(
-        "Nodal", m, m, route, details={"degree": K, "h0": h0, "h1": h1}
+        "Nodal" if m else "Smooth", m, m, route, details={} if route == "literal" else details
     )

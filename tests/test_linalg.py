@@ -53,6 +53,18 @@ def test_ledger_label_reuse_with_a_different_shape_raises(engine):
         engine.rank_coo(_coo([[1, 0, 0], [0, 1, 0]]), "label")
 
 
+def test_a_basis_cache_hit_must_match_the_op_and_the_shape(engine):
+    coo = _coo([[1, 2, 3], [0, 1, 1]])
+    ker = engine.kernel_coo(coo, "L")
+    assert engine.kernel_coo(coo, "L") is ker
+    # the kernel basis held under "L" answers no echelon, and no other shape
+    with pytest.raises(InconsistentResult, match="holds a kernel basis, asked for rref"):
+        engine.echelon_coo(coo, "L")
+    for entry_point in (engine.echelon_coo, engine.kernel_coo):
+        with pytest.raises(InconsistentResult, match="holds a 2x3 rank, asked for 4x5"):
+            entry_point(_coo(np.eye(4, 5, dtype=np.int64)), "L")
+
+
 def test_echelon_and_kernel_are_consistent(engine):
     coo = _coo([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]])
     basis = engine.echelon_coo(coo, "span")

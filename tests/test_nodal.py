@@ -1,12 +1,12 @@
-"""Nodality certification: point parsing, local checks, both global
-routes, and the fail-closed behavior on every bad input."""
+"""Nodality certification: point parsing, local checks, the one global
+check on both routes, and the fail-closed behavior on every bad input."""
 
 from fractions import Fraction
 
 import pytest
 
 from nodalcert.cli import main
-from nodalcert.errors import DegeneratePoint, NoStabilization, NotSingular
+from nodalcert.errors import DegeneratePoint, NotSingular
 from nodalcert.field import FieldConfig
 from nodalcert.fixtures import fermat, multi_node, one_node
 from nodalcert.milnor import JacobianContext
@@ -163,16 +163,74 @@ def test_multi_node_points_are_distinct_unit_points():
 
 
 def test_a_job_over_the_entry_cap_fails_before_any_matrix_is_assembled(monkeypatch):
-    from nodalcert import milnor, nodal
+    from nodalcert import milnor
 
     assembled = []
-    monkeypatch.setattr(nodal, "_PERSISTENCE_ENTRY_CAP", 1_000)
+    monkeypatch.setattr(milnor, "_SLICE_ENTRY_CAP", 1_000)
     monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k: assembled.append(k))
     fx = one_node(3, 4, 1)
-    for points in (fx.points, ()):
-        cert = certify_nodal(JacobianContext(fx.f), points, route="hilbert-persistence")
-        assert cert.kind == "Failed" and "size cap" in cert.reason
+    for route in _ROUTES:
+        for points in (fx.points, ()):
+            cert = certify_nodal(JacobianContext(fx.f), points, route=route)
+            assert cert.kind == "Failed" and "size cap" in cert.reason
     assert assembled == []
+
+
+@pytest.mark.parametrize(
+    ("route", "degrees"), [("literal", (0, 1, 2)), ("hilbert-persistence", (0, 1))]
+)
+def test_a_passing_claim_ranks_the_socle_degree_and_the_next(route, degrees):
+    # the ledger shape the pinned perfbench digests rest on: T, T+1 (and
+    # T+2 on the literal route) and nothing else
+    fx = multi_node(3, 3, 2, 1)
+    ctx = JacobianContext(fx.f, FieldConfig.prime_pair())
+    assert certify_nodal(ctx, fx.points, route=route).verdict == "Nodal(2)"
+    assert list(ctx.engine.rank_ledger) == [f"jacobian/{ctx.socle + i}" for i in degrees]
+
+
+# five lines in P^2, no three through one point: a quintic with m = 10 nodes,
+# one more than its socle degree T = 9
+_LINES = ("x0", "x1", "x2", "x0 + x1 + x2", "x0 + 2*x1 + 4*x2")
+_LINE_NODES = (
+    "[0 : 0 : 1]", "[0 : 1 : 0]", "[0 : 1 : -1]", "[0 : -2 : 1]", "[1 : 0 : 0]",
+    "[1 : 0 : -1]", "[-4 : 0 : 1]", "[1 : -1 : 0]", "[-2 : 1 : 0]", "[2 : -3 : 1]",
+)
+
+
+@pytest.mark.parametrize("field", _MODES, ids=["two-prime", "exact"])
+@pytest.mark.parametrize(("route", "top"), [("literal", 12), ("hilbert-persistence", 11)])
+def test_more_nodes_than_the_socle_degree_certify_on_both_routes(field, route, top):
+    lines = [parse_polynomial(text, 2) for text in _LINES]
+    f = lines[0] * lines[1] * lines[2] * lines[3] * lines[4]
+    nodes = tuple(parse_point(text, 2) for text in _LINE_NODES)
+    ctx = JacobianContext(f, field)
+    assert ctx.socle == 9
+    assert certify_nodal(ctx, nodes, route=route).verdict == "Nodal(10)"
+    # K = max(T, m) = 10
+    assert list(ctx.engine.rank_ledger) == [f"jacobian/{k}" for k in range(10, top + 1)]
+    cert = certify_nodal(JacobianContext(f, field), nodes[:9], route=route)
+    assert cert.kind == "Failed" and "10 != 9 at degree 9" in cert.reason, cert
+
+
+_SWEEP_FAMILIES = [
+    (one_node, (3, 3)), (one_node, (3, 4)), (one_node, (2, 5)), (one_node, (2, 7)),
+    (multi_node, (3, 3, 2)), (multi_node, (3, 3, 3)), (multi_node, (3, 3, 4)),
+    (multi_node, (3, 4, 2)), (multi_node, (2, 5, 2)), (multi_node, (2, 6, 3)),
+]
+
+
+@pytest.mark.parametrize(("make", "args"), _SWEEP_FAMILIES, ids=lambda v: getattr(v, "__name__", str(v)))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_routes_agree_on_every_prefix_of_a_claim(make, args, seed):
+    # the fixture is nodal at exactly its listed points: the full claim
+    # certifies and every shorter prefix misses a node
+    fx = make(*args, seed)
+    ctx = JacobianContext(fx.f, FieldConfig.prime_pair())
+    m = len(fx.points)
+    for j in range(m + 1):
+        expected = f"Nodal({m})" if j == m else "Failed"
+        for route in _ROUTES:
+            assert certify_nodal(ctx, fx.points[:j], route=route).verdict == expected, (j, route)
 
 
 def _moved_two_node_cubic():
@@ -239,13 +297,15 @@ _SINGULAR_LINE = "x0^2*x2 + x1^2*x3 + x0*x1*x2 + x0^3 + x1^3 + 2*x0^2*x3"
 
 
 def test_a_surface_singular_along_a_line_claimed_smooth_fails_closed():
-    # the quotient dimension grows with the degree: the literal scan never
-    # stabilizes, the persistence check fails at its first degree
+    # the quotient dimension grows with the degree: the check fails at its
+    # first degree, T + 1, after one rank
     f = parse_polynomial(_SINGULAR_LINE, 3)
-    with pytest.raises(NoStabilization):
-        certify_nodal(JacobianContext(f, FieldConfig.prime_pair()), (), route="literal")
-    cert = certify_nodal(JacobianContext(f, FieldConfig.prime_pair()), (), route="hilbert-persistence")
-    assert cert.kind == "Failed", cert
+    for field in _MODES:
+        for route in _ROUTES:
+            ctx = JacobianContext(f, field)
+            cert = certify_nodal(ctx, (), route=route)
+            assert cert.kind == "Failed" and f"at degree {ctx.socle + 1}" in cert.reason, (route, cert)
+            assert list(ctx.engine.rank_ledger) == [f"jacobian/{ctx.socle + 1}"]
 
 
 @pytest.mark.parametrize("field", _MODES, ids=["two-prime", "exact"])
