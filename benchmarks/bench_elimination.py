@@ -20,7 +20,7 @@ output is one JSON object with every timing.
 On the blocked slices (above ``_SCALAR_CUTOFF`` entries) two more columns
 time the blocked rank of int32 copies, as the engine ranks them: ``i32/64``
 is their time in turn over that of the int64 copies, and ``once/turn`` the
-wall time of both primes ranked at once (``linalg._rank_pair``, the
+wall time of both primes ranked at once (``linalg._pair``, the
 engine's concurrent pair: the second prime in a forked child process,
 which copies its own matrix, fork and reap included) over their time in
 turn. The engine ranks the primes at once above ``_CONCURRENT_ENTRIES``
@@ -61,7 +61,7 @@ from nodalcert._kernels import _np_rref, blocked_rank_mod, blocked_rref_mod  # n
 from nodalcert.assembly import jacobian_generator_coo  # noqa: E402
 from nodalcert.field import DEFAULT_PRIMES, PrimeField  # noqa: E402
 from nodalcert.fixtures import one_node  # noqa: E402
-from nodalcert.linalg import _can_rank_at_once, _rank_pair  # noqa: E402
+from nodalcert.linalg import _can_rank_at_once, _pair  # noqa: E402
 from nodalcert.polynomials import partial_derivatives  # noqa: E402
 
 # (label, rows, cols, rank): random matrices in Jacobian-slice shapes.
@@ -141,7 +141,7 @@ def best_pair_time(mats: dict[int, np.ndarray], repeats: int) -> tuple[float, li
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        ranks = _rank_pair(fields, lambda F: mats[F.p].copy())
+        ranks = _pair(fields, lambda F: F.rank(mats[F.p].copy()))
         best = min(best, time.perf_counter() - t0)
     return best, ranks
 

@@ -46,8 +46,10 @@ every residue below p < 2^31 fits. It reads int32 entries into int64 (the
 transposed panel, the factor of every product) and writes back residues,
 so its rank and every intermediate matrix are those of an int64 copy.
 ``LinearEngine`` ranks in int32, and above ``_CONCURRENT_ENTRIES`` runs
-the two primes of a pair at once, the second in a child process forked for
-the pair, with OpenBLAS pinned to one thread through ``openblas_threads``.
+the per-prime step of a rank (never of an echelon or kernel) for both
+primes at once, the second in a child process forked for the pair
+(``linalg._pair``), with OpenBLAS pinned to one thread through
+``openblas_threads``.
 The kernels themselves start no thread or process and set no BLAS thread
 count. Kernel rows of a reduced form are derived in ``linalg``, for both
 fields.

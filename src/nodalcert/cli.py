@@ -24,6 +24,7 @@ from ._kernels import openblas_threads
 from .errors import (
     DegreeTooSmall,
     NodalcertError,
+    NoStabilization,
     NotEffective,
     ParseError,
     UnsupportedDimension,
@@ -185,9 +186,13 @@ def _cmd_hilbert(args: argparse.Namespace) -> tuple[RunReport, int]:
     probe = ctx.socle + 2
     over = ctx.slice_over_cap(probe)
     if not over:
-        ct = coincidence_threshold(ctx)
-        job.report.results["coincidence_threshold"] = ct
-        job.report.results["tjurina"] = tjurina_count(ctx)
+        job.report.results["coincidence_threshold"] = coincidence_threshold(ctx)
+        try:
+            job.report.results["tjurina"] = tjurina_count(ctx)
+        except NoStabilization as exc:
+            # a non-isolated singular locus: the table and threshold still stand
+            job.report.results["tjurina"] = "not stabilized"
+            job.report.results["tjurina_note"] = str(exc)
     else:
         job.report.results["threshold_note"] = (
             f"coincidence threshold and singularity count need eliminations "

@@ -25,7 +25,8 @@ class UnknownVariable(ParseError):
 
 class NoStabilization(NodalcertError):
     """A scan that must stabilize (Hilbert tail, saturation chain) did not
-    do so within its bound; the input is outside the supported hypotheses."""
+    do so within its bound, or needs a matrix past the size cap; the input
+    is outside the supported hypotheses."""
 
 
 class ScanExhausted(NodalcertError):

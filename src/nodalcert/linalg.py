@@ -16,23 +16,31 @@ Every rank the engine computes is recorded in an ordered ledger
 record by record. Labels are stable names of the mathematical object, not of
 the field, so ledgers from different fields line up.
 
-Payloads map each field key to a 2-D numpy matrix of that realization's
-dtype: int64 entries in [0, p) for a prime key, ``dtype=object`` rationals
-for the exact key. A matrix made only to be ranked has the realization's
-``rank_dtype`` instead, int32 for a prime key.
+The engine has three ops, rank, reduced echelon form and kernel, each
+taking ``(matrix, label)`` where the matrix is an ``IntCOO`` or a payload,
+and each under two names (``rank_coo`` and ``rank_payload``, and so on):
+perfbench's tracer patches and counts each name apart. The shape comes
+from the matrix, and one step per field densifies it and runs the op: a
+COO through ``Realization.dense``, a payload by copying its matrix, so the
+engine never writes into a caller's payload. Payloads map each field key
+to a 2-D numpy matrix of that realization's dtype: int64 entries in
+[0, p) for a prime key, ``dtype=object`` rationals for the exact key. A
+matrix made only to be ranked has the realization's ``rank_dtype``
+instead, int32 for a prime key. A matrix of more than ``_ENTRY_CAP``
+entries raises ``NoStabilization`` before any dense matrix is made.
 
 A prime-pair rank of more than ``_kernels._CONCURRENT_ENTRIES`` entries
-ranks its two primes at once when the process has at least two cores, can
-fork, runs no other Python thread and the OpenBLAS that numpy loaded lets
-its thread count be set: the calling process forks a child, which inherits
-the COO or payload copy-on-write, moves off the caller's core, makes only
-the second prime's int32 matrix, ranks it and writes the rank (or its
-exception) to a pipe, while the caller makes and ranks the first prime's;
-OpenBLAS is pinned to one thread until both are done, and the child is
-reaped before the rank returns or raises. Otherwise the primes run in
-turn. The ranks, their agreement check and the ledger are the same either
-way. The engine itself is not thread-safe: a caller uses it from one
-thread.
+runs the step of its two primes at once when the process has at least two
+cores, can fork, runs no other Python thread and the OpenBLAS that numpy
+loaded lets its thread count be set: the calling process forks a child,
+which inherits the matrix copy-on-write, moves off the caller's core, runs
+the second prime's step (it makes only that prime's int32 matrix) and
+writes the rank (or its exception) to a pipe, while the caller runs the
+first prime's; OpenBLAS is pinned to one thread until both are done, and
+the child is reaped before the rank returns or raises. Otherwise, and for
+every echelon and kernel, the primes run in turn. The ranks, their
+agreement check and the ledger are the same either way. The engine itself
+is not thread-safe: a caller uses it from one thread.
 
 A kernel runs the realization's reduced echelon form and then one function
 for every field, ``kernel_rows``, before the rows are echelonized; the
@@ -49,13 +57,13 @@ import signal
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, NoReturn, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .assembly import IntCOO
-from .errors import FieldDisagreement, InconsistentResult
+from .errors import FieldDisagreement, InconsistentResult, NoStabilization
 from .field import FieldConfig, Realization, realization
 
 Payload = Mapping[str, np.ndarray]
@@ -92,6 +100,13 @@ class RankRecord:
     rank: int
 
 
+# max dense entries of one matrix the engine eliminates, checked before it
+# makes any (JacobianContext.slice_over_cap checks slices against it earlier):
+# a rank of both primes at once holds one int32 matrix per process, the
+# caller's and its forked child's: 1.6 GB each at the cap, 3.2 GB between them
+_ENTRY_CAP = 400_000_000
+
+
 @functools.cache
 def _can_rank_at_once() -> bool:
     """Whether a pair can rank its two primes at once: the process can fork,
@@ -111,51 +126,18 @@ def _sched_getcpu() -> Callable[[], int]:
     return ctypes.CDLL(None).sched_getcpu
 
 
-def _rank_in_child(
-    F: Realization, matrix: Callable[[Realization], np.ndarray], read_end: int, write_end: int, parent_cpu: int
-) -> NoReturn:
-    """The forked child of a pair: close the parent's ``read_end``, move off
-    ``parent_cpu``, rank ``matrix(F)`` and write the pickled rank, or the
-    exception it raised, to ``write_end``. It never returns into the
-    caller's stack: it ends with ``os._exit`` on every path, which also
-    leaves the buffers of the parent's open files unflushed. An exception
-    that does not survive pickling is replaced by an ``InconsistentResult``
-    naming its type.
-
-    Left to itself, the scheduler of a 2-core VM often kept the child on its
-    parent's core for the whole rank, and the pair took 1.2-1.7 times as
-    long as the two ranks in turn."""
-    status = 1
-    try:
-        os.close(read_end)
-        away = os.sched_getaffinity(0) - {parent_cpu}
-        if away:
-            os.sched_setaffinity(0, away)
-        try:
-            reply = pickle.dumps(F.rank(matrix(F)))
-        except BaseException as exc:
-            try:
-                reply = pickle.dumps(exc)
-                pickle.loads(reply)
-            except Exception:
-                reply = pickle.dumps(
-                    InconsistentResult(f"the rank modulo {F.p} raised {type(exc).__qualname__}, which does not pickle")
-                )
-        with os.fdopen(write_end, "wb") as pipe:
-            pipe.write(reply)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _rank_pair(fields: Sequence[Realization], matrix: Callable[[Realization], np.ndarray]) -> list[int]:
-    """The ranks of ``matrix(F)`` for the two realizations at once: the
-    second in a forked child (``_rank_in_child``), the first in this
-    process, with OpenBLAS pinned to one thread from before the fork until
-    both are done. The child is reaped before this returns or raises; it is
-    killed first when the first rank raises. The child's exception is
-    re-raised here, and a child that ends without a result raises
-    ``InconsistentResult``. If the fork fails, the primes run in turn."""
+def _pair(fields: Sequence[Realization], step: Callable[[Realization], object]) -> list:
+    """``step(F)`` for the two realizations at once: the second in a forked
+    child, which moves off this process's core, the first here, with
+    OpenBLAS pinned to one thread until both are done; in turn if the fork
+    fails. (Left to itself, the scheduler of a 2-core VM often kept the
+    child on its parent's core, and a rank pair took 1.2-1.7 times as long
+    as in turn.) The child writes its pickled result or exception to a pipe
+    and ends with ``os._exit`` on every path, so it never returns into the
+    caller's stack nor flushes the parent's file buffers. It is reaped
+    before this returns or raises, killed first if the first step raises.
+    Its exception is re-raised here; one that does not pickle, or a child
+    that ends without a result, raises ``InconsistentResult``."""
     get_threads, set_threads = _kernels.openblas_threads()
     threads = get_threads()
     set_threads(1)
@@ -167,13 +149,32 @@ def _rank_pair(fields: Sequence[Realization], matrix: Callable[[Realization], np
         except OSError:
             os.close(read_end)
             os.close(write_end)
-            return [F.rank(matrix(F)) for F in fields]
+            return [step(F) for F in fields]
         if pid == 0:
-            _rank_in_child(fields[1], matrix, read_end, write_end, cpu)
+            status = 1
+            try:
+                os.close(read_end)
+                away = os.sched_getaffinity(0) - {cpu}
+                if away:
+                    os.sched_setaffinity(0, away)
+                try:
+                    reply = pickle.dumps(step(fields[1]))
+                except BaseException as exc:
+                    try:
+                        reply = pickle.dumps(exc)
+                        pickle.loads(reply)
+                    except Exception:
+                        what = f"the step modulo {fields[1].p} raised {type(exc).__qualname__}"
+                        reply = pickle.dumps(InconsistentResult(f"{what}, which does not pickle"))
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(reply)
+                status = 0
+            finally:
+                os._exit(status)
         os.close(write_end)
         try:
             with os.fdopen(read_end, "rb") as pipe:
-                first = fields[0].rank(matrix(fields[0]))
+                first = step(fields[0])
                 reply = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -186,11 +187,19 @@ def _rank_pair(fields: Sequence[Realization], matrix: Callable[[Realization], np
         second = pickle.loads(reply)
     except Exception:
         raise InconsistentResult(
-            f"the rank modulo {fields[1].p} ended without a result (exit status {os.waitstatus_to_exitcode(status)})"
+            f"the step modulo {fields[1].p} ended without a result (exit status {os.waitstatus_to_exitcode(status)})"
         ) from None
     if isinstance(second, BaseException):
         raise second
     return [first, second]
+
+
+def _dense(F: Realization, matrix: IntCOO | Payload, dtype: type) -> np.ndarray:
+    """A fresh C-contiguous ``dtype`` matrix for F, which a kernel may
+    overwrite: the COO densified, or a copy of the payload's matrix."""
+    if isinstance(matrix, IntCOO):
+        return F.dense(matrix, dtype)
+    return np.array(matrix[F.key], dtype=dtype, order="C")
 
 
 def kernel_rows(F: Realization, pivots: Sequence[int], rows: np.ndarray) -> np.ndarray:
@@ -233,23 +242,17 @@ class LinearEngine:
             raise InconsistentResult(f"ledger label {label!r} reused with a different result: {old} vs {rec}")
         self.rank_ledger[label] = rec
 
-    def _eliminate(
-        self,
-        op: str,
-        label: str,
-        shape: tuple[int, int],
-        matrix: Callable[[Realization], np.ndarray],
-    ) -> int | SubspaceBasis:
+    def _eliminate(self, op: str, matrix: IntCOO | Payload, label: str) -> int | SubspaceBasis:
         """Run ``op`` ("rank", "rref" or "kernel", which turns the reduced
-        echelon rows into ``kernel_rows``) in every realization on the fresh
-        ``shape`` matrix ``matrix(F)``, which the kernel may overwrite;
-        insist the realizations agree on the rank or the pivot columns;
-        record the rank under ``label``. A rank is answered from the ledger,
-        and a large prime-pair rank runs both primes at once (module
-        docstring); a basis (the span for "rref", the echelonized kernel for
-        "kernel", both of ``shape[1]`` coordinates) from the span cache,
-        which it then fills. A hit of another op or another shape raises
-        ``InconsistentResult``."""
+        echelon rows into ``kernel_rows``) on ``matrix`` (a COO or a
+        payload) in every realization, one ``step`` per field; insist the
+        realizations agree on the rank or the pivot columns; record the rank
+        under ``label``. A rank is answered from the ledger, and a large
+        prime-pair rank runs both steps at once (module docstring); a basis
+        (the span for "rref", the echelonized kernel for "kernel", both of
+        ``shape[1]`` coordinates) from the span cache, which it then fills.
+        A hit of another op or another shape raises ``InconsistentResult``."""
+        shape = matrix.shape if isinstance(matrix, IntCOO) else _payload_shape(matrix, label)
         if op == "rank":
             cached = self._cached_rank(label, shape)
             if cached is not None:
@@ -260,34 +263,35 @@ class LinearEngine:
             if held != op:
                 raise InconsistentResult(f"span cache label {label!r} holds a {held} basis, asked for {op}")
             return basis
+        if shape[0] * shape[1] > _ENTRY_CAP:
+            size = f"{shape[0]} x {shape[1]} ({shape[0] * shape[1]} entries)"
+            raise NoStabilization(f"the matrix {label!r} is {size}, past the feasible size cap of {_ENTRY_CAP}")
+
+        def step(F: Realization) -> tuple:
+            if op == "rank":
+                return F.rank(_dense(F, matrix, F.rank_dtype)), None
+            pivots, rows = F.rref(_dense(F, matrix, F.dtype))
+            return pivots, rows if op == "rref" else kernel_rows(F, pivots, rows)
+
         fields = self.field.realizations
-        checks: dict[str, object] = {}
-        payload: dict[str, np.ndarray] = {}
         at_once = op == "rank" and len(fields) == 2 and shape[0] * shape[1] > _kernels._CONCURRENT_ENTRIES
         if at_once and _can_rank_at_once() and threading.active_count() == 1:
             # forking a process that runs other threads is unsafe
-            ranks = _rank_pair(fields, matrix)
-            checks = {F.key: rank for F, rank in zip(fields, ranks)}
+            results = _pair(fields, step)
         else:
-            for F in fields:
-                if op == "rank":
-                    checks[F.key] = F.rank(matrix(F))
-                else:
-                    checks[F.key], payload[F.key] = F.rref(matrix(F))
-                    if op == "kernel":
-                        # replaces the reduced form, freed before the kernel is echelonized
-                        payload[F.key] = kernel_rows(F, checks[F.key], payload[F.key])
-        first = next(iter(checks.values()))
-        if any(v != first for v in checks.values()):
+            results = [step(F) for F in fields]
+        first = results[0][0]
+        if any(check != first for check, _ in results):
             what = "rank" if op == "rank" else "pivot columns"
             raise FieldDisagreement(
                 f"{what} for {label!r} differs across fields: "
-                + ", ".join(f"{k}={v!r}" for k, v in checks.items())
+                + ", ".join(f"{F.key}={check!r}" for F, (check, _) in zip(fields, results))
             )
         rank = int(first) if op == "rank" else len(first)
         self._record(label, shape[0], shape[1], rank)
         if op == "rank":
             return rank
+        payload = {F.key: rows for F, (_, rows) in zip(fields, results)}
         if op == "kernel":
             basis = self.echelon_payload(payload, label + "/kernel")
         else:
@@ -295,42 +299,22 @@ class LinearEngine:
         self._span_cache[label] = (op, basis)
         return basis
 
-    @staticmethod
-    def _matrices(payload: Payload, copy: bool = True) -> Callable[[Realization], np.ndarray]:
-        """The kernels' matrices of a payload: copies, unless the caller
-        hands its matrices over to be overwritten."""
-        as_matrix = np.array if copy else np.asarray
-        return lambda F: as_matrix(payload[F.key], dtype=F.dtype, order="C")
-
     # -- public entry points ------------------------------------------------
+    # Three ops, each taking a COO or a payload. Each has a second name bound
+    # to it, because perfbench/trace_layers.py patches and counts every name
+    # apart; callers keep the name that says what they pass.
 
-    def rank_coo(self, coo: IntCOO, label: str) -> int:
-        return self._eliminate("rank", label, coo.shape, lambda F: F.dense(coo, F.rank_dtype))
+    def rank_coo(self, matrix: IntCOO | Payload, label: str) -> int:
+        return self._eliminate("rank", matrix, label)
 
-    def rank_payload(self, payload: Payload, label: str) -> int:
-        return self._eliminate(
-            "rank",
-            label,
-            _payload_shape(payload, label),
-            lambda F: np.array(payload[F.key], dtype=F.rank_dtype, order="C"),
-        )
+    def echelon_coo(self, matrix: IntCOO | Payload, label: str) -> SubspaceBasis:
+        return self._eliminate("rref", matrix, label)
 
-    def echelon_coo(self, coo: IntCOO, label: str) -> SubspaceBasis:
-        return self._eliminate("rref", label, coo.shape, lambda F: F.dense(coo))
+    def kernel_coo(self, matrix: IntCOO | Payload, label: str) -> SubspaceBasis:
+        """Echelonized kernel basis of the map x -> M x for each realization."""
+        return self._eliminate("kernel", matrix, label)
 
-    def echelon_payload(self, payload: Payload, label: str) -> SubspaceBasis:
-        return self._eliminate("rref", label, _payload_shape(payload, label), self._matrices(payload))
-
-    def kernel_payload(self, payload: Payload, label: str) -> SubspaceBasis:
-        """Echelonized kernel basis of the map x -> M x for each realization.
-
-        Consumes the payload: a C-contiguous matrix of its realization's
-        dtype is eliminated in place, so callers pass matrices built for the
-        call."""
-        return self._eliminate("kernel", label, _payload_shape(payload, label), self._matrices(payload, copy=False))
-
-    def kernel_coo(self, coo: IntCOO, label: str) -> SubspaceBasis:
-        return self._eliminate("kernel", label, coo.shape, lambda F: F.dense(coo))
+    rank_payload, echelon_payload, kernel_payload = rank_coo, echelon_coo, kernel_coo
 
 
 def _payload_shape(payload: Payload, label: str) -> tuple[int, int]:

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .assembly import IntCOO, jacobian_generator_coo
 from .errors import InconsistentResult, NoStabilization
 from .field import FieldConfig
@@ -25,11 +26,6 @@ from .linalg import LinearEngine, SubspaceBasis, kernel_rows
 from .monomials import exponent_matrix, monomial_rank_rows, space_dim
 from .polynomials import HomogeneousPolynomial, partial_derivatives
 
-
-# max generator-matrix entries per degree (JacobianContext.slice_over_cap):
-# a rank of both primes at once holds one int32 matrix per process, the
-# caller's and its forked child's: 1.6 GB each at the cap, 3.2 GB between them
-_SLICE_ENTRY_CAP = 400_000_000
 
 # Returned by coincidence_threshold when no deviation exists through the
 # socle degree plus one: the Hilbert-function signature of a smooth
@@ -112,11 +108,12 @@ class JacobianContext:
 
     def slice_over_cap(self, k: int) -> str:
         """Why the degree-k generator matrix is too large to assemble and
-        rank, or "" when its dense entry count is within the cap. Checked
-        before any matrix is assembled, by every caller that scans degrees
-        upward: certification, tjurina_count and the hilbert command."""
+        rank, or "" when its dense entry count is within the engine's cap
+        (``linalg._ENTRY_CAP``). Checked before any matrix is assembled, by
+        every caller that scans degrees upward: certification,
+        tjurina_count and the hilbert command's probe."""
         rows, cols = (self.n + 1) * space_dim(self.n, k - self.d + 1), space_dim(self.n, k)
-        if rows * cols <= _SLICE_ENTRY_CAP:
+        if rows * cols <= linalg._ENTRY_CAP:
             return ""
         return f"the degree-{k} ideal slice is {rows} x {cols} ({rows * cols} entries), past the feasible size cap"
 

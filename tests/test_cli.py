@@ -72,6 +72,42 @@ def test_hilbert_reads_polynomial_files(tmp_path, capsys):
     assert doc["parameters"]["degree"] == 4
 
 
+def test_hilbert_keeps_its_table_when_the_count_does_not_stabilize(tmp_path, capsys):
+    # a cubic surface in (x0, x1)^2: singular along the line x0 = x1 = 0
+    poly = tmp_path / "f.txt"
+    poly.write_text("x0^2*x2 + x1^2*x3 + x0*x1*x2 + x0^3 + x1^3 + 2*x0^2*x3\n")
+    code, doc = run_json(capsys, ["hilbert", "--input", str(poly)])
+    assert code == 0
+    results = doc["results"]
+    assert [row["quotient"] for row in results["hilbert_table"]] == [1, 4, 6, 6, 7, 8, 9]
+    assert (results["socle_degree"], results["coincidence_threshold"]) == (4, 2)
+    assert results["tjurina"] == "not stabilized"
+    assert results["tjurina_note"] == "quotient dimensions did not stabilize by degree 13"
+
+
+@pytest.mark.parametrize("field", ["fp:2147483629,fp:2147483587", "exact"])
+@pytest.mark.parametrize(
+    "argv", [["koszul", "--kmax", "14"], ["hilbert", "--kmax", "12"]], ids=["koszul", "hilbert"]
+)
+def test_user_chosen_degrees_stop_at_the_entry_cap(monkeypatch, capsys, field, argv):
+    from nodalcert import field as field_module
+    from nodalcert import linalg
+
+    cap = 140_000  # above certify's largest slice on this quartic (480 x 286)
+    monkeypatch.setattr(linalg, "_ENTRY_CAP", cap)
+    densified = []
+
+    def spy(dense):
+        return lambda self, coo, *args: densified.append(coo.shape) or dense(self, coo, *args)
+
+    for realization in (field_module.PrimeField, field_module.Rationals):
+        monkeypatch.setattr(realization, "dense", spy(realization.dense))
+    code = main(argv + ["--fixture", "one_node:3,4,seed=101", "--field", field])
+    assert code == 2
+    assert "past the feasible size cap of 140000" in capsys.readouterr().err
+    assert densified and max(rows * cols for rows, cols in densified) <= cap
+
+
 def test_smooth_inputs_require_opt_in(capsys):
     assert main(["pairing-check", "--fixture", "fermat:3,4"]) == 2
     capsys.readouterr()

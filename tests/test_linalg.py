@@ -121,6 +121,17 @@ def test_payload_entry_points_take_their_shape_from_the_payload():
     assert (ker.ncols, ker.dim) == (5, 5)
 
 
+def test_the_engine_never_writes_into_a_callers_payload(engine):
+    A = [[1, 2, 0, 3], [2, 4, 1, 6], [0, 0, 5, 1]]
+    payload = {F.key: F.convert(A).reshape(3, 4) for F in engine.field.realizations}
+    before = {key: m.copy() for key, m in payload.items()}
+    assert engine.rank_payload(payload, "rank") == 3
+    assert engine.echelon_payload(payload, "span").dim == 3
+    assert engine.kernel_payload(payload, "kernel").dim == 1
+    for key, m in payload.items():
+        assert m.dtype == before[key].dtype and np.array_equal(m, before[key])
+
+
 def test_two_prime_and_exact_agree_on_random_input():
     rng = np.random.default_rng(17)
     arr = (rng.integers(-9, 10, size=(12, 10)) * rng.integers(0, 2, size=(12, 10))).astype(np.int64)

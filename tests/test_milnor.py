@@ -69,18 +69,18 @@ def test_nodal_threshold_and_tjurina(roster):
 
 
 def test_the_tjurina_scan_stops_at_the_entry_cap_before_assembly(monkeypatch):
-    from nodalcert import milnor
+    from nodalcert import linalg, milnor
 
     assembled = []
     real = milnor.jacobian_generator_coo
     monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k: assembled.append(k) or real(partials, k))
     ctx = JacobianContext(one_node(3, 4, 1).f, FieldConfig.prime_pair())
     # the scan ranks degrees 8, 9 and 10; the degree-10 slice is 480 x 286
-    monkeypatch.setattr(milnor, "_SLICE_ENTRY_CAP", 480 * 286 - 1)
+    monkeypatch.setattr(linalg, "_ENTRY_CAP", 480 * 286 - 1)
     with pytest.raises(NoStabilization, match=r"degree-10 ideal slice is 480 x 286 .* past the feasible size cap"):
         tjurina_count(ctx)
     assert assembled == []
-    monkeypatch.setattr(milnor, "_SLICE_ENTRY_CAP", 480 * 286)
+    monkeypatch.setattr(linalg, "_ENTRY_CAP", 480 * 286)
     assert tjurina_count(ctx) == 1
     assert assembled == [8, 9, 10]
 

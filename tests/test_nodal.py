@@ -163,10 +163,10 @@ def test_multi_node_points_are_distinct_unit_points():
 
 
 def test_a_job_over_the_entry_cap_fails_before_any_matrix_is_assembled(monkeypatch):
-    from nodalcert import milnor
+    from nodalcert import linalg, milnor
 
     assembled = []
-    monkeypatch.setattr(milnor, "_SLICE_ENTRY_CAP", 1_000)
+    monkeypatch.setattr(linalg, "_ENTRY_CAP", 1_000)
     monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k: assembled.append(k))
     fx = one_node(3, 4, 1)
     for route in _ROUTES:

@@ -30,3 +30,28 @@ def test_the_tracer_installs_and_counts_an_engine_call():
         tracer.restore()
     assert tracer.stats["linalg.rank_coo.calls"] == 1
     assert not hasattr(LinearEngine.rank_coo, "__wrapped__")
+
+
+def test_the_tracer_sees_every_engine_name_in_a_whole_job():
+    import nodalcert
+    from nodalcert.fixtures import one_node
+    from nodalcert.milnor import JacobianContext
+
+    trace_layers = _trace_layers()
+    tracer = trace_layers.Tracer()
+    fx = one_node(3, 4, 101)
+    try:
+        tracer.install(trace_layers.TARGETS)
+        # called through the package, where the tracer patched them
+        ctx = JacobianContext(fx.f, FieldConfig.prime_pair())
+        assert nodalcert.certify_nodal(ctx, fx.points).kind == "Nodal"
+        assert nodalcert.pairing_injective(ctx)
+        assert all(nodalcert.variable_multiplication_kernel(ctx, t).dim == 0 for t in range(4))
+        nodalcert.hodge_graded_dims(ctx)
+        assert nodalcert.saturation_graded(ctx, 2 * ctx.d - 4).dim > 0
+    finally:
+        tracer.restore()
+    for name in ("rank_coo", "rank_payload", "echelon_coo", "echelon_payload", "kernel_payload"):
+        assert tracer.stats[f"linalg.{name}.calls"] > 0, name
+    assert tracer.stats["linalg.eliminations"] > 0
+    assert tracer.stats["kernels.rref_mod.calls"] > 0
