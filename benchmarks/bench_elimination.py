@@ -17,9 +17,12 @@ kernel is faster at each size; ``rank_mod`` and ``rref_mod`` both switch
 from scalar to blocked above ``_SCALAR_CUTOFF`` entries. The last line of
 output is one JSON object with every timing.
 
-On the blocked slices (above ``_SCALAR_CUTOFF`` entries) two more columns
-time the blocked rank of int32 copies, as the engine ranks them: ``i32/64``
-is their time in turn over that of the int64 copies, and ``once/turn`` the
+On the blocked slices (above ``_SCALAR_CUTOFF`` entries) three more columns
+time int32 copies, as the engine eliminates them: ``i32/64`` is the time of
+their blocked rank in turn over that of the int64 copies, ``kern/rank``
+the time of the annihilator step (``linalg.annihilator``: the blocked
+forward pass and the back-substitution on the free columns only, fed to
+``kernel_rows``) over that of their blocked rank, and ``once/turn`` the
 wall time of both primes ranked at once (``linalg._pair``, the
 engine's concurrent pair: the second prime in a forked child process,
 which copies its own matrix, fork and reap included) over their time in
@@ -29,8 +32,10 @@ single runs are noisy. Without a second core, ``os.fork`` or OpenBLAS
 thread control the pair is not timed.
 
 Any disagreement — a rank differing between kernels, a random matrix whose
-rank is not the requested one, or blocked RREF rows or pivots differing
-from the scalar RREF's — is reported and makes the script exit 1.
+rank is not the requested one, blocked RREF rows or pivots differing from
+the scalar RREF's, or annihilator pivots or vectors differing from the
+``kernel_rows`` of the blocked RREF — is reported and makes the script
+exit 1.
 
 Usage:
     python3 benchmarks/bench_elimination.py [--quick] [--seed N]
@@ -61,7 +66,7 @@ from nodalcert._kernels import _np_rref, blocked_rank_mod, blocked_rref_mod  # n
 from nodalcert.assembly import jacobian_generator_coo  # noqa: E402
 from nodalcert.field import DEFAULT_PRIMES, PrimeField  # noqa: E402
 from nodalcert.fixtures import one_node  # noqa: E402
-from nodalcert.linalg import _can_rank_at_once, _pair  # noqa: E402
+from nodalcert.linalg import _can_rank_at_once, _pair, annihilator, kernel_rows  # noqa: E402
 from nodalcert.polynomials import partial_derivatives  # noqa: E402
 
 # (label, rows, cols, rank): random matrices in Jacobian-slice shapes.
@@ -146,6 +151,18 @@ def best_pair_time(mats: dict[int, np.ndarray], repeats: int) -> tuple[float, li
     return best, ranks
 
 
+def best_annihilator_time(A: np.ndarray, p: int, repeats: int):
+    """Best wall time of ``repeats`` annihilator steps on fresh copies of A,
+    and the step's pivots and vectors."""
+    best = float("inf")
+    for _ in range(repeats):
+        M = A.copy()
+        t0 = time.perf_counter()
+        pivots, vectors = annihilator(PrimeField(p), M)
+        best = min(best, time.perf_counter() - t0)
+    return best, pivots, vectors
+
+
 def inputs(seed: int, quick: bool):
     """Yield (label, {p: matrix}, requested rank or None)."""
     rng = np.random.default_rng(seed)
@@ -171,7 +188,8 @@ def main(argv: list[str] | None = None) -> int:
 
     pair = _can_rank_at_once()
     header = (f"{'case':<30} {'shape':>11} {'entries':>9} {'rank':>6}"
-              f" {'scalar':>14} {'b.rref':>14} {'b.rank':>14} {'ratio':>6} {'i32/64':>6} {'once/turn':>9}")
+              f" {'scalar':>14} {'b.rref':>14} {'b.rank':>14} {'ratio':>6} {'i32/64':>6} {'kern/rank':>9}"
+              f" {'once/turn':>9}")
     print(f"primes {DEFAULT_PRIMES}, seed {args.seed}, _SCALAR_CUTOFF {_kernels._SCALAR_CUTOFF},"
           f" _CONCURRENT_ENTRIES {_kernels._CONCURRENT_ENTRIES}, {BLAS_THREADS} BLAS thread,"
           f" pair {'timed' if pair else 'not timed'}")
@@ -185,7 +203,8 @@ def main(argv: list[str] | None = None) -> int:
         record = {"case": label, "rows": rows, "cols": cols, "entries": rows * cols, "requested_rank": requested}
         ranks: dict[int, set[int]] = {p: set() for p in mats}
         reference: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        echelon_differs = False
+        blocked_echelon: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        echelon_differs = kernel_differs = False
         secs = dict.fromkeys(ALGORITHMS, 0.0)
         for aname, algo in ALGORITHMS.items():
             for p, A in mats.items():
@@ -193,6 +212,8 @@ def main(argv: list[str] | None = None) -> int:
                 secs[aname] += dt
                 ranks[p].add(got)
                 if echelon is not None:
+                    if aname == "blocked_rref":
+                        blocked_echelon[p] = echelon
                     ref = reference.setdefault(p, echelon)
                     echelon_differs |= not all(map(np.array_equal, echelon, ref))
             record[f"{aname}_s"] = round(secs[aname], 6)
@@ -207,6 +228,16 @@ def main(argv: list[str] | None = None) -> int:
                 ranks[p].add(got)
             record["blocked_int32_s"] = round(int32_s, 6)
             line += f" {int32_s / secs['blocked']:>6.2f}"
+            kernel_s = 0.0
+            for p, A in mats32.items():
+                dt, pivots, vectors = best_annihilator_time(A, p, repeats)
+                kernel_s += dt
+                ranks[p].add(len(pivots))
+                M, ref_pivots = blocked_echelon[p]
+                expected = kernel_rows(PrimeField(p), ref_pivots, M[: len(ref_pivots)])
+                kernel_differs |= pivots != tuple(ref_pivots.tolist()) or not np.array_equal(vectors, expected)
+            record["annihilator_int32_s"] = round(kernel_s, 6)
+            line += f" {kernel_s / int32_s:>9.2f}"
             if pair:
                 pair_s, got = best_pair_time(mats32, repeats)
                 for p, r in zip(mats32, got):
@@ -216,18 +247,21 @@ def main(argv: list[str] | None = None) -> int:
         bad_rank = any(len(v) != 1 or (requested is not None and v != {requested}) for v in ranks.values())
         record["ranks"] = {str(p): sorted(v) for p, v in ranks.items()}
         record["echelon_differs"] = echelon_differs
+        record["kernel_differs"] = kernel_differs
         rank_text = "?" if bad_rank else "/".join(sorted({str(min(v)) for v in ranks.values()}))
         print(f"{label:<30} {rows:>5}x{cols:<5} {rows * cols:>9} {rank_text:>6}" + line
-              + ("  RANK DISAGREEMENT" if bad_rank else "") + ("  RREF DISAGREEMENT" if echelon_differs else ""),
+              + ("  RANK DISAGREEMENT" if bad_rank else "") + ("  RREF DISAGREEMENT" if echelon_differs else "")
+              + ("  KERNEL DISAGREEMENT" if kernel_differs else ""),
               flush=True)
-        disagreements += bad_rank or echelon_differs
+        disagreements += bad_rank or echelon_differs or kernel_differs
         records.append(record)
     print("b.rref = blocked_rref_mod, b.rank = blocked_rank_mod; "
           "ratio = scalar time / b.rref time (above 1: the blocked RREF is faster); "
           "i32/64 = b.rank time on int32 / on int64 copies; "
+          "kern/rank = annihilator step time / b.rank time, both on int32 copies; "
           "once/turn = int32 b.rank wall time of both primes at once (the second in a forked child) / in turn")
     if disagreements:
-        print(f"{disagreements} case(s) with disagreeing ranks or RREFs", file=sys.stderr)
+        print(f"{disagreements} case(s) with disagreeing ranks, RREFs or kernels", file=sys.stderr)
     print(json.dumps({
         "seed": args.seed,
         "primes": list(DEFAULT_PRIMES),

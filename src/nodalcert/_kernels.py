@@ -29,7 +29,13 @@ later, near 100,000 entries (see the constant).
   multiplies each block by the inverse of its unit upper-triangular pivot
   block and clears the block's pivot columns in the rows above it with one
   product. The reduced form is unique, so it equals the scalar one entry
-  for entry. Every product X @ Y has an inner dimension of at most 128 and
+  for entry. ``blocked_rref_free_mod`` runs the same back-substitution on
+  the free columns only, which is all a kernel needs: after the forward
+  pass it solves U_P X = U_free for the reduced form's free columns X
+  (rank x (cols - rank)), reading U's pivot columns, scaled, at most 128
+  at a time; it never makes the reduced form nor an int64 copy of the
+  matrix, so on int32 its footprint is that of the blocked rank plus X.
+  Every product X @ Y has an inner dimension of at most 128 and
   runs as two float64 products: the narrow factor X is split into balanced
   16-bit limbs, X = X1 * 2^16 + X0 with X0 in [-2^15, 2^15) and X1 in
   [0, 2^15], and Y stays whole (X1 multiplies 2^16 Y mod p), so each dot
@@ -45,14 +51,15 @@ later, near 100,000 entries (see the constant).
 every residue below p < 2^31 fits. It reads int32 entries into int64 (the
 transposed panel, the factor of every product) and writes back residues,
 so its rank and every intermediate matrix are those of an int64 copy.
-``LinearEngine`` ranks in int32, and above ``_CONCURRENT_ENTRIES`` runs
-the per-prime step of a rank (never of an echelon or kernel) for both
-primes at once, the second in a child process forked for the pair
+``LinearEngine`` ranks in int32, and takes annihilators in int32 through
+``rref_free_mod``; above ``_CONCURRENT_ENTRIES`` it runs the per-prime
+step of a rank or an annihilator (never of an echelon or general kernel)
+for both primes at once, the second in a child process forked for the pair
 (``linalg._pair``), with OpenBLAS pinned to one thread through
 ``openblas_threads``.
 The kernels themselves start no thread or process and set no BLAS thread
-count. Kernel rows of a reduced form are derived in ``linalg``, for both
-fields.
+count. Kernel rows of a reduced form, or of its free columns, are derived
+in ``linalg``, for both fields.
 """
 
 from __future__ import annotations
@@ -444,6 +451,51 @@ def blocked_rref_mod(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
         if b0:
             _fuse_product(A[:b0, c:], A[:b0, cols], B, p)
     return rank, pivots
+
+
+def blocked_rref_free_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot columns of the reduced row echelon form of A over F_p and that
+    form's free columns, X = U_P^-1 U_free (rank x (cols - rank), int64),
+    without forming the rest of it; destroys A, which is int64 or int32 as
+    for ``blocked_rank_mod``.
+
+    After the forward pass, U is A's pivot rows scaled to unit pivots, U_P
+    its pivot columns (unit upper triangular) and U_free the others. X
+    starts as U_free; then, over blocks of up to PANEL_WIDTH pivot rows from
+    the bottom up, the block of X is multiplied by the inverse of the
+    block's diagonal pivot block and the rows above it lose their pivot
+    entries in the block times the block of X, through one fuse per column
+    chunk: ``blocked_rref_mod``'s back-substitution on the free columns
+    only. U's pivot columns are scaled as they are read, at most
+    rank x PANEL_WIDTH at a time, so besides X no int64 copy of A is made.
+    """
+    if not (A.dtype == np.int64 or (A.dtype == np.int32 and p < 1 << 31)):
+        raise InconsistentResult(f"blocked kernel of a {A.dtype} matrix modulo {p}")
+    pivots = _forward(A, p)
+    rank = pivots.size
+    inv = np.array([pow(int(a), p - 2, p) for a in A[np.arange(rank), pivots]], dtype=np.int64)
+    X = _np_reduce(np.delete(A[:rank], pivots, axis=1) * inv[:, None], p)
+    for b0 in range(PANEL_WIDTH * ((rank - 1) // PANEL_WIDTH), -1, -PANEL_WIDTH):
+        b1 = min(b0 + PANEL_WIDTH, rank)
+        G = _np_reduce(A[:b1, pivots[b0:b1]] * inv[:b1, None], p)  # U_P[:b1, block]
+        if b1 - b0 > 1:
+            _np_left_multiply(X[b0:b1], _np_unit_lower_inverse(G[b0:].T, p).T, p)
+        if b0:
+            _fuse_product(X[:b0], G[:b0], X[b0:b1], p)
+    return pivots, X
+
+
+def rref_free_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot columns of the reduced row echelon form of A over F_p and that
+    form's free columns (rank x (cols - rank), int64); destroys A. At or
+    below _SCALAR_CUTOFF entries they are read off ``rref_mod`` of an int64
+    copy of an int32 A, above it they come from ``blocked_rref_free_mod``.
+    ``linalg.kernel_rows`` turns them into kernel rows."""
+    if A.size > _SCALAR_CUTOFF:
+        return blocked_rref_free_mod(A, p)
+    A = A.astype(np.int64, copy=False)
+    rank, pivots = rref_mod(A, p)
+    return pivots, np.delete(A[:rank], pivots, axis=1)
 
 
 def rank_mod(A: np.ndarray, p: int) -> int:

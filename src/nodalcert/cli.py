@@ -27,6 +27,7 @@ from .errors import (
     NoStabilization,
     NotEffective,
     ParseError,
+    ScanExhausted,
     UnsupportedDimension,
 )
 from .field import FieldConfig, parse_field_flag
@@ -233,11 +234,19 @@ def _koszul(job: _Job, cert: NodalCertificate) -> int:
         if bad:
             code = 1
     if job.args.qmax is not None:
-        mdr = min_relation_degree(ctx, job.args.qmax)
+        try:
+            mdr = min_relation_degree(ctx, job.args.qmax)
+        except ScanExhausted as exc:
+            # the dims and the vanishing verdict still stand; with no
+            # relation degree there is no threshold identity to check
+            mdr = None
+            job.report.results["min_relation_degree"] = "not found"
+            job.report.results["min_relation_degree_note"] = str(exc)
+        else:
+            job.report.results["min_relation_degree"] = mdr
         ct = coincidence_threshold(ctx)
-        job.report.results["min_relation_degree"] = mdr
         job.report.results["coincidence_threshold"] = ct
-        if cert.kind == "Nodal" and ct is not SMOOTH:
+        if mdr is not None and cert.kind == "Nodal" and ct is not SMOOTH:
             identity = ct == mdr + d - 2
             job.report.results["threshold_identity"] = identity
             if not identity:

@@ -12,9 +12,10 @@ few operations on them the engine and the graded algebra need. Payloads are
 ``dtype=object`` entries (Fractions or ints) over Q, so indexing, stacking
 and reshaping are written once for both. A matrix made only to be ranked
 has the realization's ``rank_dtype``: int32 over F_p, half the bytes,
-since a residue below p < 2**31 fits. A kernel needs only ``rref``,
-``dtype`` and ``normalize``: the engine derives its rows from the reduced
-form the same way in both fields.
+since a residue below p < 2**31 fits. A kernel needs ``rref`` (or
+``rref_free``, only the reduced form's free columns), ``dtype`` and
+``normalize``: the engine derives its rows from those columns the same way
+in both fields.
 """
 
 from __future__ import annotations
@@ -101,6 +102,13 @@ class PrimeField:
         rank, pivots = _kernels.rref_mod(mat, self.p)
         return tuple(int(c) for c in pivots), mat[:rank].copy()
 
+    def rref_free(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+        """Pivot columns of mat's reduced echelon form and only that form's
+        free columns (int64), without the rest; mat is int64 or int32 and
+        is overwritten."""
+        pivots, free = _kernels.rref_free_mod(mat, self.p)
+        return tuple(int(c) for c in pivots), free
+
 
 @dataclass(frozen=True)
 class Rationals:
@@ -124,6 +132,10 @@ class Rationals:
     def rref(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
         ech, pivots = exact.rref_fraction(mat)
         return pivots, _rows(ech, mat.shape[1])
+
+    def rref_free(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+        pivots, rows = self.rref(mat)
+        return pivots, np.delete(rows, pivots, axis=1)
 
 
 def _rows(rows: exact.ExactRows, ncols: int) -> np.ndarray:

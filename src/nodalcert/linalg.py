@@ -29,15 +29,27 @@ matrix made only to be ranked has the realization's ``rank_dtype``
 instead, int32 for a prime key. A matrix of more than ``_ENTRY_CAP``
 entries raises ``NoStabilization`` before any dense matrix is made.
 
-A prime-pair rank of more than ``_kernels._CONCURRENT_ENTRIES`` entries
-runs the step of its two primes at once when the process has at least two
-cores, can fork, runs no other Python thread and the OpenBLAS that numpy
-loaded lets its thread count be set: the calling process forks a child,
-which inherits the matrix copy-on-write, moves off the caller's core, runs
-the second prime's step (it makes only that prime's int32 matrix) and
-writes the rank (or its exception) to a pipe, while the caller runs the
-first prime's; OpenBLAS is pinned to one thread until both are done, and
-the child is reaped before the rank returns or raises. Otherwise, and for
+A fourth op, ``annihilator_coo``, serves ``milnor``'s Jacobian slices past
+the socle degree: one elimination of the ``rank_dtype`` matrix records
+the rank and returns, per field, the kernel rows of x -> M x from
+``annihilator``, which over F_p never makes the reduced form (see
+``_kernels.blocked_rref_free_mod``). It is neither cached nor
+echelonized, and adds no ledger label of its own; the realizations must
+agree on the rank. ``derived_rank`` records a rank that ``milnor``
+derives from such rows without building the matrix, under the same size
+cap and agreement check.
+
+A prime-pair rank or annihilator of more than
+``_kernels._CONCURRENT_ENTRIES`` entries runs the step of its two primes
+at once when the process has at least two cores, can fork, runs no other
+Python thread and the OpenBLAS that numpy loaded lets its thread count be
+set: the calling process forks a child, which inherits the matrix
+copy-on-write, moves off the caller's core, runs the second prime's step
+(it makes only that prime's int32 matrix) and writes the rank (with an
+annihilator's rows, h x N for a quotient of dimension h, so few past the
+socle) or its exception to a pipe, while the caller runs the first
+prime's; OpenBLAS is pinned to one thread until both are done, and the
+child is reaped before the rank returns or raises. Otherwise, and for
 every echelon and kernel, the primes run in turn. The ranks, their
 agreement check and the ledger are the same either way. The engine itself
 is not thread-safe: a caller uses it from one thread.
@@ -202,17 +214,28 @@ def _dense(F: Realization, matrix: IntCOO | Payload, dtype: type) -> np.ndarray:
     return np.array(matrix[F.key], dtype=dtype, order="C")
 
 
-def kernel_rows(F: Realization, pivots: Sequence[int], rows: np.ndarray) -> np.ndarray:
+def kernel_rows(F: Realization, pivots: Sequence[int], rows: np.ndarray, ncols: int | None = None) -> np.ndarray:
     """Kernel rows, of F's dtype, of the map x -> M x whose reduced echelon
     rows over F are ``rows`` with pivot columns ``pivots``: one row per free
-    column g, with 1 at g and -rows[t, g] at pivots[t]. The rows are
-    independent but not echelonized."""
+    column g, with 1 at g and -rows[t, g] at pivots[t]. Given ``ncols``,
+    ``rows`` holds only the free columns of those rows, in order, as
+    ``Realization.rref_free`` returns them. The rows are independent but not
+    echelonized."""
+    width = rows.shape[1] if ncols is None else ncols
     pivots = np.array(pivots, dtype=np.int64)
-    free = np.delete(np.arange(rows.shape[1]), pivots)
-    out = np.zeros((len(free), rows.shape[1]), dtype=F.dtype)
+    free = np.delete(np.arange(width), pivots)
+    out = np.zeros((len(free), width), dtype=F.dtype)
     out[np.arange(len(free)), free] = 1
-    out[:, pivots] = F.normalize(-rows[:, free]).T
+    out[:, pivots] = F.normalize(-(rows[:, free] if ncols is None else rows)).T
     return out
+
+
+def annihilator(F: Realization, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """The pivot columns of mat's reduced echelon form over F and the
+    ``kernel_rows`` of mat, from ``F.rref_free``: the rest of the reduced
+    form is never made. Overwrites mat."""
+    pivots, free = F.rref_free(mat)
+    return pivots, kernel_rows(F, pivots, free, mat.shape[1])
 
 
 class LinearEngine:
@@ -242,67 +265,81 @@ class LinearEngine:
             raise InconsistentResult(f"ledger label {label!r} reused with a different result: {old} vs {rec}")
         self.rank_ledger[label] = rec
 
-    def _eliminate(self, op: str, matrix: IntCOO | Payload, label: str) -> int | SubspaceBasis:
-        """Run ``op`` ("rank", "rref" or "kernel", which turns the reduced
+    def _settle(self, what: str, label: str, shape: tuple[int, int], results: list) -> int:
+        """Insist that the realizations' ``(check, rows)`` results agree on
+        their check (``what``: "rank" or "pivot columns"), else raise
+        ``FieldDisagreement``; record the rank under ``label`` and return it."""
+        first = results[0][0]
+        if any(check != first for check, _ in results):
+            raise FieldDisagreement(
+                f"{what} for {label!r} differs across fields: "
+                + ", ".join(f"{F.key}={check!r}" for F, (check, _) in zip(self.field.realizations, results))
+            )
+        rank = int(first) if what == "rank" else len(first)
+        self._record(label, shape[0], shape[1], rank)
+        return rank
+
+    def _eliminate(self, op: str, matrix: IntCOO | Payload, label: str) -> int | SubspaceBasis | tuple:
+        """Run ``op`` ("rank"; "annihilator", the rank and the kernel rows
+        from ``annihilator``; "rref"; or "kernel", which turns the reduced
         echelon rows into ``kernel_rows``) on ``matrix`` (a COO or a
         payload) in every realization, one ``step`` per field; insist the
-        realizations agree on the rank or the pivot columns; record the rank
-        under ``label``. A rank is answered from the ledger, and a large
-        prime-pair rank runs both steps at once (module docstring); a basis
-        (the span for "rref", the echelonized kernel for "kernel", both of
-        ``shape[1]`` coordinates) from the span cache, which it then fills.
-        A hit of another op or another shape raises ``InconsistentResult``."""
+        realizations agree on the rank (or, for "rref" and "kernel", the
+        pivot columns); record the rank under ``label``. A rank is answered
+        from the ledger, and a large prime-pair rank or annihilator runs
+        both steps at once (module docstring). An annihilator is neither
+        cached nor echelonized. A basis (the span for "rref", the
+        echelonized kernel for "kernel", both of ``shape[1]`` coordinates)
+        comes from the span cache, which it then fills. A hit of another op
+        or another shape raises ``InconsistentResult``."""
         shape = matrix.shape if isinstance(matrix, IntCOO) else _payload_shape(matrix, label)
         if op == "rank":
             cached = self._cached_rank(label, shape)
             if cached is not None:
                 return cached
-        elif label in self._span_cache:
+        elif op != "annihilator" and label in self._span_cache:
             self._cached_rank(label, shape)  # raises unless the shapes agree
             held, basis = self._span_cache[label]
             if held != op:
                 raise InconsistentResult(f"span cache label {label!r} holds a {held} basis, asked for {op}")
             return basis
-        if shape[0] * shape[1] > _ENTRY_CAP:
-            size = f"{shape[0]} x {shape[1]} ({shape[0] * shape[1]} entries)"
-            raise NoStabilization(f"the matrix {label!r} is {size}, past the feasible size cap of {_ENTRY_CAP}")
+        _check_size(label, shape)
 
         def step(F: Realization) -> tuple:
             if op == "rank":
                 return F.rank(_dense(F, matrix, F.rank_dtype)), None
+            if op == "annihilator":
+                pivots, rows = annihilator(F, _dense(F, matrix, F.rank_dtype))
+                return len(pivots), rows
             pivots, rows = F.rref(_dense(F, matrix, F.dtype))
             return pivots, rows if op == "rref" else kernel_rows(F, pivots, rows)
 
         fields = self.field.realizations
-        at_once = op == "rank" and len(fields) == 2 and shape[0] * shape[1] > _kernels._CONCURRENT_ENTRIES
+        ranked = op in ("rank", "annihilator")
+        at_once = ranked and len(fields) == 2 and shape[0] * shape[1] > _kernels._CONCURRENT_ENTRIES
         if at_once and _can_rank_at_once() and threading.active_count() == 1:
             # forking a process that runs other threads is unsafe
             results = _pair(fields, step)
         else:
             results = [step(F) for F in fields]
-        first = results[0][0]
-        if any(check != first for check, _ in results):
-            what = "rank" if op == "rank" else "pivot columns"
-            raise FieldDisagreement(
-                f"{what} for {label!r} differs across fields: "
-                + ", ".join(f"{F.key}={check!r}" for F, (check, _) in zip(fields, results))
-            )
-        rank = int(first) if op == "rank" else len(first)
-        self._record(label, shape[0], shape[1], rank)
+        rank = self._settle("rank" if ranked else "pivot columns", label, shape, results)
         if op == "rank":
             return rank
         payload = {F.key: rows for F, (_, rows) in zip(fields, results)}
+        if op == "annihilator":
+            return rank, payload
         if op == "kernel":
             basis = self.echelon_payload(payload, label + "/kernel")
         else:
-            basis = SubspaceBasis(shape[1], first, payload)
+            basis = SubspaceBasis(shape[1], results[0][0], payload)
         self._span_cache[label] = (op, basis)
         return basis
 
     # -- public entry points ------------------------------------------------
     # Three ops, each taking a COO or a payload. Each has a second name bound
     # to it, because perfbench/trace_layers.py patches and counts every name
-    # apart; callers keep the name that says what they pass.
+    # apart; callers keep the name that says what they pass. The annihilator
+    # and the derived rank serve JacobianContext.jacobian_dim alone.
 
     def rank_coo(self, matrix: IntCOO | Payload, label: str) -> int:
         return self._eliminate("rank", matrix, label)
@@ -314,7 +351,35 @@ class LinearEngine:
         """Echelonized kernel basis of the map x -> M x for each realization."""
         return self._eliminate("kernel", matrix, label)
 
+    def annihilator_coo(self, matrix: IntCOO, label: str) -> tuple[int, dict[str, np.ndarray]]:
+        """The rank of M, recorded under ``label``, and per field key the
+        ``kernel_rows`` of x -> M x, not echelonized: for a generator matrix,
+        the functionals vanishing on its row space. One elimination, which
+        makes no reduced form."""
+        return self._eliminate("annihilator", matrix, label)
+
+    def derived_rank(
+        self, label: str, shape: tuple[int, int], step: Callable[[Realization], tuple[int, np.ndarray]]
+    ) -> tuple[int, dict[str, np.ndarray]]:
+        """Record under ``label`` the rank of a ``shape`` matrix that is never
+        made: ``step(F)`` gives it, with rows of the caller's choosing, in
+        each realization from what the caller holds, through F's own ops and
+        outside the ledger. The size cap and the agreement check are those of
+        an elimination. Returns the rank and the rows per field key."""
+        _check_size(label, shape)
+        results = [step(F) for F in self.field.realizations]
+        rank = self._settle("rank", label, shape, results)
+        return rank, {F.key: rows for F, (_, rows) in zip(self.field.realizations, results)}
+
     rank_payload, echelon_payload, kernel_payload = rank_coo, echelon_coo, kernel_coo
+
+
+def _check_size(label: str, shape: tuple[int, int]) -> None:
+    """Raise ``NoStabilization`` for a matrix of more than ``_ENTRY_CAP``
+    entries, before any of it is made."""
+    if shape[0] * shape[1] > _ENTRY_CAP:
+        size = f"{shape[0]} x {shape[1]} ({shape[0] * shape[1]} entries)"
+        raise NoStabilization(f"the matrix {label!r} is {size}, past the feasible size cap of {_ENTRY_CAP}")
 
 
 def _payload_shape(payload: Payload, label: str) -> tuple[int, int]:

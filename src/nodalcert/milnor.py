@@ -6,6 +6,27 @@ generator matrix, the quotient algebra dimension is the codimension, and
 the saturation slice is the kernel of "multiply by every monomial of one
 fixed degree chosen to land past the socle, then reduce mod the ideal".
 
+From the socle degree on, where the quotient is small, one elimination of
+a slice also yields its annihilator: the functionals on S_k vanishing on
+the degree-k slice J_k, one per quotient dimension (the slice's
+``kernel_rows``, Macaulay's inverse system in degree k). The next degree's
+rank then needs no slice. For k >= d-1, J_(k+1) = S_1 J_k, since every
+generator row of degree k+1 is a variable times one of degree k. So a
+functional mu on S_(k+1) vanishes on J_(k+1) exactly when each contraction
+mu o x_i (g -> mu(x_i g), on S_k) vanishes on J_k, that is
+mu o x_i = sum_t c_(i,t) lambda_t over the annihilator lambda_1..lambda_h
+of J_k. Conversely, functionals nu_i on S_k are the contractions of one mu
+exactly when nu_i(x_j x^c) = nu_j(x_i x^c) for every i < j and every x^c of
+degree k-1, and then mu(x^a) = nu_i(x^a / x_i) for any x_i dividing x^a.
+With nu_i = sum_t c_(i,t) lambda_t these are linear equations in the
+(n+1) h unknowns c_(i,t), and c -> mu is injective because the lambda_t are
+independent. So the quotient dimension h(k+1) is the nullity of that small
+system, and its kernel, read through a variable factor of each monomial,
+is the annihilator of J_(k+1). The argument holds over any field, so each
+realization derives its own slice's exact rank: a rank mod p still never
+exceeds the rank over Q. It is recorded under the slice's label and shape,
+so ledgers do not tell derived ranks from eliminated ones.
+
 The smooth reference sequence — the coefficients of ((1-t^(d-1))/(1-t))^(n+1)
 — is the Hilbert function every smooth hypersurface of the same (n, d)
 realizes; comparing against it detects and quantifies singularity.
@@ -21,7 +42,7 @@ import numpy as np
 from . import linalg
 from .assembly import IntCOO, jacobian_generator_coo
 from .errors import InconsistentResult, NoStabilization
-from .field import FieldConfig
+from .field import FieldConfig, Realization
 from .linalg import LinearEngine, SubspaceBasis, kernel_rows
 from .monomials import exponent_matrix, monomial_rank_rows, space_dim
 from .polynomials import HomogeneousPolynomial, partial_derivatives
@@ -63,6 +84,36 @@ def smooth_reference_dim(n: int, d: int, k: int) -> int:
     return series[k] if k < len(series) else 0
 
 
+def _extend_annihilator(F: Realization, lam: np.ndarray, n: int, k: int) -> tuple[int, np.ndarray]:
+    """The rank over F of the degree-k ideal slice and the annihilator of
+    that slice (h(k) x N_k), from ``lam``, the annihilator of the
+    degree-(k-1) slice (h x N_(k-1)), for k-1 >= d-1: the nullity and the
+    kernel of the compatibility system of the module docstring, whose row
+    (i < j, x^c) has lambda_t(x_j x^c) at column (i, t) and
+    -lambda_t(x_i x^c) at column (j, t)."""
+    h = lam.shape[0]
+    unit = np.eye(n + 1, dtype=np.int64)
+    below = exponent_matrix(n, k - 2)
+    # times[j][c]: the position in S_(k-1) of x_j * x^c
+    times = [monomial_rank_rows(below + unit[j], n, k - 1) for j in range(n + 1)]
+    blocks = []
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            block = np.zeros((len(below), n + 1, h), dtype=F.dtype)
+            block[:, i] = lam[:, times[j]].T
+            block[:, j] = F.normalize(-lam[:, times[i]].T)
+            blocks.append(block.reshape(len(below), (n + 1) * h))
+    _, coeffs = linalg.annihilator(F, np.vstack(blocks))
+    coeffs = coeffs.reshape(len(coeffs), n + 1, h)
+    top = exponent_matrix(n, k)
+    var = np.argmax(top > 0, axis=1)  # a variable dividing each monomial
+    source = monomial_rank_rows(top - unit[var], n, k - 1)
+    out = np.zeros((len(coeffs), len(top)), dtype=F.dtype)
+    for t in range(h):
+        out = F.normalize(out + coeffs[:, var, t] * lam[t, source])
+    return len(top) - len(coeffs), out
+
+
 def _empty_rows(field: FieldConfig, ncols: int) -> dict[str, np.ndarray]:
     return {F.key: np.zeros((0, ncols), dtype=F.dtype) for F in field.realizations}
 
@@ -92,6 +143,8 @@ class JacobianContext:
         self.partials = partial_derivatives(f)
         self._monomial_partials = all(len(g.terms) <= 1 for g in self.partials)
         self._dims: dict[int, int] = {}
+        # (k, per-field annihilator of the degree-k slice), latest degree only
+        self._annihilator: tuple[int, dict[str, np.ndarray]] | None = None
         self._qr: dict[int, dict[str, np.ndarray]] = {}
         self._tags: Counter[str] = Counter()
 
@@ -106,13 +159,17 @@ class JacobianContext:
     def generator_coo(self, k: int) -> IntCOO:
         return jacobian_generator_coo(self.partials, k)
 
+    def _slice_shape(self, k: int) -> tuple[int, int]:
+        """The shape of ``generator_coo(k)``, without assembling it."""
+        return (self.n + 1) * space_dim(self.n, k - self.d + 1), space_dim(self.n, k)
+
     def slice_over_cap(self, k: int) -> str:
         """Why the degree-k generator matrix is too large to assemble and
         rank, or "" when its dense entry count is within the engine's cap
         (``linalg._ENTRY_CAP``). Checked before any matrix is assembled, by
         every caller that scans degrees upward: certification,
         tjurina_count and the hilbert command's probe."""
-        rows, cols = (self.n + 1) * space_dim(self.n, k - self.d + 1), space_dim(self.n, k)
+        rows, cols = self._slice_shape(k)
         if rows * cols <= linalg._ENTRY_CAP:
             return ""
         return f"the degree-{k} ideal slice is {rows} x {cols} ({rows * cols} entries), past the feasible size cap"
@@ -131,15 +188,29 @@ class JacobianContext:
         return int(hit.sum())
 
     def jacobian_dim(self, k: int) -> int:
-        """Dimension of the degree-k slice of the partials' ideal."""
+        """Dimension of the degree-k slice of the partials' ideal. Below the
+        socle degree the slice is ranked. From it on, the rank is derived
+        from the annihilator of the degree-(k-1) slice when that is held
+        (module docstring), and otherwise one elimination gives the rank and
+        the annihilator, which is held for the next degree."""
         if k < self.d - 1:
             return 0
         if k in self._dims:
             return self._dims[k]
+        label = f"jacobian/{k}"
+        held = self._annihilator
         if self._monomial_partials:
             dim = self._monomial_dim(k)
+        elif held is not None and held[0] == k - 1 and k - 1 >= self.d - 1:
+            dim, lam = self.engine.derived_rank(
+                label, self._slice_shape(k), lambda F: _extend_annihilator(F, held[1][F.key], self.n, k)
+            )
+            self._annihilator = (k, lam)
+        elif k >= self.socle:
+            dim, lam = self.engine.annihilator_coo(self.generator_coo(k), label)
+            self._annihilator = (k, lam)
         else:
-            dim = self.engine.rank_coo(self.generator_coo(k), f"jacobian/{k}")
+            dim = self.engine.rank_coo(self.generator_coo(k), label)
         self._dims[k] = dim
         return dim
 

@@ -18,10 +18,19 @@ A certified-nodal verdict combines two ingredients:
     contains every singular point, and the m listed points (each checked
     singular and distinct) already fill it.
 
-  Both routes rank these degrees. The literal route (small inputs) also
-  ranks one degree more, T+2 or K+2; the argument does not need it, and
+  Both routes read these degrees. The literal route (small inputs) also
+  reads one degree more, T+2 or K+2; the argument does not need it, and
   it is kept so a literal certificate's rank ledger still holds that
   slice. Any h != m gives a Failed verdict, never a weaker claim.
+
+  Only the first degree's slice is eliminated (K, or T+1 for m = 0, both
+  at least T). That elimination also gives the slice's annihilator, and
+  each later degree's h is derived exactly from the previous degree's
+  annihilator without building its slice (``milnor``, which states the
+  argument). Each derived h is the quotient dimension of that degree's
+  slice in the same field, recorded under the slice's label and shape, so
+  the argument above, its one-sided bound mod p and the rank ledger are
+  those of ranking every slice.
 """
 
 from __future__ import annotations

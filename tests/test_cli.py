@@ -85,6 +85,23 @@ def test_hilbert_keeps_its_table_when_the_count_does_not_stabilize(tmp_path, cap
     assert results["tjurina_note"] == "quotient dimensions did not stabilize by degree 13"
 
 
+def test_koszul_keeps_its_report_when_the_relation_scan_finds_nothing(capsys):
+    # one node on a quintic: ct = 12 puts the first relation at 12 - 5 + 2 = 9
+    code, doc = run_json(capsys, ["koszul", "--fixture", "one_node:3,5,seed=303", "--qmax", "8"])
+    assert code == 0
+    results = doc["results"]
+    assert doc["certificates"][0]["verdict"] == "Nodal(1)"
+    assert results["cohomology_dims"] == {str(m): 0 for m in range(8)}
+    assert results["vanishing_holds"] is True
+    assert results["min_relation_degree"] == "not found"
+    assert results["min_relation_degree_note"] == "no nontrivial syzygy found through degree 8"
+    assert results["coincidence_threshold"] == 12
+    assert "threshold_identity" not in results
+    code, doc = run_json(capsys, ["koszul", "--fixture", "one_node:3,5,seed=303", "--qmax", "9"])
+    assert code == 0
+    assert (doc["results"]["min_relation_degree"], doc["results"]["threshold_identity"]) == (9, True)
+
+
 @pytest.mark.parametrize("field", ["fp:2147483629,fp:2147483587", "exact"])
 @pytest.mark.parametrize(
     "argv", [["koszul", "--kmax", "14"], ["hilbert", "--kmax", "12"]], ids=["koszul", "hilbert"]

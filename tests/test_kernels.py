@@ -13,6 +13,7 @@ from nodalcert import _kernels
 from nodalcert._kernels import (
     PANEL_WIDTH,
     blocked_rank_mod,
+    blocked_rref_free_mod,
     blocked_rref_mod,
     rank_mod,
     rref_mod,
@@ -22,7 +23,7 @@ from nodalcert.errors import InconsistentResult
 from nodalcert.exact import bareiss_rank
 from nodalcert.field import DEFAULT_PRIMES, PrimeField, Rationals
 from nodalcert.fixtures import one_node
-from nodalcert.linalg import kernel_rows
+from nodalcert.linalg import annihilator, kernel_rows
 from nodalcert.polynomials import partial_derivatives
 
 P = DEFAULT_PRIMES[0]
@@ -467,6 +468,81 @@ def test_kernel_rows_match_one_row_per_free_column(F):
         got = kernel_rows(F, pivots, R)
         assert got.dtype == F.dtype
         assert np.array_equal(got, expected)
+
+
+def _reference_kernel(A, p):
+    """Pivots and kernel rows of A from the reduced form of an int64 copy."""
+    R = A.astype(np.int64)
+    rank, pivots = rref_mod(R, p)
+    return pivots.tolist(), kernel_rows(PrimeField(p), pivots, R[:rank])
+
+
+def _assert_kernel_step_is_kernel_rows_of_rref(A, p):
+    """The blocked kernel step, fed to kernel_rows, gives the reference's
+    pivots and kernel rows entry for entry; so does ``annihilator``, on
+    whichever side of the scalar cutoff A falls. Returns the rank."""
+    pivots, expected = _reference_kernel(A, p)
+    got_pivots, X = blocked_rref_free_mod(A.copy(), p)
+    assert got_pivots.tolist() == pivots
+    assert X.dtype == np.int64 and X.shape == (len(pivots), A.shape[1] - len(pivots))
+    got = kernel_rows(PrimeField(p), got_pivots, X, A.shape[1])
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    via_field = annihilator(PrimeField(p), A.copy())
+    assert list(via_field[0]) == pivots and np.array_equal(via_field[1], expected)
+    return len(pivots)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize(
+    "rows, cols, rank",
+    [
+        (60, 127, 60),
+        (300, 127, 127),
+        (340, 127, 90),
+        (100, 128, 0),
+        (90, 128, 90),
+        (300, 128, 128),
+        (330, 128, 101),
+        (200, 129, 129),
+        (100, 129, 70),
+        (129, 257, 129),
+        (300, 257, 257),
+        (300, 257, 0),
+        (200, 257, 150),
+        (400, 257, 200),
+    ],
+)
+def test_the_kernel_step_gives_the_kernel_rows_of_the_reduced_form(rows, cols, rank, dtype):
+    rng = np.random.default_rng(97 + rows + cols + rank)
+    for p in DEFAULT_PRIMES:
+        A = _random_with_rank(rng, rows, cols, rank, p).astype(dtype)
+        assert _assert_kernel_step_is_kernel_rows_of_rref(A, p) == rank
+
+
+@pytest.mark.parametrize("k", [12, 13, 14])
+def test_the_kernel_step_on_jacobian_slices(k):
+    coo = jacobian_generator_coo(partial_derivatives(one_node(3, 5, 1).f), k)
+    for p in DEFAULT_PRIMES:
+        A = coo.dense_mod(p, np.int32)
+        assert A.size > _kernels._SCALAR_CUTOFF
+        assert _assert_kernel_step_is_kernel_rows_of_rref(A, p) == coo.shape[1] - 1
+
+
+def test_the_kernel_step_refuses_an_int32_matrix_past_its_range_or_another_dtype():
+    A = np.eye(140, dtype=np.int64)
+    with pytest.raises(InconsistentResult):
+        blocked_rref_free_mod(A.astype(np.int32), (1 << 31) + 11)
+    for dtype in (np.int16, np.float64, object):
+        with pytest.raises(InconsistentResult):
+            blocked_rref_free_mod(A.astype(dtype), P)
+
+
+@FIELDS
+def test_annihilator_handles_degenerate_shapes(F):
+    for shape in [(0, 5), (5, 0), (4, 4)]:
+        pivots, rows = annihilator(F, np.zeros(shape, dtype=F.dtype))
+        assert pivots == () and rows.shape == (shape[1], shape[1])
+        assert np.array_equal(rows, np.eye(shape[1], dtype=F.dtype))
 
 
 def test_elimination_benchmark_runs_without_disagreements():

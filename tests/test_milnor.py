@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from nodalcert.errors import InconsistentResult, NoStabilization
+from nodalcert import milnor
+from nodalcert.errors import FieldDisagreement, InconsistentResult, NoStabilization
 from nodalcert.field import FieldConfig
-from nodalcert.fixtures import fermat, one_node
+from nodalcert.fixtures import fermat, multi_node, one_node
 from nodalcert.hodge import ideal_of_points_dim
 from nodalcert.milnor import (
     SMOOTH,
@@ -82,7 +83,64 @@ def test_the_tjurina_scan_stops_at_the_entry_cap_before_assembly(monkeypatch):
     assert assembled == []
     monkeypatch.setattr(linalg, "_ENTRY_CAP", 480 * 286)
     assert tjurina_count(ctx) == 1
-    assert assembled == [8, 9, 10]
+    # degree 8 is eliminated; 9 and 10 come from its annihilator
+    assert assembled == [8]
+
+
+def direct_quotient_dims(f, field, degrees):
+    """h(k) from a direct rank of each generator slice on a fresh context."""
+    ctx = JacobianContext(f, field)
+    return [space_dim(ctx.n, k) - ctx.engine.rank_coo(ctx.generator_coo(k), f"direct/{k}") for k in degrees]
+
+
+# exact mode runs on cubic surfaces and a plane quintic, where Bareiss is quick
+_EXACT_FIXTURES = [one_node(3, 3, 1), multi_node(3, 3, 2, 1), multi_node(3, 3, 3, 2), one_node(2, 5, 4)]
+
+
+def _hilbert_cases():
+    for key in "ABCD":
+        yield pytest.param(key, FieldConfig.prime_pair(), id=f"roster-{key}")
+    for fx in _EXACT_FIXTURES:
+        yield pytest.param(fx, FieldConfig.exact(), id=f"exact-{fx.describe()}")
+
+
+@pytest.mark.parametrize("which, field", _hilbert_cases())
+def test_derived_quotient_dims_equal_direct_ranks(roster, which, field):
+    f = (roster.fixture(which) if isinstance(which, str) else which).f
+    ctx = JacobianContext(f, field)
+    degrees = range(ctx.socle, ctx.socle + 4)
+    assert [ctx.milnor_dim(k) for k in degrees] == direct_quotient_dims(f, field, degrees)
+    # one slice eliminated, the next three derived, each under its own label and shape
+    assert list(ctx.engine.rank_ledger) == [f"jacobian/{k}" for k in degrees]
+    for k in degrees:
+        rec = ctx.engine.rank_ledger[f"jacobian/{k}"]
+        assert (rec.rows, rec.cols) == ctx.generator_coo(k).shape
+
+
+@pytest.mark.parametrize("which, field", _hilbert_cases())
+def test_the_tjurina_count_equals_a_direct_scan(roster, which, field):
+    f = (roster.fixture(which) if isinstance(which, str) else which).f
+    fresh = JacobianContext(f, field)
+    k = fresh.socle
+    while len(set(direct_quotient_dims(f, field, range(k, k + 3)))) > 1:
+        k += 1
+    assert tjurina_count(JacobianContext(f, field)) == direct_quotient_dims(f, field, [k])[0]
+
+
+def test_a_disagreement_of_the_derived_quotient_dims_raises(monkeypatch):
+    ctx = JacobianContext(one_node(3, 4, 1).f, FieldConfig.prime_pair())
+    second = ctx.field.keys[1]
+    real = milnor._extend_annihilator
+
+    def skewed(F, lam, n, k):
+        rank, rows = real(F, lam, n, k)
+        return (rank + 1, rows[1:]) if F.key == second else (rank, rows)
+
+    monkeypatch.setattr(milnor, "_extend_annihilator", skewed)
+    ctx.jacobian_dim(ctx.socle)
+    with pytest.raises(FieldDisagreement, match=f"jacobian/{ctx.socle + 1}"):
+        ctx.jacobian_dim(ctx.socle + 1)
+    assert f"jacobian/{ctx.socle + 1}" not in ctx.engine.rank_ledger
 
 
 def test_dims_match_reference_through(roster):

@@ -10,6 +10,7 @@ from nodalcert.errors import DegeneratePoint, NotSingular
 from nodalcert.field import FieldConfig
 from nodalcert.fixtures import fermat, multi_node, one_node
 from nodalcert.milnor import JacobianContext
+from nodalcert.monomials import space_dim
 from nodalcert.nodal import (
     ProjectivePoint,
     certify_nodal,
@@ -321,3 +322,52 @@ def test_a_surface_singular_along_a_line_exits_2(tmp_path, capsys):
     poly.write_text(_SINGULAR_LINE + "\n")
     assert main(["certify", "--input", str(poly)]) == 2
     capsys.readouterr()
+
+
+def _direct_ledger(f, field, degrees):
+    """The ledger direct ranks of the given degrees' slices make."""
+    ctx = JacobianContext(f, field)
+    for k in degrees:
+        ctx.engine.rank_coo(ctx.generator_coo(k), f"jacobian/{k}")
+    return list(ctx.engine.rank_ledger.items())
+
+
+@pytest.mark.parametrize("field", _MODES, ids=["two-prime", "exact"])
+@pytest.mark.parametrize("text, n", [(_SINGULAR_LINE, 3), (_CUSP_BESIDE_NODE, 2)], ids=["line", "cusp"])
+def test_quotient_dims_that_do_not_settle_are_derived_exactly(text, n, field):
+    # h grows along the singular line and is 3, not the claimed 1, beside the cusp
+    f = parse_polynomial(text, n)
+    ctx = JacobianContext(f, field)
+    degrees = range(ctx.socle, ctx.socle + 4)
+    got = [ctx.milnor_dim(k) for k in degrees]
+    assert list(ctx.engine.rank_ledger.items()) == _direct_ledger(f, field, degrees)
+    assert got == [space_dim(n, k) - ctx.engine.rank_ledger[f"jacobian/{k}"].rank for k in degrees]
+
+
+_LEDGER_CLAIMS = [
+    (lambda: one_node(3, 3, 5), lambda fx: fx.points),
+    (lambda: multi_node(3, 3, 2, 1), lambda fx: fx.points),
+    (lambda: multi_node(3, 3, 2, 1), lambda fx: fx.points[:1]),
+    (lambda: multi_node(3, 3, 2, 1), lambda fx: ()),
+    (lambda: one_node(2, 6, 2), lambda fx: fx.points),
+    (lambda: multi_node(2, 5, 3, 3), lambda fx: fx.points),
+]
+
+
+@pytest.mark.parametrize("field", _MODES, ids=["two-prime", "exact"])
+@pytest.mark.parametrize("route", _ROUTES)
+@pytest.mark.parametrize("make, claim", _LEDGER_CLAIMS)
+def test_a_certify_ledger_equals_the_ledger_of_direct_ranks(make, claim, route, field):
+    fx = make()
+    ctx = JacobianContext(fx.f, field)
+    points = claim(fx)
+    cert = certify_nodal(ctx, points, route=route)
+    assert cert.passed == (len(points) == fx.node_count)
+    # the degrees of the nodal docstring's argument, up to the first failing one
+    m = len(points)
+    degrees = [ctx.socle + 1] if m == 0 else [max(ctx.socle, m), max(ctx.socle, m) + 1]
+    if route == "literal":
+        degrees.append(degrees[-1] + 1)
+    if not cert.passed:
+        degrees = degrees[: degrees.index(cert.details.get("degree", degrees[0])) + 1]
+    assert list(ctx.engine.rank_ledger.items()) == _direct_ledger(fx.f, field, degrees)

@@ -46,6 +46,9 @@ def test_the_tracer_sees_every_engine_name_in_a_whole_job():
         ctx = JacobianContext(fx.f, FieldConfig.prime_pair())
         assert nodalcert.certify_nodal(ctx, fx.points).kind == "Nodal"
         assert nodalcert.pairing_injective(ctx)
+        # certify ranks no slice with rank_coo: past the socle degree it takes
+        # annihilators; the syzygy counts below it do, as in perfbench's jobs
+        assert not any(nodalcert.koszul_cohomology_dim(ctx, m) for m in range(6))
         assert all(nodalcert.variable_multiplication_kernel(ctx, t).dim == 0 for t in range(4))
         nodalcert.hodge_graded_dims(ctx)
         assert nodalcert.saturation_graded(ctx, 2 * ctx.d - 4).dim > 0
