@@ -1,9 +1,11 @@
 """Time the modular elimination kernels on random and Jacobian-slice matrices.
 
 Runs the scalar reduced row echelon form (``_np_rref``, which ``rref_mod``
-uses at or below ``_SCALAR_CUTOFF`` entries), the blocked one
-(``blocked_rref_mod``, above it) and the blocked rank-only elimination
-(``blocked_rank_mod``) on two kinds of input, modulo both default primes:
+uses at or below ``_SCALAR_CUTOFF`` entries), the blocked one (``rref_mod``
+above the cutoff: the reduced form written from ``blocked_rref_free_mod``'s
+pivots and free columns; here at every size, with the cutoff lowered to 0
+while it runs) and the blocked rank-only elimination (``blocked_rank_mod``)
+on two kinds of input, modulo both default primes:
 
 * random matrices of a requested rank, built exactly over F_p in shapes
   like the Jacobian slices the pipeline eliminates;
@@ -34,7 +36,7 @@ thread control the pair is not timed.
 Any disagreement — a rank differing between kernels, a random matrix whose
 rank is not the requested one, blocked RREF rows or pivots differing from
 the scalar RREF's, or annihilator pivots or vectors differing from the
-``kernel_rows`` of the blocked RREF — is reported and makes the script
+``kernel_rows`` of the scalar RREF — is reported and makes the script
 exit 1.
 
 Usage:
@@ -62,7 +64,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nodalcert import _kernels  # noqa: E402
-from nodalcert._kernels import _np_rref, blocked_rank_mod, blocked_rref_mod  # noqa: E402
+from nodalcert._kernels import _np_rref, blocked_rank_mod, rref_mod  # noqa: E402
 from nodalcert.assembly import jacobian_generator_coo  # noqa: E402
 from nodalcert.field import DEFAULT_PRIMES, PrimeField  # noqa: E402
 from nodalcert.fixtures import one_node  # noqa: E402
@@ -118,10 +120,21 @@ def random_with_rank(rng: np.random.Generator, rows: int, cols: int, rank: int, 
     return np.ascontiguousarray(out[rng.permutation(rows)][:, rng.permutation(cols)])
 
 
+def blocked_rref(M: np.ndarray, p: int):
+    """``rref_mod``'s blocked branch at any size: the scalar cutoff is 0
+    while it runs."""
+    cutoff = _kernels._SCALAR_CUTOFF
+    _kernels._SCALAR_CUTOFF = 0
+    try:
+        return rref_mod(M, p)
+    finally:
+        _kernels._SCALAR_CUTOFF = cutoff
+
+
 # Each returns (rank, pivot columns or None); the RREF ones leave A reduced.
 ALGORITHMS = {
     "scalar": _np_rref,
-    "blocked_rref": blocked_rref_mod,
+    "blocked_rref": blocked_rref,
     "blocked": lambda M, p: (blocked_rank_mod(M, p), None),
 }
 
@@ -203,7 +216,6 @@ def main(argv: list[str] | None = None) -> int:
         record = {"case": label, "rows": rows, "cols": cols, "entries": rows * cols, "requested_rank": requested}
         ranks: dict[int, set[int]] = {p: set() for p in mats}
         reference: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        blocked_echelon: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         echelon_differs = kernel_differs = False
         secs = dict.fromkeys(ALGORITHMS, 0.0)
         for aname, algo in ALGORITHMS.items():
@@ -212,8 +224,6 @@ def main(argv: list[str] | None = None) -> int:
                 secs[aname] += dt
                 ranks[p].add(got)
                 if echelon is not None:
-                    if aname == "blocked_rref":
-                        blocked_echelon[p] = echelon
                     ref = reference.setdefault(p, echelon)
                     echelon_differs |= not all(map(np.array_equal, echelon, ref))
             record[f"{aname}_s"] = round(secs[aname], 6)
@@ -233,8 +243,9 @@ def main(argv: list[str] | None = None) -> int:
                 dt, pivots, vectors = best_annihilator_time(A, p, repeats)
                 kernel_s += dt
                 ranks[p].add(len(pivots))
-                M, ref_pivots = blocked_echelon[p]
-                expected = kernel_rows(PrimeField(p), ref_pivots, M[: len(ref_pivots)])
+                M, ref_pivots = reference[p]
+                free = np.delete(M[: len(ref_pivots)], ref_pivots, axis=1)
+                expected = kernel_rows(PrimeField(p), ref_pivots, free, cols)
                 kernel_differs |= pivots != tuple(ref_pivots.tolist()) or not np.array_equal(vectors, expected)
             record["annihilator_int32_s"] = round(kernel_s, 6)
             line += f" {kernel_s / int32_s:>9.2f}"
@@ -255,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
               flush=True)
         disagreements += bad_rank or echelon_differs or kernel_differs
         records.append(record)
-    print("b.rref = blocked_rref_mod, b.rank = blocked_rank_mod; "
+    print("b.rref = rref_mod above the cutoff (blocked), b.rank = blocked_rank_mod; "
           "ratio = scalar time / b.rref time (above 1: the blocked RREF is faster); "
           "i32/64 = b.rank time on int32 / on int64 copies; "
           "kern/rank = annihilator step time / b.rank time, both on int32 copies; "

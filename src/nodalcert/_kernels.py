@@ -7,7 +7,7 @@ and Jacobian-slice matrices.
 Two elimination strategies, switched at ``_SCALAR_CUTOFF`` entries: on
 every Jacobian slice measured the blocked rank was faster than the scalar
 one above it; the blocked reduced form overtakes the scalar one a little
-later, near 100,000 entries (see the constant).
+later, between 74,000 and 96,000 entries (see the constant).
 
 * scalar — ``_np_rref``: full reduced row echelon form by row operations, in
   place. ``rref_mod`` and ``rank_mod`` use it at or below the cutoff.
@@ -23,19 +23,12 @@ later, near 100,000 entries (see the constant).
   trailing columns with the inverse of the panel's multiplier block, and
   the trailing block below is updated with one more product. This forward
   pass is shared: ``blocked_rank_mod`` stops after it with the rank, and
-  ``blocked_rref_mod`` goes on to the reduced form needed for bases
-  (quotient bases, kernels, membership). It scales the pivot rows to unit
-  pivots and, over blocks of up to 128 pivot rows from the bottom up,
-  multiplies each block by the inverse of its unit upper-triangular pivot
-  block and clears the block's pivot columns in the rows above it with one
-  product. The reduced form is unique, so it equals the scalar one entry
-  for entry. ``blocked_rref_free_mod`` runs the same back-substitution on
-  the free columns only, which is all a kernel needs: after the forward
-  pass it solves U_P X = U_free for the reduced form's free columns X
-  (rank x (cols - rank)), reading U's pivot columns, scaled, at most 128
-  at a time; it never makes the reduced form nor an int64 copy of the
-  matrix, so on int32 its footprint is that of the blocked rank plus X.
-  Every product X @ Y has an inner dimension of at most 128 and
+  ``blocked_rref_free_mod`` goes on to the one back-substitution, to the
+  pivot columns and the reduced form's free columns, all that bases need
+  (quotient bases, kernels, membership). The reduced form is the identity
+  at the pivot columns and those columns at the others, which ``rref_mod``
+  writes above the cutoff; it is unique, so it equals the scalar one entry
+  for entry. Every product X @ Y has an inner dimension of at most 128 and
   runs as two float64 products: the narrow factor X is split into balanced
   16-bit limbs, X = X1 * 2^16 + X0 with X0 in [-2^15, 2^15) and X1 in
   [0, 2^15], and Y stays whole (X1 multiplies 2^16 Y mod p), so each dot
@@ -51,15 +44,15 @@ later, near 100,000 entries (see the constant).
 every residue below p < 2^31 fits. It reads int32 entries into int64 (the
 transposed panel, the factor of every product) and writes back residues,
 so its rank and every intermediate matrix are those of an int64 copy.
-``LinearEngine`` ranks in int32, and takes annihilators in int32 through
-``rref_free_mod``; above ``_CONCURRENT_ENTRIES`` it runs the per-prime
-step of a rank or an annihilator (never of an echelon or general kernel)
-for both primes at once, the second in a child process forked for the pair
-(``linalg._pair``), with OpenBLAS pinned to one thread through
+``LinearEngine`` ranks in int32, and takes annihilators and kernels in
+int32 through ``rref_free_mod``; above ``_CONCURRENT_ENTRIES`` it runs the
+per-prime step of a rank or an annihilator (never of an echelon or
+kernel) for both primes at once, the second in a child process forked for
+the pair (``linalg._pair``), with OpenBLAS pinned to one thread through
 ``openblas_threads``.
 The kernels themselves start no thread or process and set no BLAS thread
-count. Kernel rows of a reduced form, or of its free columns, are derived
-in ``linalg``, for both fields.
+count. Kernel rows of a reduced form's free columns are derived in
+``linalg``, for both fields.
 """
 
 from __future__ import annotations
@@ -74,16 +67,16 @@ from .errors import InconsistentResult
 
 PANEL_WIDTH = 128
 # entries; at or below this the scalar rref computes ranks and reduced forms,
-# above it blocked_rank_mod and blocked_rref_mod. Measured with
+# above it blocked_rank_mod and blocked_rref_free_mod. Measured with
 # benchmarks/bench_elimination.py (numpy kernels, seeds 1-3, Jacobian
-# slices; blocked/scalar time). Ranks: even at 36,960 entries (0.67-1.00),
-# and from the 224 x 220 slice (49,280 entries) up blocked_rank_mod wins
-# every run (0.07-0.81). Reduced forms: from 36,960 to 73,920 entries the
-# scalar rref wins all but one run (0.97-1.38), at 96,096 blocked_rref_mod
-# wins two of three (0.75-1.04) and from 137,280 up every run (0.08-0.96).
-# One cutoff serves both: between 40,000 and 100,000 entries a reduced form
-# loses at most a few milliseconds to the blocked kernel, and a rank gains
-# as much.
+# slices; blocked/scalar time). Ranks: at 36,960 entries the scalar rref
+# wins (1.03-1.16), and from the 224 x 220 slice (49,280 entries) up
+# blocked_rank_mod wins every run (0.05-0.93). Reduced forms (rref_mod
+# above the cutoff): from 36,960 to 73,920 entries the scalar rref wins all
+# but one run (0.96-1.52), and from 96,096 up the blocked one wins every
+# run (0.07-0.96). One cutoff serves both: between 40,000 and 96,096
+# entries a reduced form loses at most 12 ms (both primes) to the blocked
+# kernel, and a rank gains up to 11 ms.
 _SCALAR_CUTOFF = 40_000
 # entries; above this LinearEngine ranks a prime pair's two int32 matrices at
 # once, the second in a forked child, each on one BLAS thread. Measured on
@@ -368,13 +361,22 @@ def _np_fuse(T: np.ndarray, X0: np.ndarray, X1: np.ndarray, Y: np.ndarray, p: in
 
 def rref_mod(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """Reduced row echelon form of A over F_p, in place: scalar at or below
-    _SCALAR_CUTOFF entries, blocked_rref_mod above. A must be int64,
-    C-contiguous, with entries already reduced into [0, p)."""
+    _SCALAR_CUTOFF entries; above it the identity at the pivot columns and
+    ``blocked_rref_free_mod``'s free columns elsewhere, written into the
+    pivot rows (the forward pass leaves the rows below the rank zero). A
+    must be int64, C-contiguous, with entries already reduced into [0, p)."""
     if A.size == 0:
         return 0, np.zeros(0, dtype=np.int64)
     if A.size <= _SCALAR_CUTOFF:
         return _np_rref(A, p)
-    return blocked_rref_mod(A, p)
+    pivots, X = blocked_rref_free_mod(A, p)
+    rank = pivots.size
+    free = np.ones(A.shape[1], dtype=bool)
+    free[pivots] = False
+    A[:rank, free] = X
+    A[:rank, pivots] = 0
+    A[np.arange(rank), pivots] = 1
+    return rank, pivots
 
 
 def _fuse_product(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
@@ -423,36 +425,6 @@ def blocked_rank_mod(A: np.ndarray, p: int) -> int:
     return _forward(A, p).size
 
 
-def blocked_rref_mod(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
-    """Reduced row echelon form of A over F_p by blocked elimination, in
-    place; the same rows, pivots and zero rows below the rank as the scalar
-    rref, since the reduced form is unique.
-
-    After the forward pass every pivot row is scaled to a unit pivot. Then,
-    over blocks of up to PANEL_WIDTH pivot rows from the bottom up, the
-    block's rows are multiplied by the inverse of their unit upper-triangular
-    pivot block, which clears the block's pivot columns inside it, and the
-    rows above it lose their entries in those columns through one fuse per
-    column chunk. A block's rows are zero in the pivot columns of the blocks
-    below it, cleared before, so the fuse keeps those zero.
-    """
-    pivots = _forward(A, p)
-    rank = pivots.size
-    inv = np.array([pow(int(a), p - 2, p) for a in A[np.arange(rank), pivots]], dtype=np.int64)
-    U = A[:rank]
-    U *= inv[:, None]
-    U %= p
-    for b0 in range(PANEL_WIDTH * ((rank - 1) // PANEL_WIDTH), -1, -PANEL_WIDTH):
-        cols = pivots[b0 : b0 + PANEL_WIDTH]
-        c = int(cols[0])
-        B = A[b0 : b0 + cols.size, c:]
-        if cols.size > 1:
-            _np_left_multiply(B, _np_unit_lower_inverse(A[b0 : b0 + cols.size, cols].T, p).T, p)
-        if b0:
-            _fuse_product(A[:b0, c:], A[:b0, cols], B, p)
-    return rank, pivots
-
-
 def blocked_rref_free_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Pivot columns of the reduced row echelon form of A over F_p and that
     form's free columns, X = U_P^-1 U_free (rank x (cols - rank), int64),
@@ -465,8 +437,7 @@ def blocked_rref_free_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray
     the bottom up, the block of X is multiplied by the inverse of the
     block's diagonal pivot block and the rows above it lose their pivot
     entries in the block times the block of X, through one fuse per column
-    chunk: ``blocked_rref_mod``'s back-substitution on the free columns
-    only. U's pivot columns are scaled as they are read, at most
+    chunk. U's pivot columns are scaled as they are read, at most
     rank x PANEL_WIDTH at a time, so besides X no int64 copy of A is made.
     """
     if not (A.dtype == np.int64 or (A.dtype == np.int32 and p < 1 << 31)):

@@ -10,10 +10,11 @@ everything that differs by field: the payload type of its matrices and the
 few operations on them the engine and the graded algebra need. Payloads are
 2-D numpy arrays in both: int64 entries reduced into [0, p) over F_p, and
 ``dtype=object`` entries (Fractions or ints) over Q, so indexing, stacking
-and reshaping are written once for both. A matrix made only to be ranked
-has the realization's ``rank_dtype``: int32 over F_p, half the bytes,
-since a residue below p < 2**31 fits. A kernel needs ``rref`` (or
-``rref_free``, only the reduced form's free columns), ``dtype`` and
+and reshaping are written once for both. A matrix made for a rank, a
+kernel or an annihilator has the realization's ``rank_dtype``: int32 over
+F_p, half the bytes, since a residue below p < 2**31 fits. An echelon
+needs ``rref``; a kernel or an annihilator needs ``rref_free`` (the pivot
+columns and only the reduced form's free columns), ``dtype`` and
 ``normalize``: the engine derives its rows from those columns the same way
 in both fields.
 """

@@ -4,7 +4,7 @@ The engine runs every elimination in each realization of its field
 configuration (see ``field``) and insists the answers agree:
 
 * prime-pair mode (default): each rank/echelon runs modulo two independent
-  31-bit primes; ranks and pivot column sets must match or
+  31-bit primes; ranks, or else pivot column sets, must match or
   ``FieldDisagreement`` is raised. Ranks over a prime field never exceed the
   rational rank, and agreement of two independent primes on both the rank
   and the pivot structure is the certification standard used throughout.
@@ -25,19 +25,18 @@ COO through ``Realization.dense``, a payload by copying its matrix, so the
 engine never writes into a caller's payload. Payloads map each field key
 to a 2-D numpy matrix of that realization's dtype: int64 entries in
 [0, p) for a prime key, ``dtype=object`` rationals for the exact key. A
-matrix made only to be ranked has the realization's ``rank_dtype``
-instead, int32 for a prime key. A matrix of more than ``_ENTRY_CAP``
-entries raises ``NoStabilization`` before any dense matrix is made.
+matrix made for any op but an echelon has the realization's
+``rank_dtype`` instead, int32 for a prime key. A matrix of more than
+``_ENTRY_CAP`` entries raises ``NoStabilization`` before any is made.
 
-A fourth op, ``annihilator_coo``, serves ``milnor``'s Jacobian slices past
-the socle degree: one elimination of the ``rank_dtype`` matrix records
-the rank and returns, per field, the kernel rows of x -> M x from
+A fourth op, ``annihilator_coo``, serves ``milnor``'s Jacobian slices and
+quotient tables: one elimination of the ``rank_dtype`` matrix records the
+rank and returns, per field, the kernel rows of x -> M x from
 ``annihilator``, which over F_p never makes the reduced form (see
 ``_kernels.blocked_rref_free_mod``). It is neither cached nor
-echelonized, and adds no ledger label of its own; the realizations must
-agree on the rank. ``derived_rank`` records a rank that ``milnor``
-derives from such rows without building the matrix, under the same size
-cap and agreement check.
+echelonized, and adds no ledger label of its own. ``derived_rank``
+records a rank that ``milnor`` derives from such rows without building
+the matrix, under the same size cap and agreement check.
 
 A prime-pair rank or annihilator of more than
 ``_kernels._CONCURRENT_ENTRIES`` entries runs the step of its two primes
@@ -45,18 +44,17 @@ at once when the process has at least two cores, can fork, runs no other
 Python thread and the OpenBLAS that numpy loaded lets its thread count be
 set: the calling process forks a child, which inherits the matrix
 copy-on-write, moves off the caller's core, runs the second prime's step
-(it makes only that prime's int32 matrix) and writes the rank (with an
-annihilator's rows, h x N for a quotient of dimension h, so few past the
-socle) or its exception to a pipe, while the caller runs the first
-prime's; OpenBLAS is pinned to one thread until both are done, and the
+(it makes only that prime's int32 matrix) and writes the rank (or an
+annihilator's pivot columns and rows, h x N for a quotient of dimension
+h) or its exception to a pipe, while the caller runs the first prime's; OpenBLAS is pinned to one thread until both are done, and the
 child is reaped before the rank returns or raises. Otherwise, and for
 every echelon and kernel, the primes run in turn. The ranks, their
 agreement check and the ledger are the same either way. The engine itself
 is not thread-safe: a caller uses it from one thread.
 
-A kernel runs the realization's reduced echelon form and then one function
-for every field, ``kernel_rows``, before the rows are echelonized; the
-quotient tables of ``milnor`` are those rows, transposed.
+A kernel runs the annihilator's step and echelonizes its rows, so no
+reduced form is made for it. An echelon, a kernel and an annihilator
+settle on the realizations' pivot columns, a rank on the rank.
 """
 
 from __future__ import annotations
@@ -214,19 +212,18 @@ def _dense(F: Realization, matrix: IntCOO | Payload, dtype: type) -> np.ndarray:
     return np.array(matrix[F.key], dtype=dtype, order="C")
 
 
-def kernel_rows(F: Realization, pivots: Sequence[int], rows: np.ndarray, ncols: int | None = None) -> np.ndarray:
-    """Kernel rows, of F's dtype, of the map x -> M x whose reduced echelon
-    rows over F are ``rows`` with pivot columns ``pivots``: one row per free
-    column g, with 1 at g and -rows[t, g] at pivots[t]. Given ``ncols``,
-    ``rows`` holds only the free columns of those rows, in order, as
-    ``Realization.rref_free`` returns them. The rows are independent but not
-    echelonized."""
-    width = rows.shape[1] if ncols is None else ncols
+def kernel_rows(F: Realization, pivots: Sequence[int], free: np.ndarray, ncols: int) -> np.ndarray:
+    """Kernel rows, of F's dtype, of the map x -> M x on ``ncols``
+    coordinates whose reduced echelon form over F has pivot columns
+    ``pivots`` and, at the other columns g in order, the columns ``free``
+    (as ``Realization.rref_free`` returns them): one row per free column g,
+    with 1 at g and -free[t, g] at pivots[t]. The rows are independent but
+    not echelonized."""
     pivots = np.array(pivots, dtype=np.int64)
-    free = np.delete(np.arange(width), pivots)
-    out = np.zeros((len(free), width), dtype=F.dtype)
-    out[np.arange(len(free)), free] = 1
-    out[:, pivots] = F.normalize(-(rows[:, free] if ncols is None else rows)).T
+    others = np.delete(np.arange(ncols), pivots)
+    out = np.zeros((len(others), ncols), dtype=F.dtype)
+    out[np.arange(len(others)), others] = 1
+    out[:, pivots] = F.normalize(-free).T
     return out
 
 
@@ -280,11 +277,10 @@ class LinearEngine:
         return rank
 
     def _eliminate(self, op: str, matrix: IntCOO | Payload, label: str) -> int | SubspaceBasis | tuple:
-        """Run ``op`` ("rank"; "annihilator", the rank and the kernel rows
-        from ``annihilator``; "rref"; or "kernel", which turns the reduced
-        echelon rows into ``kernel_rows``) on ``matrix`` (a COO or a
-        payload) in every realization, one ``step`` per field; insist the
-        realizations agree on the rank (or, for "rref" and "kernel", the
+        """Run ``op`` ("rank"; "rref"; "annihilator", the kernel rows from
+        ``annihilator``; or "kernel", which echelonizes them) on ``matrix``
+        (a COO or a payload) in every realization, one ``step`` per field;
+        insist the realizations agree on the rank (for the other ops, the
         pivot columns); record the rank under ``label``. A rank is answered
         from the ledger, and a large prime-pair rank or annihilator runs
         both steps at once (module docstring). An annihilator is neither
@@ -308,11 +304,9 @@ class LinearEngine:
         def step(F: Realization) -> tuple:
             if op == "rank":
                 return F.rank(_dense(F, matrix, F.rank_dtype)), None
-            if op == "annihilator":
-                pivots, rows = annihilator(F, _dense(F, matrix, F.rank_dtype))
-                return len(pivots), rows
-            pivots, rows = F.rref(_dense(F, matrix, F.dtype))
-            return pivots, rows if op == "rref" else kernel_rows(F, pivots, rows)
+            if op == "rref":
+                return F.rref(_dense(F, matrix, F.dtype))
+            return annihilator(F, _dense(F, matrix, F.rank_dtype))
 
         fields = self.field.realizations
         ranked = op in ("rank", "annihilator")
@@ -322,7 +316,7 @@ class LinearEngine:
             results = _pair(fields, step)
         else:
             results = [step(F) for F in fields]
-        rank = self._settle("rank" if ranked else "pivot columns", label, shape, results)
+        rank = self._settle("rank" if op == "rank" else "pivot columns", label, shape, results)
         if op == "rank":
             return rank
         payload = {F.key: rows for F, (_, rows) in zip(fields, results)}
@@ -339,7 +333,7 @@ class LinearEngine:
     # Three ops, each taking a COO or a payload. Each has a second name bound
     # to it, because perfbench/trace_layers.py patches and counts every name
     # apart; callers keep the name that says what they pass. The annihilator
-    # and the derived rank serve JacobianContext.jacobian_dim alone.
+    # and the derived rank serve JacobianContext alone.
 
     def rank_coo(self, matrix: IntCOO | Payload, label: str) -> int:
         return self._eliminate("rank", matrix, label)
@@ -355,7 +349,7 @@ class LinearEngine:
         """The rank of M, recorded under ``label``, and per field key the
         ``kernel_rows`` of x -> M x, not echelonized: for a generator matrix,
         the functionals vanishing on its row space. One elimination, which
-        makes no reduced form."""
+        makes no reduced form; the realizations agree on its pivot columns."""
         return self._eliminate("annihilator", matrix, label)
 
     def derived_rank(

@@ -27,6 +27,12 @@ realization derives its own slice's exact rank: a rank mod p still never
 exceeds the rank over Q. It is recorded under the slice's label and shape,
 so ledgers do not tell derived ranks from eliminated ones.
 
+The quotient tables are annihilators too, at every degree: the table
+sending a monomial of S_k to its class over the standard monomials is the
+transposed annihilator of the slice, as the annihilator's rows are the
+kernel rows of the slice's reduced echelon form. Below d-1 the slice is
+zero, its generator matrix has no rows, and the table is the identity.
+
 The smooth reference sequence — the coefficients of ((1-t^(d-1))/(1-t))^(n+1)
 — is the Hilbert function every smooth hypersurface of the same (n, d)
 realizes; comparing against it detects and quantifies singularity.
@@ -43,7 +49,7 @@ from . import linalg
 from .assembly import IntCOO, jacobian_generator_coo
 from .errors import InconsistentResult, NoStabilization
 from .field import FieldConfig, Realization
-from .linalg import LinearEngine, SubspaceBasis, kernel_rows
+from .linalg import LinearEngine, SubspaceBasis
 from .monomials import exponent_matrix, monomial_rank_rows, space_dim
 from .polynomials import HomogeneousPolynomial, partial_derivatives
 
@@ -157,6 +163,11 @@ class JacobianContext:
     # -- raw ideal slices ---------------------------------------------------
 
     def generator_coo(self, k: int) -> IntCOO:
+        """The degree-k slice's generator matrix: the zero 0 x N_k matrix
+        for k < d-1, where the slice is zero."""
+        if k < self.d - 1:
+            none = np.zeros(0, dtype=np.int64)
+            return IntCOO((0, space_dim(self.n, k)), none, none, none)
         return jacobian_generator_coo(self.partials, k)
 
     def _slice_shape(self, k: int) -> tuple[int, int]:
@@ -216,8 +227,6 @@ class JacobianContext:
 
     def jacobian_basis(self, k: int) -> SubspaceBasis:
         """Echelonized basis of the degree-k ideal slice."""
-        if k < self.d - 1:
-            return self.engine.echelon_payload(_empty_rows(self.field, space_dim(self.n, k)), f"jacobian/{k}")
         basis = self.engine.echelon_coo(self.generator_coo(k), f"jacobian/{k}")
         self._dims.setdefault(k, basis.dim)
         return basis
@@ -242,13 +251,11 @@ class JacobianContext:
         coordinates of its class over the standard complement monomials of
         the degree-k ideal slice. A pivot row of the slice's reduced echelon
         form writes its pivot monomial through the complement, so the table
-        is the transpose of that form's kernel rows."""
+        is the transpose of that form's kernel rows: the slice's
+        annihilator, from one elimination that makes no reduced form."""
         if k not in self._qr:
-            basis = self.jacobian_basis(k)
-            self._qr[k] = {
-                F.key: np.ascontiguousarray(kernel_rows(F, basis.pivots, basis.payload[F.key]).T)
-                for F in self.field.realizations
-            }
+            _, lam = self.engine.annihilator_coo(self.generator_coo(k), f"jacobian/{k}")
+            self._qr[k] = {key: np.ascontiguousarray(rows.T) for key, rows in lam.items()}
         return self._qr[k]
 
 

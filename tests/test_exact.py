@@ -57,8 +57,8 @@ def test_kernel_vectors_annihilate_rows():
     rng = np.random.default_rng(9)
     A = _random_exact(rng, 6, 8, 4)
     F = Rationals()
-    pivots, rows = F.rref(np.array(A, dtype=object))
-    ker = kernel_rows(F, pivots, rows)
+    pivots, free = F.rref_free(np.array(A, dtype=object))
+    ker = kernel_rows(F, pivots, free, 8)
     assert len(ker) == 8 - len(pivots)
     for v in ker:
         for row in A:

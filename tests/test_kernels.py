@@ -14,7 +14,6 @@ from nodalcert._kernels import (
     PANEL_WIDTH,
     blocked_rank_mod,
     blocked_rref_free_mod,
-    blocked_rref_mod,
     rank_mod,
     rref_mod,
 )
@@ -318,12 +317,15 @@ def test_unit_triangular_inverse_matches_column_elimination(n):
         assert np.array_equal(_mulmod(upper, Y, p), np.eye(n, dtype=np.int64))
 
 
-def _assert_blocked_rref_is_scalar_rref(A, p):
-    """Blocked and scalar RREF of A agree in rank, pivots and every entry,
-    the zero rows below the rank included; returns (rank, pivots)."""
+def _assert_blocked_rref_is_scalar_rref(A, p, monkeypatch):
+    """``rref_mod`` above the scalar cutoff (lowered to 0, so small matrices
+    take the blocked branch too) and the scalar RREF of A agree in rank,
+    pivots and every entry, the zero rows below the rank included; returns
+    (rank, pivots)."""
     scalar, blocked = A.copy(), A.copy()
     rank, pivots = _kernels._np_rref(scalar, p)
-    got_rank, got_pivots = blocked_rref_mod(blocked, p)
+    monkeypatch.setattr(_kernels, "_SCALAR_CUTOFF", 0)
+    got_rank, got_pivots = rref_mod(blocked, p)
     assert got_rank == rank
     assert got_pivots.dtype == pivots.dtype and np.array_equal(got_pivots, pivots)
     assert np.array_equal(blocked, scalar)
@@ -348,28 +350,30 @@ def _assert_blocked_rref_is_scalar_rref(A, p):
         (400, 257, 200),
     ],
 )
-def test_blocked_rref_matches_scalar_rref(rows, cols, rank):
+def test_blocked_rref_matches_scalar_rref(rows, cols, rank, monkeypatch):
     rng = np.random.default_rng(31 + rows + cols + rank)
     for p in DEFAULT_PRIMES:
         A = _random_with_rank(rng, rows, cols, rank, p)
-        assert _assert_blocked_rref_is_scalar_rref(A, p)[0] == rank
+        assert _assert_blocked_rref_is_scalar_rref(A, p, monkeypatch)[0] == rank
 
 
-def test_blocked_rref_with_a_rank_drop_inside_the_first_panel():
+def test_blocked_rref_with_a_rank_drop_inside_the_first_panel(monkeypatch):
     rng = np.random.default_rng(37)
     for p in DEFAULT_PRIMES:
         A = _random_with_rank(rng, 300, 257, 220, p)
         A[:, 50] = 2 * A[:, 10] % p
         A[:, 60:70] = 0
-        _, pivots = _assert_blocked_rref_is_scalar_rref(A, p)
+        _, pivots = _assert_blocked_rref_is_scalar_rref(A, p, monkeypatch)
         assert np.count_nonzero(pivots < PANEL_WIDTH) < PANEL_WIDTH - 10
 
 
 @pytest.mark.parametrize("k", [12, 13, 14])
-def test_blocked_rref_on_jacobian_slices(k):
+def test_blocked_rref_on_jacobian_slices(k, monkeypatch):
     coo = jacobian_generator_coo(partial_derivatives(one_node(3, 5, 1).f), k)
     for p in DEFAULT_PRIMES:
-        rank, _ = _assert_blocked_rref_is_scalar_rref(coo.dense_mod(p), p)
+        A = coo.dense_mod(p)
+        assert A.size > _kernels._SCALAR_CUTOFF
+        rank, _ = _assert_blocked_rref_is_scalar_rref(A, p, monkeypatch)
         assert rank == coo.shape[1] - 1
 
 
@@ -381,9 +385,9 @@ def test_rref_mod_on_both_sides_of_the_scalar_cutoff(monkeypatch):
 
     def spy(A, p):
         blocked_calls.append(A.shape)
-        return blocked_rref_mod(A, p)
+        return blocked_rref_free_mod(A, p)
 
-    monkeypatch.setattr(_kernels, "blocked_rref_mod", spy)
+    monkeypatch.setattr(_kernels, "blocked_rref_free_mod", spy)
     for n, A in mats.items():
         expected = A.copy()
         expected_rank, expected_pivots = _kernels._np_rref(expected, P)
@@ -433,8 +437,8 @@ def test_kernel_rows_annihilate_the_matrix(F):
     rng = np.random.default_rng(3)
     A = _field_matrix(F, rng, 20, 15, 8)
     original = A.astype(object)
-    pivots, rows = F.rref(A)
-    ker = kernel_rows(F, pivots, rows)
+    pivots, free = F.rref_free(A)
+    ker = kernel_rows(F, pivots, free, 15)
     assert len(pivots) == 8
     assert ker.shape == (15 - 8, 15)
     assert not F.normalize(original @ ker.T.astype(object)).any()
@@ -445,9 +449,10 @@ def test_kernel_rows_annihilate_the_matrix(F):
 def test_kernel_from_blocked_rref_annihilates_the_matrix():
     rng = np.random.default_rng(43)
     A = _random_with_rank(rng, 260, 200, 150)
+    assert A.size > _kernels._SCALAR_CUTOFF
     original = A.copy()
-    rank, pivots = blocked_rref_mod(A, P)
-    ker = kernel_rows(PrimeField(P), pivots, A[:rank])
+    rank, pivots = rref_mod(A, P)
+    ker = kernel_rows(PrimeField(P), pivots, np.delete(A[:rank], pivots, axis=1), 200)
     assert rank == 150
     assert ker.shape == (50, 200)
     assert not _mulmod(original, ker.T, P).any()
@@ -465,16 +470,17 @@ def test_kernel_rows_match_one_row_per_free_column(F):
             expected[idx, g] = 1
             for t, pc in enumerate(pivots):
                 expected[idx, pc] = -R[t, g] if isinstance(F, Rationals) else (F.p - R[t, g]) % F.p
-        got = kernel_rows(F, pivots, R)
+        got = kernel_rows(F, pivots, np.delete(R, np.array(pivots, dtype=np.int64), axis=1), cols)
         assert got.dtype == F.dtype
         assert np.array_equal(got, expected)
 
 
 def _reference_kernel(A, p):
-    """Pivots and kernel rows of A from the reduced form of an int64 copy."""
+    """Pivots and kernel rows of A from the scalar reduced form of an int64
+    copy, which shares no code with the blocked back-substitution."""
     R = A.astype(np.int64)
-    rank, pivots = rref_mod(R, p)
-    return pivots.tolist(), kernel_rows(PrimeField(p), pivots, R[:rank])
+    rank, pivots = _kernels._np_rref(R, p)
+    return pivots.tolist(), kernel_rows(PrimeField(p), pivots, np.delete(R[:rank], pivots, axis=1), A.shape[1])
 
 
 def _assert_kernel_step_is_kernel_rows_of_rref(A, p):

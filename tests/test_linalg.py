@@ -98,9 +98,13 @@ def test_two_prime_rank_disagreement_is_detected():
 
 
 def test_two_prime_pivot_disagreement_is_detected():
+    # [[5, 1]] has rank 1 mod 5 and mod 7, with its pivot in column 1 mod 5
+    # and in column 0 mod 7
     engine = LinearEngine(FieldConfig.prime_pair(5, 7))
-    with pytest.raises(FieldDisagreement):
-        engine.echelon_coo(_coo([[5, 1]]), "bad-pivots")
+    for op in (engine.echelon_coo, engine.annihilator_coo, engine.kernel_coo):
+        with pytest.raises(FieldDisagreement, match="pivot columns"):
+            op(_coo([[5, 1]]), f"bad-pivots/{op.__name__}")
+    assert not engine.rank_ledger
 
 
 def test_payload_entry_points_take_their_shape_from_the_payload():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from nodalcert import milnor
@@ -12,6 +13,7 @@ from nodalcert.errors import FieldDisagreement, InconsistentResult, NoStabilizat
 from nodalcert.field import FieldConfig
 from nodalcert.fixtures import fermat, multi_node, one_node
 from nodalcert.hodge import ideal_of_points_dim
+from nodalcert.linalg import kernel_rows
 from nodalcert.milnor import (
     SMOOTH,
     JacobianContext,
@@ -24,6 +26,7 @@ from nodalcert.milnor import (
     tjurina_count,
 )
 from nodalcert.monomials import space_dim
+from nodalcert.nodal import certify_nodal
 
 
 @pytest.mark.parametrize("n,d,expected", [(3, 4, 8), (3, 5, 12), (4, 5, 15), (5, 6, 24)])
@@ -149,19 +152,36 @@ def test_dims_match_reference_through(roster):
     assert not dims_match_reference_through(ctx, 9)
 
 
+def _assert_table_is_the_echelon_kernel(ctx, k):
+    """The degree-k quotient table fixes every standard monomial and equals,
+    entry for entry, the transposed kernel rows of the slice's reduced
+    echelon rows from ``jacobian_basis``."""
+    table = ctx.quotient_reduction(k)
+    basis = ctx.jacobian_basis(k)
+    free = basis.free_columns()
+    for F in ctx.field.realizations:
+        tab = table[F.key]
+        assert tab.shape == (space_dim(ctx.n, k), len(free))
+        # a standard monomial reduces to itself
+        for slot, col in enumerate(free):
+            row = tab[col]
+            assert row[slot] == 1
+            assert sum(1 for v in row if v) == 1
+        pivots = np.array(basis.pivots, dtype=np.int64)
+        rows = np.delete(basis.payload[F.key], pivots, axis=1)
+        expected = kernel_rows(F, basis.pivots, rows, basis.ncols).T
+        assert tab.dtype == expected.dtype and np.array_equal(tab, expected)
+
+
 def test_quotient_reduction_fixes_standard_monomials(roster):
-    for ctx in roster.both_modes("A", one_node(3, 4, 1)):
-        table = ctx.quotient_reduction(4)
-        basis = ctx.jacobian_basis(4)
-        free = basis.free_columns()
-        for F in ctx.field.realizations:
-            tab = table[F.key]
-            assert tab.shape == (space_dim(3, 4), len(free))
-            # a standard monomial reduces to itself
-            for slot, col in enumerate(free):
-                row = tab[col]
-                assert row[slot] == 1
-                assert sum(1 for v in row if v) == 1
+    exact_spec = one_node(3, 4, 1)
+    for ctx, points in zip(roster.both_modes("A", exact_spec), (roster.fixture("A").points, exact_spec.points)):
+        # below d-1 the slice is zero; then d-1, the socle and its neighbours
+        for k in (ctx.d - 2, ctx.d - 1, 4, ctx.socle - 1, ctx.socle):
+            _assert_table_is_the_echelon_kernel(ctx, k)
+        # past the socle, where certify holds the annihilator it derived
+        certify_nodal(ctx, points)
+        _assert_table_is_the_echelon_kernel(ctx, ctx.socle + 1)
 
 
 def test_saturation_matches_point_ideal_below_socle(roster):
