@@ -1,11 +1,12 @@
 """Time the modular elimination kernels on random and Jacobian-slice matrices.
 
-Runs the scalar reduced row echelon form (``_np_rref``, which ``rref_mod``
-uses at or below ``_SCALAR_CUTOFF`` entries), the blocked one (``rref_mod``
-above the cutoff: the reduced form written from ``blocked_rref_free_mod``'s
-pivots and free columns; here at every size, with the cutoff lowered to 0
-while it runs) and the blocked rank-only elimination (``blocked_rank_mod``)
-on two kinds of input, modulo both default primes:
+Runs the scalar reduced row echelon form (``rref_mod``, read off to its
+pivot and free columns as ``rref_free_mod`` does at or below
+``_SCALAR_CUTOFF`` entries), the blocked one (``blocked_rref_free_mod``, the
+pivot columns and the reduced form's free columns that ``rref_free_mod``
+returns above the cutoff; here at every size) and the blocked rank-only
+elimination (``blocked_rank_mod``) on two kinds of input, modulo both
+default primes:
 
 * random matrices of a requested rank, built exactly over F_p in shapes
   like the Jacobian slices the pipeline eliminates;
@@ -15,8 +16,8 @@ on two kinds of input, modulo both default primes:
 BLAS runs on one thread. Times are the sum over both primes, best of three
 runs (two with ``--quick``) for matrices of at most one million entries,
 one run for larger ones. The table shows which
-kernel is faster at each size; ``rank_mod`` and ``rref_mod`` both switch
-from scalar to blocked above ``_SCALAR_CUTOFF`` entries. The last line of
+kernel is faster at each size; ``rank_mod`` and ``rref_free_mod`` both
+switch from scalar to blocked above ``_SCALAR_CUTOFF`` entries. The last line of
 output is one JSON object with every timing.
 
 On the blocked slices (above ``_SCALAR_CUTOFF`` entries) three more columns
@@ -34,8 +35,8 @@ single runs are noisy. Without a second core, ``os.fork`` or OpenBLAS
 thread control the pair is not timed.
 
 Any disagreement — a rank differing between kernels, a random matrix whose
-rank is not the requested one, blocked RREF rows or pivots differing from
-the scalar RREF's, or annihilator pivots or vectors differing from the
+rank is not the requested one, blocked pivots or free columns differing
+from the scalar RREF's, or annihilator pivots or vectors differing from the
 ``kernel_rows`` of the scalar RREF — is reported and makes the script
 exit 1.
 
@@ -64,7 +65,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nodalcert import _kernels  # noqa: E402
-from nodalcert._kernels import _np_rref, blocked_rank_mod, rref_mod  # noqa: E402
+from nodalcert._kernels import blocked_rank_mod, blocked_rref_free_mod, rref_mod  # noqa: E402
 from nodalcert.assembly import jacobian_generator_coo  # noqa: E402
 from nodalcert.field import DEFAULT_PRIMES, PrimeField  # noqa: E402
 from nodalcert.fixtures import one_node  # noqa: E402
@@ -120,20 +121,20 @@ def random_with_rank(rng: np.random.Generator, rows: int, cols: int, rank: int, 
     return np.ascontiguousarray(out[rng.permutation(rows)][:, rng.permutation(cols)])
 
 
+def scalar_rref(M: np.ndarray, p: int):
+    """``rref_mod`` read off to its pivot and free columns."""
+    rank, pivots = rref_mod(M, p)
+    return rank, (pivots, np.delete(M[:rank], pivots, axis=1))
+
+
 def blocked_rref(M: np.ndarray, p: int):
-    """``rref_mod``'s blocked branch at any size: the scalar cutoff is 0
-    while it runs."""
-    cutoff = _kernels._SCALAR_CUTOFF
-    _kernels._SCALAR_CUTOFF = 0
-    try:
-        return rref_mod(M, p)
-    finally:
-        _kernels._SCALAR_CUTOFF = cutoff
+    pivots, free = blocked_rref_free_mod(M, p)
+    return pivots.size, (pivots, free)
 
 
-# Each returns (rank, pivot columns or None); the RREF ones leave A reduced.
+# Each returns (rank, (pivot columns, free columns) or None).
 ALGORITHMS = {
-    "scalar": _np_rref,
+    "scalar": scalar_rref,
     "blocked_rref": blocked_rref,
     "blocked": lambda M, p: (blocked_rank_mod(M, p), None),
 }
@@ -141,14 +142,14 @@ ALGORITHMS = {
 
 def best_time(algo, A: np.ndarray, p: int, repeats: int):
     """Best wall time of ``repeats`` runs on fresh copies of A, the rank,
-    and (reduced matrix, pivot columns) for the RREF kernels, else None."""
+    and (pivot columns, free columns) for the RREF kernels, else None."""
     best = float("inf")
     for _ in range(repeats):
         M = A.copy()
         t0 = time.perf_counter()
-        rank, pivots = algo(M, p)
+        rank, echelon = algo(M, p)
         best = min(best, time.perf_counter() - t0)
-    return best, rank, None if pivots is None else (M, pivots)
+    return best, rank, echelon
 
 
 def best_pair_time(mats: dict[int, np.ndarray], repeats: int) -> tuple[float, list[int]]:
@@ -215,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         repeats = (QUICK_REPEATS if args.quick else REPEATS) if rows * cols <= REPEAT_ENTRIES else 1
         record = {"case": label, "rows": rows, "cols": cols, "entries": rows * cols, "requested_rank": requested}
         ranks: dict[int, set[int]] = {p: set() for p in mats}
-        reference: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        reference: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # p -> (pivots, free columns)
         echelon_differs = kernel_differs = False
         secs = dict.fromkeys(ALGORITHMS, 0.0)
         for aname, algo in ALGORITHMS.items():
@@ -243,8 +244,7 @@ def main(argv: list[str] | None = None) -> int:
                 dt, pivots, vectors = best_annihilator_time(A, p, repeats)
                 kernel_s += dt
                 ranks[p].add(len(pivots))
-                M, ref_pivots = reference[p]
-                free = np.delete(M[: len(ref_pivots)], ref_pivots, axis=1)
+                ref_pivots, free = reference[p]
                 expected = kernel_rows(PrimeField(p), ref_pivots, free, cols)
                 kernel_differs |= pivots != tuple(ref_pivots.tolist()) or not np.array_equal(vectors, expected)
             record["annihilator_int32_s"] = round(kernel_s, 6)
@@ -266,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
               flush=True)
         disagreements += bad_rank or echelon_differs or kernel_differs
         records.append(record)
-    print("b.rref = rref_mod above the cutoff (blocked), b.rank = blocked_rank_mod; "
+    print("scalar = rref_mod and its free columns, b.rref = blocked_rref_free_mod, b.rank = blocked_rank_mod; "
           "ratio = scalar time / b.rref time (above 1: the blocked RREF is faster); "
           "i32/64 = b.rank time on int32 / on int64 copies; "
           "kern/rank = annihilator step time / b.rank time, both on int32 copies; "

@@ -4,13 +4,12 @@ Every kernel follows one pivot rule (first nonzero row in the earliest
 unfinished column); ``benchmarks/bench_elimination.py`` times them on random
 and Jacobian-slice matrices.
 
-Two elimination strategies, switched at ``_SCALAR_CUTOFF`` entries: on
-every Jacobian slice measured the blocked rank was faster than the scalar
-one above it; the blocked reduced form overtakes the scalar one a little
-later, between 74,000 and 96,000 entries (see the constant).
+One scalar kernel and one blocked forward pass, and two drivers that switch
+between them at ``_SCALAR_CUTOFF`` entries: ``rank_mod`` (the rank) and
+``rref_free_mod`` (the pivot columns and the reduced form's free columns).
 
-* scalar — ``_np_rref``: full reduced row echelon form by row operations, in
-  place. ``rref_mod`` and ``rank_mod`` use it at or below the cutoff.
+* scalar — ``rref_mod``: full reduced row echelon form by row operations, in
+  place, on an int64 matrix. Both drivers use it at or below the cutoff.
 * blocked — above the cutoff. Right-looking blocked elimination (the
   FFLAS-FFPACK scheme): a 128-wide panel is factored while recording
   multipliers, by the rank-profile recursion of Jeannerod, Pernet and
@@ -25,34 +24,35 @@ later, between 74,000 and 96,000 entries (see the constant).
   pass is shared: ``blocked_rank_mod`` stops after it with the rank, and
   ``blocked_rref_free_mod`` goes on to the one back-substitution, to the
   pivot columns and the reduced form's free columns, all that bases need
-  (quotient bases, kernels, membership). The reduced form is the identity
-  at the pivot columns and those columns at the others, which ``rref_mod``
-  writes above the cutoff; it is unique, so it equals the scalar one entry
-  for entry. Every product X @ Y has an inner dimension of at most 128 and
-  runs as two float64 products: the narrow factor X is split into balanced
-  16-bit limbs, X = X1 * 2^16 + X0 with X0 in [-2^15, 2^15) and X1 in
-  [0, 2^15], and Y stays whole (X1 multiplies 2^16 Y mod p), so each dot
-  product is a sum of at most 128 terms bounded by 2^46, hence below 2^53
-  and exact; the two products are summed and reduced modulo p in int64.
-  Exactness makes the result independent of BLAS summation order, so this
-  is deterministic. The trailing products run over column chunks sized so
-  that each float64 product buffer stays near ``_PRODUCT_BYTES``; the
-  other temporaries (the transposed panel, the multipliers, their limbs
-  and the products inside the panel) are at most 128 columns or rows wide.
+  (echelons, quotient bases, kernels, membership). The reduced form is the
+  identity at the pivot columns and those columns at the others, which
+  ``linalg.reduced_rows`` writes; it is unique, so it equals the scalar
+  one entry for entry. Every product X @ Y has an inner dimension of at
+  most 128 and runs as two float64 products: the narrow factor X is split
+  into balanced 16-bit limbs, X = X1 * 2^16 + X0 with X0 in [-2^15, 2^15)
+  and X1 in [0, 2^15], and Y stays whole (X1 multiplies 2^16 Y mod p), so
+  each dot product is a sum of at most 128 terms bounded by 2^46, hence
+  below 2^53 and exact; the two products are summed and reduced modulo p
+  in int64. Exactness makes the result independent of BLAS summation
+  order, so this is deterministic. The trailing products run over column
+  chunks sized so that each float64 product buffer stays near
+  ``_PRODUCT_BYTES``; the other temporaries (the transposed panel, the
+  multipliers, their limbs and the products inside the panel) are at most
+  128 columns or rows wide.
 
-``blocked_rank_mod`` also takes an int32 matrix, half the bytes of int64;
-every residue below p < 2^31 fits. It reads int32 entries into int64 (the
-transposed panel, the factor of every product) and writes back residues,
-so its rank and every intermediate matrix are those of an int64 copy.
-``LinearEngine`` ranks in int32, and takes annihilators and kernels in
-int32 through ``rref_free_mod``; above ``_CONCURRENT_ENTRIES`` it runs the
-per-prime step of a rank or an annihilator (never of an echelon or
-kernel) for both primes at once, the second in a child process forked for
-the pair (``linalg._pair``), with OpenBLAS pinned to one thread through
+The blocked kernels also take an int32 matrix, half the bytes of int64;
+every residue below p < 2^31 fits. They read int32 entries into int64 (the
+transposed panel, the factor of every product) and write back residues,
+so their results and every intermediate matrix are those of an int64 copy;
+the drivers give the scalar kernel an int64 copy of an int32 matrix.
+``LinearEngine`` runs every elimination in int32, and above
+``_CONCURRENT_ENTRIES`` it runs the per-prime step of a prime pair for
+both primes at once, the second in a child process forked for the pair
+(``linalg._pair``), with OpenBLAS pinned to one thread through
 ``openblas_threads``.
 The kernels themselves start no thread or process and set no BLAS thread
-count. Kernel rows of a reduced form's free columns are derived in
-``linalg``, for both fields.
+count. Reduced rows and kernel rows of a reduced form's free columns are
+written in ``linalg``, for both fields.
 """
 
 from __future__ import annotations
@@ -66,17 +66,17 @@ import numpy as np
 from .errors import InconsistentResult
 
 PANEL_WIDTH = 128
-# entries; at or below this the scalar rref computes ranks and reduced forms,
-# above it blocked_rank_mod and blocked_rref_free_mod. Measured with
+# entries; at or below this the scalar rref_mod computes ranks and free
+# columns, above it blocked_rank_mod and blocked_rref_free_mod. Measured with
 # benchmarks/bench_elimination.py (numpy kernels, seeds 1-3, Jacobian
-# slices; blocked/scalar time). Ranks: at 36,960 entries the scalar rref
-# wins (1.03-1.16), and from the 224 x 220 slice (49,280 entries) up
-# blocked_rank_mod wins every run (0.05-0.93). Reduced forms (rref_mod
-# above the cutoff): from 36,960 to 73,920 entries the scalar rref wins all
-# but one run (0.96-1.52), and from 96,096 up the blocked one wins every
-# run (0.07-0.96). One cutoff serves both: between 40,000 and 96,096
-# entries a reduced form loses at most 12 ms (both primes) to the blocked
-# kernel, and a rank gains up to 11 ms.
+# slices; blocked/scalar time). Ranks: at 36,960 entries 0.95-1.16, at
+# 49,280 0.85-1.34 (blocked wins two runs of three) and from 73,920 up
+# blocked_rank_mod wins every run (0.06-0.92). Pivot and free columns
+# (rref_free_mod): from 36,960 to 49,280 entries the scalar rref wins every
+# run (1.10-1.50), at 73,920 they tie (1.00-1.03), and from 96,096 up the
+# blocked one wins every run (0.06-0.98). One cutoff serves both: between
+# 40,000 and 96,096 entries a free-column step loses at most 7 ms (both
+# primes) to the blocked kernel, and a rank gains up to 32 ms.
 _SCALAR_CUTOFF = 40_000
 # entries; above this LinearEngine ranks a prime pair's two int32 matrices at
 # once, the second in a forked child, each on one BLAS thread. Measured on
@@ -134,8 +134,9 @@ def _np_reduce(S: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarr
     return np.subtract(S, q, out=S if out is None else out)
 
 
-def _np_rref(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
-    """In-place reduced row echelon form of A over F_p; A entries in [0, p).
+def rref_mod(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """In-place reduced row echelon form of A over F_p, the scalar kernel;
+    A is int64, C-contiguous, with entries already reduced into [0, p).
 
     Returns (rank, pivot column indices). Entries stay int64; every
     intermediate fits: values < p < 2**31, multipliers < p, so products are
@@ -359,26 +360,6 @@ def _np_fuse(T: np.ndarray, X0: np.ndarray, X1: np.ndarray, Y: np.ndarray, p: in
 # ---------------------------------------------------------------------------
 
 
-def rref_mod(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
-    """Reduced row echelon form of A over F_p, in place: scalar at or below
-    _SCALAR_CUTOFF entries; above it the identity at the pivot columns and
-    ``blocked_rref_free_mod``'s free columns elsewhere, written into the
-    pivot rows (the forward pass leaves the rows below the rank zero). A
-    must be int64, C-contiguous, with entries already reduced into [0, p)."""
-    if A.size == 0:
-        return 0, np.zeros(0, dtype=np.int64)
-    if A.size <= _SCALAR_CUTOFF:
-        return _np_rref(A, p)
-    pivots, X = blocked_rref_free_mod(A, p)
-    rank = pivots.size
-    free = np.ones(A.shape[1], dtype=bool)
-    free[pivots] = False
-    A[:rank, free] = X
-    A[:rank, pivots] = 0
-    A[np.arange(rank), pivots] = 1
-    return rank, pivots
-
-
 def _fuse_product(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
     """T -= (X @ Y) mod p in place, one ``_np_fuse`` per column chunk; X has
     at most PANEL_WIDTH columns, is the factor split into limbs and is read
@@ -461,7 +442,8 @@ def rref_free_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     form's free columns (rank x (cols - rank), int64); destroys A. At or
     below _SCALAR_CUTOFF entries they are read off ``rref_mod`` of an int64
     copy of an int32 A, above it they come from ``blocked_rref_free_mod``.
-    ``linalg.kernel_rows`` turns them into kernel rows."""
+    ``linalg.reduced_rows`` and ``linalg.kernel_rows`` turn them into the
+    reduced form's rows and its kernel rows."""
     if A.size > _SCALAR_CUTOFF:
         return blocked_rref_free_mod(A, p)
     A = A.astype(np.int64, copy=False)
@@ -471,14 +453,11 @@ def rref_free_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def rank_mod(A: np.ndarray, p: int) -> int:
     """Rank over F_p, routing matrices of at most _SCALAR_CUTOFF entries to
-    plain rref (on an int64 copy of an int32 A) and larger ones to
+    ``rref_mod`` (on an int64 copy of an int32 A) and larger ones to
     blocked_rank_mod; destroys A."""
-    if A.size == 0:
-        return 0
-    if A.size <= _SCALAR_CUTOFF:
-        rank, _ = rref_mod(A.astype(np.int64, copy=False), p)
-        return rank
-    return blocked_rank_mod(A, p)
+    if A.size > _SCALAR_CUTOFF:
+        return blocked_rank_mod(A, p)
+    return rref_mod(A.astype(np.int64, copy=False), p)[0]
 
 
 @functools.cache

@@ -10,13 +10,13 @@ everything that differs by field: the payload type of its matrices and the
 few operations on them the engine and the graded algebra need. Payloads are
 2-D numpy arrays in both: int64 entries reduced into [0, p) over F_p, and
 ``dtype=object`` entries (Fractions or ints) over Q, so indexing, stacking
-and reshaping are written once for both. A matrix made for a rank, a
-kernel or an annihilator has the realization's ``rank_dtype``: int32 over
-F_p, half the bytes, since a residue below p < 2**31 fits. An echelon
-needs ``rref``; a kernel or an annihilator needs ``rref_free`` (the pivot
-columns and only the reduced form's free columns), ``dtype`` and
-``normalize``: the engine derives its rows from those columns the same way
-in both fields.
+and reshaping are written once for both. Every matrix the engine
+eliminates has the realization's ``rank_dtype``: int32 over F_p, half the
+bytes, since a residue below p < 2**31 fits. Besides ``rank``, one step
+serves every op: ``rref_free`` gives the pivot columns and only the reduced
+form's free columns, from which the engine writes echelon rows, kernel
+rows and annihilators the same way in both fields, through ``dtype`` and
+``normalize``.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ class PrimeField:
     def key(self) -> str:
         return f"fp:{self.p}"
 
-    def dense(self, coo, dtype: type = np.int64) -> np.ndarray:
-        """A fresh dense matrix of an integer COO matrix, of ``dtype``."""
-        return coo.dense_mod(self.p, dtype)
+    def dense(self, coo) -> np.ndarray:
+        """A fresh dense ``rank_dtype`` matrix of an integer COO matrix."""
+        return coo.dense_mod(self.p, self.rank_dtype)
 
     def convert(self, values) -> np.ndarray:
         """Exact rationals (a scalar, a vector or rows) reduced into F_p."""
@@ -97,11 +97,6 @@ class PrimeField:
     def rank(self, mat: np.ndarray) -> int:
         """Rank of mat (int64 or int32); overwrites it."""
         return _kernels.rank_mod(mat, self.p)
-
-    def rref(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-        """Pivot columns and reduced echelon rows of mat; overwrites it."""
-        rank, pivots = _kernels.rref_mod(mat, self.p)
-        return tuple(int(c) for c in pivots), mat[:rank].copy()
 
     def rref_free(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
         """Pivot columns of mat's reduced echelon form and only that form's
@@ -118,8 +113,8 @@ class Rationals:
     dtype = rank_dtype = object
     key = "exact"
 
-    def dense(self, coo, dtype: type = object) -> np.ndarray:
-        return np.array(coo.dense_int_rows(), dtype=dtype).reshape(coo.shape)
+    def dense(self, coo) -> np.ndarray:
+        return np.array(coo.dense_int_rows(), dtype=object).reshape(coo.shape)
 
     def convert(self, values) -> np.ndarray:
         return np.asarray(_map(Fraction, values), dtype=object)
@@ -130,17 +125,10 @@ class Rationals:
     def rank(self, mat: np.ndarray) -> int:
         return exact.bareiss_rank(mat)
 
-    def rref(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-        ech, pivots = exact.rref_fraction(mat)
-        return pivots, _rows(ech, mat.shape[1])
-
     def rref_free(self, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-        pivots, rows = self.rref(mat)
+        ech, pivots = exact.rref_fraction(mat)
+        rows = np.array(ech, dtype=object).reshape(len(ech), mat.shape[1])
         return pivots, np.delete(rows, pivots, axis=1)
-
-
-def _rows(rows: exact.ExactRows, ncols: int) -> np.ndarray:
-    return np.array(rows, dtype=object).reshape(len(rows), ncols)
 
 
 Realization = PrimeField | Rationals

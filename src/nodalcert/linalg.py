@@ -3,7 +3,7 @@
 The engine runs every elimination in each realization of its field
 configuration (see ``field``) and insists the answers agree:
 
-* prime-pair mode (default): each rank/echelon runs modulo two independent
+* prime-pair mode (default): each elimination runs modulo two independent
   31-bit primes; ranks, or else pivot column sets, must match or
   ``FieldDisagreement`` is raised. Ranks over a prime field never exceed the
   rational rank, and agreement of two independent primes on both the rank
@@ -20,41 +20,45 @@ The engine has three ops, rank, reduced echelon form and kernel, each
 taking ``(matrix, label)`` where the matrix is an ``IntCOO`` or a payload,
 and each under two names (``rank_coo`` and ``rank_payload``, and so on):
 perfbench's tracer patches and counts each name apart. The shape comes
-from the matrix, and one step per field densifies it and runs the op: a
+from the matrix, and one step per field densifies it into the
+realization's ``rank_dtype`` (int32 for a prime key) and runs the op: a
 COO through ``Realization.dense``, a payload by copying its matrix, so the
 engine never writes into a caller's payload. Payloads map each field key
 to a 2-D numpy matrix of that realization's dtype: int64 entries in
 [0, p) for a prime key, ``dtype=object`` rationals for the exact key. A
-matrix made for any op but an echelon has the realization's
-``rank_dtype`` instead, int32 for a prime key. A matrix of more than
-``_ENTRY_CAP`` entries raises ``NoStabilization`` before any is made.
+matrix of more than ``_ENTRY_CAP`` entries raises ``NoStabilization``
+before any is made.
 
 A fourth op, ``annihilator_coo``, serves ``milnor``'s Jacobian slices and
-quotient tables: one elimination of the ``rank_dtype`` matrix records the
-rank and returns, per field, the kernel rows of x -> M x from
-``annihilator``, which over F_p never makes the reduced form (see
-``_kernels.blocked_rref_free_mod``). It is neither cached nor
-echelonized, and adds no ledger label of its own. ``derived_rank``
-records a rank that ``milnor`` derives from such rows without building
-the matrix, under the same size cap and agreement check.
+quotient tables: the rank and, per field, the kernel rows of x -> M x,
+not echelonized. ``derived_rank`` records a rank that ``milnor`` derives
+from such rows without building the matrix, under the same size cap and
+agreement check.
 
-A prime-pair rank or annihilator of more than
-``_kernels._CONCURRENT_ENTRIES`` entries runs the step of its two primes
-at once when the process has at least two cores, can fork, runs no other
-Python thread and the OpenBLAS that numpy loaded lets its thread count be
-set: the calling process forks a child, which inherits the matrix
-copy-on-write, moves off the caller's core, runs the second prime's step
-(it makes only that prime's int32 matrix) and writes the rank (or an
-annihilator's pivot columns and rows, h x N for a quotient of dimension
-h) or its exception to a pipe, while the caller runs the first prime's; OpenBLAS is pinned to one thread until both are done, and the
-child is reaped before the rank returns or raises. Otherwise, and for
-every echelon and kernel, the primes run in turn. The ranks, their
-agreement check and the ledger are the same either way. The engine itself
-is not thread-safe: a caller uses it from one thread.
+A rank is one step, ``Realization.rank``, answered from the ledger once
+recorded. Every other op is one step too, ``Realization.rref_free``: the
+pivot columns and only the reduced form's free columns, which over F_p
+above the scalar cutoff never makes the rest of the form (see
+``_kernels.blocked_rref_free_mod``). The realizations must agree on the
+pivot columns, and the engine holds that settled result under the label,
+so one elimination answers every echelon, kernel and annihilator asked of
+it: an echelon is ``reduced_rows`` of the held result, an annihilator its
+``kernel_rows``, and a kernel those rows echelonized under
+``label + "/kernel"``.
 
-A kernel runs the annihilator's step and echelonizes its rows, so no
-reduced form is made for it. An echelon, a kernel and an annihilator
-settle on the realizations' pivot columns, a rank on the rank.
+A prime-pair elimination of more than ``_kernels._CONCURRENT_ENTRIES``
+entries runs the step of its two primes at once when the process has at
+least two cores, can fork, runs no other Python thread and the OpenBLAS
+that numpy loaded lets its thread count be set: the calling process forks
+a child, which inherits the matrix copy-on-write, moves off the caller's
+core, runs the second prime's step (it makes only that prime's int32
+matrix) and writes the rank (or the pivot columns and the free columns,
+rank x h for a quotient of dimension h) or its exception to a pipe, while
+the caller runs the first prime's; OpenBLAS is pinned to one thread until
+both are done, and the child is reaped before the step's result returns
+or raises. Otherwise the primes run in turn. The results, their agreement
+check and the ledger are the same either way. The engine itself is not
+thread-safe: a caller uses it from one thread.
 """
 
 from __future__ import annotations
@@ -204,12 +208,25 @@ def _pair(fields: Sequence[Realization], step: Callable[[Realization], object]) 
     return [first, second]
 
 
-def _dense(F: Realization, matrix: IntCOO | Payload, dtype: type) -> np.ndarray:
-    """A fresh C-contiguous ``dtype`` matrix for F, which a kernel may
+def _dense(F: Realization, matrix: IntCOO | Payload) -> np.ndarray:
+    """A fresh C-contiguous ``rank_dtype`` matrix for F, which a kernel may
     overwrite: the COO densified, or a copy of the payload's matrix."""
     if isinstance(matrix, IntCOO):
-        return F.dense(matrix, dtype)
-    return np.array(matrix[F.key], dtype=dtype, order="C")
+        return F.dense(matrix)
+    return np.array(matrix[F.key], dtype=F.rank_dtype, order="C")
+
+
+def reduced_rows(F: Realization, pivots: Sequence[int], free: np.ndarray, ncols: int) -> np.ndarray:
+    """The reduced echelon rows, of F's dtype, on ``ncols`` coordinates with
+    pivot columns ``pivots`` and, at the other columns in order, the
+    columns ``free`` (as ``Realization.rref_free`` returns them): row t has
+    1 at pivots[t] and 0 at the other pivot columns. The mirror of
+    ``kernel_rows``."""
+    pivots = np.array(pivots, dtype=np.int64)
+    out = np.zeros((len(pivots), ncols), dtype=F.dtype)
+    out[:, np.delete(np.arange(ncols), pivots)] = free
+    out[np.arange(len(pivots)), pivots] = 1
+    return out
 
 
 def kernel_rows(F: Realization, pivots: Sequence[int], free: np.ndarray, ncols: int) -> np.ndarray:
@@ -230,7 +247,8 @@ def kernel_rows(F: Realization, pivots: Sequence[int], free: np.ndarray, ncols: 
 def annihilator(F: Realization, mat: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     """The pivot columns of mat's reduced echelon form over F and the
     ``kernel_rows`` of mat, from ``F.rref_free``: the rest of the reduced
-    form is never made. Overwrites mat."""
+    form is never made. Overwrites mat. For matrices the engine does not
+    hold, such as ``milnor``'s compatibility systems."""
     pivots, free = F.rref_free(mat)
     return pivots, kernel_rows(F, pivots, free, mat.shape[1])
 
@@ -241,7 +259,9 @@ class LinearEngine:
     def __init__(self, field: FieldConfig):
         self.field = field
         self.rank_ledger: dict[str, RankRecord] = {}
-        self._span_cache: dict[str, tuple[str, SubspaceBasis]] = {}  # label -> (op, basis)
+        # label -> (pivot columns, {field key: free columns}): the settled
+        # result of the one elimination that answers every op but a rank
+        self._held: dict[str, tuple[tuple[int, ...], dict[str, np.ndarray]]] = {}
 
     # -- internal ---------------------------------------------------------
 
@@ -263,7 +283,7 @@ class LinearEngine:
         self.rank_ledger[label] = rec
 
     def _settle(self, what: str, label: str, shape: tuple[int, int], results: list) -> int:
-        """Insist that the realizations' ``(check, rows)`` results agree on
+        """Insist that the realizations' ``(check, data)`` results agree on
         their check (``what``: "rank" or "pivot columns"), else raise
         ``FieldDisagreement``; record the rank under ``label`` and return it."""
         first = results[0][0]
@@ -276,58 +296,50 @@ class LinearEngine:
         self._record(label, shape[0], shape[1], rank)
         return rank
 
+    def _run(self, label: str, shape: tuple[int, int], step: Callable[[Realization], tuple]) -> list:
+        """``step(F)`` in every realization, once the size cap is checked; a
+        large prime pair runs both at once (module docstring)."""
+        _check_size(label, shape)
+        fields = self.field.realizations
+        at_once = len(fields) == 2 and shape[0] * shape[1] > _kernels._CONCURRENT_ENTRIES
+        if at_once and _can_rank_at_once() and threading.active_count() == 1:
+            # forking a process that runs other threads is unsafe
+            return _pair(fields, step)
+        return [step(F) for F in fields]
+
     def _eliminate(self, op: str, matrix: IntCOO | Payload, label: str) -> int | SubspaceBasis | tuple:
-        """Run ``op`` ("rank"; "rref"; "annihilator", the kernel rows from
-        ``annihilator``; or "kernel", which echelonizes them) on ``matrix``
-        (a COO or a payload) in every realization, one ``step`` per field;
-        insist the realizations agree on the rank (for the other ops, the
-        pivot columns); record the rank under ``label``. A rank is answered
-        from the ledger, and a large prime-pair rank or annihilator runs
-        both steps at once (module docstring). An annihilator is neither
-        cached nor echelonized. A basis (the span for "rref", the
-        echelonized kernel for "kernel", both of ``shape[1]`` coordinates)
-        comes from the span cache, which it then fills. A hit of another op
-        or another shape raises ``InconsistentResult``."""
+        """Run ``op`` ("rank"; "rref"; "annihilator", the kernel rows; or
+        "kernel", which echelonizes them) on ``matrix`` (a COO or a payload)
+        in every realization; insist the realizations agree on the rank (for
+        the other ops, the pivot columns); record the rank under ``label``.
+        A rank is answered from the ledger. Every other op is written from
+        the held result of ``label``, the pivot columns and each
+        realization's free columns from ``F.rref_free``, which the first
+        such op on the label settles and holds; a later op of another shape
+        raises ``InconsistentResult``."""
         shape = matrix.shape if isinstance(matrix, IntCOO) else _payload_shape(matrix, label)
         if op == "rank":
             cached = self._cached_rank(label, shape)
             if cached is not None:
                 return cached
-        elif op != "annihilator" and label in self._span_cache:
-            self._cached_rank(label, shape)  # raises unless the shapes agree
-            held, basis = self._span_cache[label]
-            if held != op:
-                raise InconsistentResult(f"span cache label {label!r} holds a {held} basis, asked for {op}")
-            return basis
-        _check_size(label, shape)
-
-        def step(F: Realization) -> tuple:
-            if op == "rank":
-                return F.rank(_dense(F, matrix, F.rank_dtype)), None
-            if op == "rref":
-                return F.rref(_dense(F, matrix, F.dtype))
-            return annihilator(F, _dense(F, matrix, F.rank_dtype))
-
+            results = self._run(label, shape, lambda F: (F.rank(_dense(F, matrix)), None))
+            return self._settle("rank", label, shape, results)
         fields = self.field.realizations
-        ranked = op in ("rank", "annihilator")
-        at_once = ranked and len(fields) == 2 and shape[0] * shape[1] > _kernels._CONCURRENT_ENTRIES
-        if at_once and _can_rank_at_once() and threading.active_count() == 1:
-            # forking a process that runs other threads is unsafe
-            results = _pair(fields, step)
+        if label in self._held:
+            self._cached_rank(label, shape)  # raises unless the shapes agree
         else:
-            results = [step(F) for F in fields]
-        rank = self._settle("rank" if op == "rank" else "pivot columns", label, shape, results)
-        if op == "rank":
-            return rank
-        payload = {F.key: rows for F, (_, rows) in zip(fields, results)}
+            results = self._run(label, shape, lambda F: F.rref_free(_dense(F, matrix)))
+            self._settle("pivot columns", label, shape, results)
+            self._held[label] = (results[0][0], {F.key: free for F, (_, free) in zip(fields, results)})
+        pivots, free = self._held[label]
+        if op == "rref":
+            return SubspaceBasis(
+                shape[1], pivots, {F.key: reduced_rows(F, pivots, free[F.key], shape[1]) for F in fields}
+            )
+        rows = {F.key: kernel_rows(F, pivots, free[F.key], shape[1]) for F in fields}
         if op == "annihilator":
-            return rank, payload
-        if op == "kernel":
-            basis = self.echelon_payload(payload, label + "/kernel")
-        else:
-            basis = SubspaceBasis(shape[1], results[0][0], payload)
-        self._span_cache[label] = (op, basis)
-        return basis
+            return len(pivots), rows
+        return self.echelon_payload(rows, label + "/kernel")
 
     # -- public entry points ------------------------------------------------
     # Three ops, each taking a COO or a payload. Each has a second name bound
@@ -348,8 +360,8 @@ class LinearEngine:
     def annihilator_coo(self, matrix: IntCOO, label: str) -> tuple[int, dict[str, np.ndarray]]:
         """The rank of M, recorded under ``label``, and per field key the
         ``kernel_rows`` of x -> M x, not echelonized: for a generator matrix,
-        the functionals vanishing on its row space. One elimination, which
-        makes no reduced form; the realizations agree on its pivot columns."""
+        the functionals vanishing on its row space. Written from the label's
+        held elimination, as an echelon of it is."""
         return self._eliminate("annihilator", matrix, label)
 
     def derived_rank(

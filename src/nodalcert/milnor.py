@@ -252,7 +252,8 @@ class JacobianContext:
         the degree-k ideal slice. A pivot row of the slice's reduced echelon
         form writes its pivot monomial through the complement, so the table
         is the transpose of that form's kernel rows: the slice's
-        annihilator, from one elimination that makes no reduced form."""
+        annihilator, from the one elimination of the slice's label that
+        also answers ``jacobian_basis``."""
         if k not in self._qr:
             _, lam = self.engine.annihilator_coo(self.generator_coo(k), f"jacobian/{k}")
             self._qr[k] = {key: np.ascontiguousarray(rows.T) for key, rows in lam.items()}
@@ -284,18 +285,21 @@ def dims_match_reference_through(ctx: JacobianContext, q: int) -> bool:
 
 
 def tjurina_count(ctx: JacobianContext) -> int:
-    """Stabilized value of the quotient Hilbert function: scan upward from
-    the socle degree until three consecutive degrees agree. Raises
-    NoStabilization before assembling a slice past the size cap."""
+    """Stabilized value of the quotient Hilbert function: the first
+    h(k) = h(k+1) = c with c <= k, scanning upward from
+    k = max(socle degree, d-1). The ideal is generated in degree d-1 <= k,
+    so by Macaulay's bound and Gotzmann's persistence theorem c then holds
+    in every later degree. Raises NoStabilization past degree socle + 3d,
+    or before assembling a slice past the size cap."""
     bound = ctx.socle + 3 * ctx.d
-    k = ctx.socle
-    while k + 2 <= bound:
-        over = ctx.slice_over_cap(k + 2)
+    k = max(ctx.socle, ctx.d - 1)
+    while k + 1 <= bound:
+        over = ctx.slice_over_cap(k + 1)
         if over:
             raise NoStabilization(over)
-        a, b, c = ctx.milnor_dim(k), ctx.milnor_dim(k + 1), ctx.milnor_dim(k + 2)
-        if a == b == c:
-            return a
+        c = ctx.milnor_dim(k)
+        if c <= k and ctx.milnor_dim(k + 1) == c:
+            return c
         k += 1
     raise NoStabilization(f"quotient dimensions did not stabilize by degree {bound}")
 

@@ -15,6 +15,7 @@ from nodalcert._kernels import (
     blocked_rank_mod,
     blocked_rref_free_mod,
     rank_mod,
+    rref_free_mod,
     rref_mod,
 )
 from nodalcert.assembly import jacobian_generator_coo
@@ -22,7 +23,7 @@ from nodalcert.errors import InconsistentResult
 from nodalcert.exact import bareiss_rank
 from nodalcert.field import DEFAULT_PRIMES, PrimeField, Rationals
 from nodalcert.fixtures import one_node
-from nodalcert.linalg import annihilator, kernel_rows
+from nodalcert.linalg import annihilator, kernel_rows, reduced_rows
 from nodalcert.polynomials import partial_derivatives
 
 P = DEFAULT_PRIMES[0]
@@ -317,19 +318,18 @@ def test_unit_triangular_inverse_matches_column_elimination(n):
         assert np.array_equal(_mulmod(upper, Y, p), np.eye(n, dtype=np.int64))
 
 
-def _assert_blocked_rref_is_scalar_rref(A, p, monkeypatch):
-    """``rref_mod`` above the scalar cutoff (lowered to 0, so small matrices
-    take the blocked branch too) and the scalar RREF of A agree in rank,
-    pivots and every entry, the zero rows below the rank included; returns
-    (rank, pivots)."""
-    scalar, blocked = A.copy(), A.copy()
-    rank, pivots = _kernels._np_rref(scalar, p)
-    monkeypatch.setattr(_kernels, "_SCALAR_CUTOFF", 0)
-    got_rank, got_pivots = rref_mod(blocked, p)
-    assert got_rank == rank
+def _assert_blocked_rref_is_scalar_rref(A, p):
+    """The blocked reduced form, ``reduced_rows`` of ``blocked_rref_free_mod``
+    (which takes any size), and the scalar ``rref_mod`` of A agree in rank,
+    pivots and every entry, the scalar form's zero rows below the rank
+    included; returns (rank, pivots)."""
+    scalar = A.copy()
+    rank, pivots = rref_mod(scalar, p)
+    got_pivots, X = blocked_rref_free_mod(A.copy(), p)
     assert got_pivots.dtype == pivots.dtype and np.array_equal(got_pivots, pivots)
-    assert np.array_equal(blocked, scalar)
-    assert not blocked[rank:].any()
+    blocked = reduced_rows(PrimeField(p), got_pivots, X, A.shape[1])
+    assert blocked.dtype == scalar.dtype and np.array_equal(blocked, scalar[:rank])
+    assert not scalar[rank:].any()
     return rank, pivots
 
 
@@ -350,34 +350,34 @@ def _assert_blocked_rref_is_scalar_rref(A, p, monkeypatch):
         (400, 257, 200),
     ],
 )
-def test_blocked_rref_matches_scalar_rref(rows, cols, rank, monkeypatch):
+def test_blocked_rref_matches_scalar_rref(rows, cols, rank):
     rng = np.random.default_rng(31 + rows + cols + rank)
     for p in DEFAULT_PRIMES:
         A = _random_with_rank(rng, rows, cols, rank, p)
-        assert _assert_blocked_rref_is_scalar_rref(A, p, monkeypatch)[0] == rank
+        assert _assert_blocked_rref_is_scalar_rref(A, p)[0] == rank
 
 
-def test_blocked_rref_with_a_rank_drop_inside_the_first_panel(monkeypatch):
+def test_blocked_rref_with_a_rank_drop_inside_the_first_panel():
     rng = np.random.default_rng(37)
     for p in DEFAULT_PRIMES:
         A = _random_with_rank(rng, 300, 257, 220, p)
         A[:, 50] = 2 * A[:, 10] % p
         A[:, 60:70] = 0
-        _, pivots = _assert_blocked_rref_is_scalar_rref(A, p, monkeypatch)
+        _, pivots = _assert_blocked_rref_is_scalar_rref(A, p)
         assert np.count_nonzero(pivots < PANEL_WIDTH) < PANEL_WIDTH - 10
 
 
 @pytest.mark.parametrize("k", [12, 13, 14])
-def test_blocked_rref_on_jacobian_slices(k, monkeypatch):
+def test_blocked_rref_on_jacobian_slices(k):
     coo = jacobian_generator_coo(partial_derivatives(one_node(3, 5, 1).f), k)
     for p in DEFAULT_PRIMES:
         A = coo.dense_mod(p)
         assert A.size > _kernels._SCALAR_CUTOFF
-        rank, _ = _assert_blocked_rref_is_scalar_rref(A, p, monkeypatch)
+        rank, _ = _assert_blocked_rref_is_scalar_rref(A, p)
         assert rank == coo.shape[1] - 1
 
 
-def test_rref_mod_on_both_sides_of_the_scalar_cutoff(monkeypatch):
+def test_rref_free_mod_on_both_sides_of_the_scalar_cutoff(monkeypatch):
     rng = np.random.default_rng(41)
     side = int(_kernels._SCALAR_CUTOFF**0.5)
     mats = {n: _random_with_rank(rng, n, n, n - 7) for n in (side - 8, side + 8)}
@@ -390,11 +390,11 @@ def test_rref_mod_on_both_sides_of_the_scalar_cutoff(monkeypatch):
     monkeypatch.setattr(_kernels, "blocked_rref_free_mod", spy)
     for n, A in mats.items():
         expected = A.copy()
-        expected_rank, expected_pivots = _kernels._np_rref(expected, P)
-        rank, pivots = rref_mod(A, P)
-        assert rank == expected_rank == n - 7
+        expected_rank, expected_pivots = rref_mod(expected, P)
+        pivots, free = rref_free_mod(A.astype(np.int32), P)
+        assert pivots.size == expected_rank == n - 7
         assert np.array_equal(pivots, expected_pivots)
-        assert np.array_equal(A, expected)
+        assert np.array_equal(free, np.delete(expected[:expected_rank], expected_pivots, axis=1))
     assert blocked_calls == [(side + 8, side + 8)]
 
 
@@ -443,19 +443,19 @@ def test_kernel_rows_annihilate_the_matrix(F):
     assert ker.shape == (15 - 8, 15)
     assert not F.normalize(original @ ker.T.astype(object)).any()
     # the kernel rows are independent
-    assert len(F.rref(ker.copy())[0]) == 15 - 8
+    assert len(F.rref_free(ker.copy())[0]) == 15 - 8
 
 
 def test_kernel_from_blocked_rref_annihilates_the_matrix():
     rng = np.random.default_rng(43)
     A = _random_with_rank(rng, 260, 200, 150)
     assert A.size > _kernels._SCALAR_CUTOFF
-    original = A.copy()
-    rank, pivots = rref_mod(A, P)
-    ker = kernel_rows(PrimeField(P), pivots, np.delete(A[:rank], pivots, axis=1), 200)
-    assert rank == 150
+    F = PrimeField(P)
+    pivots, free = F.rref_free(A.copy())
+    ker = kernel_rows(F, pivots, free, 200)
+    assert len(pivots) == 150
     assert ker.shape == (50, 200)
-    assert not _mulmod(original, ker.T, P).any()
+    assert not _mulmod(A, ker.T, P).any()
     assert rref_mod(ker.copy(), P)[0] == 50
 
 
@@ -463,14 +463,14 @@ def test_kernel_from_blocked_rref_annihilates_the_matrix():
 def test_kernel_rows_match_one_row_per_free_column(F):
     rng = np.random.default_rng(47)
     for rows, cols, rank in [(20, 15, 8), (10, 12, 0), (12, 12, 12), (30, 40, 25)]:
-        pivots, R = F.rref(_field_matrix(F, rng, rows, cols, rank))
+        pivots, X = F.rref_free(_field_matrix(F, rng, rows, cols, rank))
         expected = np.zeros((cols - rank, cols), dtype=F.dtype)
         free = [c for c in range(cols) if c not in set(pivots)]
         for idx, g in enumerate(free):
             expected[idx, g] = 1
             for t, pc in enumerate(pivots):
-                expected[idx, pc] = -R[t, g] if isinstance(F, Rationals) else (F.p - R[t, g]) % F.p
-        got = kernel_rows(F, pivots, np.delete(R, np.array(pivots, dtype=np.int64), axis=1), cols)
+                expected[idx, pc] = -X[t, idx] if isinstance(F, Rationals) else (F.p - X[t, idx]) % F.p
+        got = kernel_rows(F, pivots, X, cols)
         assert got.dtype == F.dtype
         assert np.array_equal(got, expected)
 
@@ -479,7 +479,7 @@ def _reference_kernel(A, p):
     """Pivots and kernel rows of A from the scalar reduced form of an int64
     copy, which shares no code with the blocked back-substitution."""
     R = A.astype(np.int64)
-    rank, pivots = _kernels._np_rref(R, p)
+    rank, pivots = rref_mod(R, p)
     return pivots.tolist(), kernel_rows(PrimeField(p), pivots, np.delete(R[:rank], pivots, axis=1), A.shape[1])
 
 

@@ -53,14 +53,26 @@ def test_ledger_label_reuse_with_a_different_shape_raises(engine):
         engine.rank_coo(_coo([[1, 0, 0], [0, 1, 0]]), "label")
 
 
-def test_a_basis_cache_hit_must_match_the_op_and_the_shape(engine):
+def test_one_elimination_answers_every_op_on_a_label_of_one_shape(engine, monkeypatch):
+    eliminated = []
+    for F in {type(F) for F in engine.field.realizations}:
+        real = F.rref_free
+        monkeypatch.setattr(F, "rref_free", lambda self, mat, real=real: eliminated.append(mat.shape) or real(self, mat))
     coo = _coo([[1, 2, 3], [0, 1, 1]])
     ker = engine.kernel_coo(coo, "L")
-    assert engine.kernel_coo(coo, "L") is ker
-    # the kernel basis held under "L" answers no echelon, and no other shape
-    with pytest.raises(InconsistentResult, match="holds a kernel basis, asked for rref"):
-        engine.echelon_coo(coo, "L")
-    for entry_point in (engine.echelon_coo, engine.kernel_coo):
+    span = engine.echelon_coo(coo, "L")
+    rank, rows = engine.annihilator_coo(coo, "L")
+    again = engine.kernel_coo(coo, "L")
+    # one elimination of L and one of its kernel rows, per field
+    fields = len(engine.field.realizations)
+    assert eliminated == [(2, 3)] * fields + [(1, 3)] * fields
+    assert (span.pivots, rank, ker.dim) == ((0, 1), 2, 1)
+    for F in engine.field.realizations:
+        assert not F.normalize(F.convert([[1, 2, 3], [0, 1, 1]]) @ rows[F.key].T).any()
+        assert np.array_equal(span.payload[F.key], F.convert([[1, 0, 1], [0, 1, 1]]))
+        assert np.array_equal(again.payload[F.key], ker.payload[F.key])
+    # the label holds a 2x3 result, and answers no other shape
+    for entry_point in (engine.echelon_coo, engine.kernel_coo, engine.annihilator_coo):
         with pytest.raises(InconsistentResult, match="holds a 2x3 rank, asked for 4x5"):
             entry_point(_coo(np.eye(4, 5, dtype=np.int64)), "L")
 
@@ -198,6 +210,9 @@ def _assert_no_child_left():
 
 
 def _jacobian_ledger(gate, monkeypatch):
+    """The ledger of ranks, derived ranks, an echelon and a kernel of the
+    quartic's Jacobian slices with the pair gate at ``gate``, and that
+    echelon's and that kernel's payloads."""
     from nodalcert.fixtures import one_node
     from nodalcert.milnor import JacobianContext
 
@@ -205,18 +220,24 @@ def _jacobian_ledger(gate, monkeypatch):
     ctx = JacobianContext(one_node(3, 4, 1).f)
     for k in range(3, 11):
         ctx.jacobian_dim(k)
-    ctx.jacobian_basis(6)
-    return list(ctx.engine.rank_ledger.items())
+    basis = ctx.jacobian_basis(6)
+    ker = ctx.engine.kernel_coo(ctx.generator_coo(6).transposed(), "syzygies/6")
+    return list(ctx.engine.rank_ledger.items()), basis, ker
 
 
 def test_a_rank_above_the_gate_records_the_ledger_of_the_primes_in_turn(monkeypatch, tmp_path):
     _pair_or_skip()
     calls = _spy_ranks(monkeypatch, tmp_path)
-    in_turn = _jacobian_ledger(10**12, monkeypatch)
+    in_turn, basis, ker = _jacobian_ledger(_kernels._CONCURRENT_ENTRIES, monkeypatch)
     seen = len(calls())
     assert seen and all(pid == os.getpid() for _, pid in calls())
-    at_once = _jacobian_ledger(0, monkeypatch)
+    at_once, basis_at_once, ker_at_once = _jacobian_ledger(0, monkeypatch)
     assert at_once == in_turn
+    # the echelon and the kernel, whose steps ran in a child too, are the same
+    for a, b in ((basis, basis_at_once), (ker, ker_at_once)):
+        assert (a.ncols, a.pivots) == (b.ncols, b.pivots) and a.payload.keys() == b.payload.keys()
+        assert all(np.array_equal(a.payload[key], b.payload[key]) for key in a.payload)
+    assert (basis.dim, ker.dim) == (dict(in_turn)["jacobian/6"].rank, 80 - basis.dim)
     p1, p2 = FieldConfig.prime_pair().primes
     # p2 was ranked in another pid
     assert {(p, pid != os.getpid()) for p, pid in calls()[seen:]} == {(p1, False), (p2, True)}
@@ -400,3 +421,49 @@ def test_a_forked_child_ranks_a_pair_after_the_parent_did(monkeypatch, tmp_path)
         by_prime.setdefault(p, []).append(pid)
     assert by_prime[p1][1] == child_pid
     assert by_prime[p2][1] not in (os.getpid(), child_pid)
+
+
+def _pipeline_job(ctx, points):
+    """A full job of perfbench's n3-pipeline kind on a surface: certify,
+    the pairing, the Koszul dims, the relation degree, the variable
+    multiplication kernels, the Hodge dims, the saturation and the period
+    differential (the pairing and the latter two where the degree allows)."""
+    import nodalcert as nc
+
+    n, d = ctx.n, ctx.d
+    assert nc.certify_nodal(ctx, points).verdict == f"Nodal({len(points)})"
+    if d >= n + 1:
+        assert nc.pairing_injective(ctx)
+    assert not any(nc.koszul_cohomology_dim(ctx, m) for m in range((n * d - 1) // 2 + 1))
+    assert nc.coincidence_threshold(ctx) == nc.min_relation_degree(ctx) + d - 2
+    assert not any(nc.variable_multiplication_kernel(ctx, t).dim for t in range(max(0, 2 * d - n - 1)))
+    nc.hodge_graded_dims(ctx)
+    k = 2 * d - 4
+    assert nc.saturation_graded(ctx, k).dim == nc.ideal_of_points_dim(ctx, points, k)
+    if d >= n + 1:
+        V = [nc.HomogeneousPolynomial.monomial(n, e) for e in nc.quotient_basis(ctx, d)]
+        assert nc.period_differential(ctx, V).injective
+
+
+@pytest.mark.parametrize("mode", ["two-prime", "exact"])
+def test_a_full_job_reduces_each_label_at_most_once(roster, mode, monkeypatch):
+    from collections import Counter
+
+    from nodalcert.fixtures import one_node
+    from nodalcert.milnor import JacobianContext
+
+    settled = Counter()
+    real = LinearEngine._settle
+
+    def spy(self, what, label, shape, results):
+        if what == "pivot columns":
+            settled[label] += 1
+        return real(self, what, label, shape, results)
+
+    monkeypatch.setattr(LinearEngine, "_settle", spy)
+    if mode == "exact":
+        fx = one_node(3, 3, 1)
+        _pipeline_job(JacobianContext(fx.f, FieldConfig.exact()), fx.points)
+    else:
+        _pipeline_job(JacobianContext(roster.fixture("A").f, FieldConfig.prime_pair()), roster.fixture("A").points)
+    assert settled and {label: count for label, count in settled.items() if count > 1} == {}

@@ -79,15 +79,16 @@ def test_the_tjurina_scan_stops_at_the_entry_cap_before_assembly(monkeypatch):
     real = milnor.jacobian_generator_coo
     monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k: assembled.append(k) or real(partials, k))
     ctx = JacobianContext(one_node(3, 4, 1).f, FieldConfig.prime_pair())
-    # the scan ranks degrees 8, 9 and 10; the degree-10 slice is 480 x 286
-    monkeypatch.setattr(linalg, "_ENTRY_CAP", 480 * 286 - 1)
-    with pytest.raises(NoStabilization, match=r"degree-10 ideal slice is 480 x 286 .* past the feasible size cap"):
+    # the scan reads degrees 8 and 9, where h = 1 <= 8 twice; the degree-9 slice is 336 x 220
+    monkeypatch.setattr(linalg, "_ENTRY_CAP", 336 * 220 - 1)
+    with pytest.raises(NoStabilization, match=r"degree-9 ideal slice is 336 x 220 .* past the feasible size cap"):
         tjurina_count(ctx)
     assert assembled == []
-    monkeypatch.setattr(linalg, "_ENTRY_CAP", 480 * 286)
+    monkeypatch.setattr(linalg, "_ENTRY_CAP", 336 * 220)
     assert tjurina_count(ctx) == 1
-    # degree 8 is eliminated; 9 and 10 come from its annihilator
+    # degree 8 is eliminated; 9 comes from its annihilator
     assert assembled == [8]
+    assert list(ctx.engine.rank_ledger) == ["jacobian/8", "jacobian/9"]
 
 
 def direct_quotient_dims(f, field, degrees):
@@ -124,10 +125,17 @@ def test_derived_quotient_dims_equal_direct_ranks(roster, which, field):
 def test_the_tjurina_count_equals_a_direct_scan(roster, which, field):
     f = (roster.fixture(which) if isinstance(which, str) else which).f
     fresh = JacobianContext(f, field)
-    k = fresh.socle
-    while len(set(direct_quotient_dims(f, field, range(k, k + 3)))) > 1:
+    # the first k from max(socle, d-1) with h(k) = h(k+1) = c and c <= k
+    k = max(fresh.socle, fresh.d - 1)
+    while True:
+        c, after = direct_quotient_dims(f, field, [k, k + 1])
+        if c == after and c <= k:
+            break
         k += 1
-    assert tjurina_count(JacobianContext(f, field)) == direct_quotient_dims(f, field, [k])[0]
+    ctx = JacobianContext(f, field)
+    assert tjurina_count(ctx) == c
+    # the scan read no degree past k+1
+    assert [label for label in ctx.engine.rank_ledger if label.startswith("jacobian/")][-1] == f"jacobian/{k + 1}"
 
 
 def test_a_disagreement_of_the_derived_quotient_dims_raises(monkeypatch):
