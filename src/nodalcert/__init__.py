@@ -40,12 +40,11 @@ from .koszul import (
     trivial_syzygy_dim,
     trivial_syzygy_space,
 )
-from .linalg import LinearEngine, RankRecord, SubspaceBasis, membership
+from .linalg import LinearEngine, RankRecord, SubspaceBasis
 from .milnor import (
     SMOOTH,
     JacobianContext,
     coincidence_threshold,
-    dims_match_reference_through,
     saturation_graded,
     smooth_reference_dim,
     socle_degree,
@@ -112,7 +111,6 @@ __all__ = [
     "certify_nodal",
     "coincidence_threshold",
     "corollary_constancy_check",
-    "dims_match_reference_through",
     "effective_deformation_check",
     "fermat",
     "hessian_rank_at",
@@ -121,7 +119,6 @@ __all__ = [
     "is_singular_at",
     "koszul_cohomology_dim",
     "make_fixture",
-    "membership",
     "min_relation_degree",
     "monomial_basis",
     "monomial_rank",

@@ -24,7 +24,7 @@ between them at ``_SCALAR_CUTOFF`` entries: ``rank_mod`` (the rank) and
   pass is shared: ``blocked_rank_mod`` stops after it with the rank, and
   ``blocked_rref_free_mod`` goes on to the one back-substitution, to the
   pivot columns and the reduced form's free columns, all that bases need
-  (echelons, quotient bases, kernels, membership). The reduced form is the
+  (echelons, quotient bases, kernels). The reduced form is the
   identity at the pivot columns and those columns at the others, which
   ``linalg.reduced_rows`` writes; it is unique, so it equals the scalar
   one entry for entry. Every product X @ Y has an inner dimension of at

@@ -134,11 +134,6 @@ class Rationals:
 Realization = PrimeField | Rationals
 
 
-def realization(key: str) -> Realization:
-    """The realization a payload key names."""
-    return Rationals() if key == "exact" else PrimeField(int(key.split(":", 1)[1]))
-
-
 @dataclass(frozen=True)
 class FieldConfig:
     """Either ``exact`` rationals or a pair of distinct prime fields."""

@@ -70,7 +70,6 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -78,7 +77,7 @@ import numpy as np
 from . import _kernels
 from .assembly import IntCOO
 from .errors import FieldDisagreement, InconsistentResult, NoStabilization
-from .field import FieldConfig, Realization, realization
+from .field import FieldConfig, Realization
 
 Payload = Mapping[str, np.ndarray]
 
@@ -395,37 +394,3 @@ def _payload_shape(payload: Payload, label: str) -> tuple[int, int]:
     if len(shapes) != 1 or len(next(iter(shapes))) != 2:
         raise InconsistentResult(f"payload {label!r} holds matrices of shapes {sorted(shapes)}")
     return shapes.pop()
-
-
-# ---------------------------------------------------------------------------
-# basis-level operations (engine-independent; work on any SubspaceBasis)
-# ---------------------------------------------------------------------------
-
-
-def reduce_against_basis(basis: SubspaceBasis, vec: Sequence[Fraction]) -> dict[str, np.ndarray]:
-    """Residual of an exact vector after eliminating pivot coordinates, per key."""
-    out = {}
-    for key, rows in basis.payload.items():
-        F = realization(key)
-        res = F.convert(vec)
-        for t, pc in enumerate(basis.pivots):
-            if res[pc]:
-                res = F.normalize(res - res[pc] * rows[t])
-        out[key] = res
-    return out
-
-
-def membership(basis: SubspaceBasis, vec: Sequence[Fraction]) -> bool:
-    """Whether the exact vector lies in the subspace (agreement enforced)."""
-    answers = {key: not np.any(res) for key, res in reduce_against_basis(basis, vec).items()}
-    vals = set(answers.values())
-    if len(vals) > 1:
-        raise FieldDisagreement(f"membership differs across fields: {answers}")
-    return vals.pop()
-
-
-def quotient_coordinates(basis: SubspaceBasis, vec: Sequence[Fraction]) -> dict[str, np.ndarray]:
-    """Coordinates of the class of vec over the standard complement basis
-    (the non-pivot coordinates), one vector per field key."""
-    free = list(basis.free_columns())
-    return {key: res[free] for key, res in reduce_against_basis(basis, vec).items()}

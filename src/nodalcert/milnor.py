@@ -29,9 +29,17 @@ so ledgers do not tell derived ranks from eliminated ones.
 
 The quotient tables are annihilators too, at every degree: the table
 sending a monomial of S_k to its class over the standard monomials is the
-transposed annihilator of the slice, as the annihilator's rows are the
-kernel rows of the slice's reduced echelon form. Below d-1 the slice is
-zero, its generator matrix has no rows, and the table is the identity.
+transposed kernel rows of the slice's reduced echelon form, one per free
+column g, with 1 at g and 0 at the other free columns (below d-1, the
+identity). A context keeps one table per degree, eliminated or derived,
+and from the socle degree on reads h(k) as its width. A derived
+annihilator is some basis Lambda of that space. The free columns are the
+complement of the slice's lex-first column basis, so by matroid duality
+(Lambda's rows span the orthogonal complement of the slice's row space)
+they are Lambda's lex-last column basis. Echelonizing Lambda with its
+columns reversed thus puts its pivots exactly on the free columns, and its
+rows, reversed back, are the one basis with 1 at its own free column and 0
+at the others: the eliminated table, entry for entry.
 
 The smooth reference sequence — the coefficients of ((1-t^(d-1))/(1-t))^(n+1)
 — is the Hilbert function every smooth hypersurface of the same (n, d)
@@ -90,14 +98,14 @@ def smooth_reference_dim(n: int, d: int, k: int) -> int:
     return series[k] if k < len(series) else 0
 
 
-def _extend_annihilator(F: Realization, lam: np.ndarray, n: int, k: int) -> tuple[int, np.ndarray]:
-    """The rank over F of the degree-k ideal slice and the annihilator of
-    that slice (h(k) x N_k), from ``lam``, the annihilator of the
-    degree-(k-1) slice (h x N_(k-1)), for k-1 >= d-1: the nullity and the
-    kernel of the compatibility system of the module docstring, whose row
-    (i < j, x^c) has lambda_t(x_j x^c) at column (i, t) and
-    -lambda_t(x_i x^c) at column (j, t)."""
-    h = lam.shape[0]
+def _extend_annihilator(F: Realization, table: np.ndarray, n: int, k: int) -> tuple[int, np.ndarray]:
+    """The rank over F of the degree-k ideal slice and its canonical
+    annihilator (the transposed degree-k table), from ``table``, the
+    degree-(k-1) quotient table (N_(k-1) x h), for k-1 >= d-1: the nullity
+    and the kernel of the compatibility system of the module docstring,
+    whose row (i < j, x^c) has lambda_t(x_j x^c) at column (i, t) and
+    -lambda_t(x_i x^c) at column (j, t), echelonized with columns reversed."""
+    h = table.shape[1]
     unit = np.eye(n + 1, dtype=np.int64)
     below = exponent_matrix(n, k - 2)
     # times[j][c]: the position in S_(k-1) of x_j * x^c
@@ -106,8 +114,8 @@ def _extend_annihilator(F: Realization, lam: np.ndarray, n: int, k: int) -> tupl
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             block = np.zeros((len(below), n + 1, h), dtype=F.dtype)
-            block[:, i] = lam[:, times[j]].T
-            block[:, j] = F.normalize(-lam[:, times[i]].T)
+            block[:, i] = table[times[j]]
+            block[:, j] = F.normalize(-table[times[i]])
             blocks.append(block.reshape(len(below), (n + 1) * h))
     _, coeffs = linalg.annihilator(F, np.vstack(blocks))
     coeffs = coeffs.reshape(len(coeffs), n + 1, h)
@@ -116,8 +124,9 @@ def _extend_annihilator(F: Realization, lam: np.ndarray, n: int, k: int) -> tupl
     source = monomial_rank_rows(top - unit[var], n, k - 1)
     out = np.zeros((len(coeffs), len(top)), dtype=F.dtype)
     for t in range(h):
-        out = F.normalize(out + coeffs[:, var, t] * lam[t, source])
-    return len(top) - len(coeffs), out
+        out = F.normalize(out + coeffs[:, var, t] * table[source, t])
+    pivots, free = F.rref_free(out[:, ::-1].copy())
+    return len(top) - len(coeffs), linalg.reduced_rows(F, pivots, free, len(top))[::-1, ::-1]
 
 
 def _empty_rows(field: FieldConfig, ncols: int) -> dict[str, np.ndarray]:
@@ -125,7 +134,7 @@ def _empty_rows(field: FieldConfig, ncols: int) -> dict[str, np.ndarray]:
 
 
 class JacobianContext:
-    """Caches bases, dimensions, and quotient-reduction tables for one
+    """Caches dimensions and one quotient-reduction table per degree for one
     hypersurface over one field configuration. Generator matrices are not
     cached: each use assembles its slice again, so no slice outlives the
     elimination that needs it.
@@ -149,8 +158,7 @@ class JacobianContext:
         self.partials = partial_derivatives(f)
         self._monomial_partials = all(len(g.terms) <= 1 for g in self.partials)
         self._dims: dict[int, int] = {}
-        # (k, per-field annihilator of the degree-k slice), latest degree only
-        self._annihilator: tuple[int, dict[str, np.ndarray]] | None = None
+        # k -> per-field quotient table of degree k, eliminated or derived
         self._qr: dict[int, dict[str, np.ndarray]] = {}
         self._tags: Counter[str] = Counter()
 
@@ -199,31 +207,20 @@ class JacobianContext:
         return int(hit.sum())
 
     def jacobian_dim(self, k: int) -> int:
-        """Dimension of the degree-k slice of the partials' ideal. Below the
-        socle degree the slice is ranked. From it on, the rank is derived
-        from the annihilator of the degree-(k-1) slice when that is held
-        (module docstring), and otherwise one elimination gives the rank and
-        the annihilator, which is held for the next degree."""
+        """Dimension of the degree-k slice of the partials' ideal: counted
+        for monomial partials, N_k minus the width of the degree-k quotient
+        table from the socle degree on (``quotient_reduction``), and ranked
+        below it."""
         if k < self.d - 1:
             return 0
-        if k in self._dims:
-            return self._dims[k]
-        label = f"jacobian/{k}"
-        held = self._annihilator
-        if self._monomial_partials:
-            dim = self._monomial_dim(k)
-        elif held is not None and held[0] == k - 1 and k - 1 >= self.d - 1:
-            dim, lam = self.engine.derived_rank(
-                label, self._slice_shape(k), lambda F: _extend_annihilator(F, held[1][F.key], self.n, k)
-            )
-            self._annihilator = (k, lam)
-        elif k >= self.socle:
-            dim, lam = self.engine.annihilator_coo(self.generator_coo(k), label)
-            self._annihilator = (k, lam)
-        else:
-            dim = self.engine.rank_coo(self.generator_coo(k), label)
-        self._dims[k] = dim
-        return dim
+        if k not in self._dims:
+            if self._monomial_partials:
+                self._dims[k] = self._monomial_dim(k)
+            elif k >= self.socle:
+                self._dims[k] = space_dim(self.n, k) - next(iter(self.quotient_reduction(k).values())).shape[1]
+            else:
+                self._dims[k] = self.engine.rank_coo(self.generator_coo(k), f"jacobian/{k}")
+        return self._dims[k]
 
     def jacobian_basis(self, k: int) -> SubspaceBasis:
         """Echelonized basis of the degree-k ideal slice."""
@@ -249,13 +246,23 @@ class JacobianContext:
     def quotient_reduction(self, k: int) -> dict[str, np.ndarray]:
         """Per-field table (N_k x q_k) sending a monomial index to the
         coordinates of its class over the standard complement monomials of
-        the degree-k ideal slice. A pivot row of the slice's reduced echelon
-        form writes its pivot monomial through the complement, so the table
-        is the transpose of that form's kernel rows: the slice's
-        annihilator, from the one elimination of the slice's label that
-        also answers ``jacobian_basis``."""
+        the degree-k ideal slice: its annihilator in canonical form,
+        transposed, one table per degree. Past max(socle, d-1) it is derived
+        from the held table of degree k-1 (``_extend_annihilator``); else the
+        slice is checked against the size cap, assembled and eliminated under
+        its label, whose held result also answers ``jacobian_basis``."""
         if k not in self._qr:
-            _, lam = self.engine.annihilator_coo(self.generator_coo(k), f"jacobian/{k}")
+            label = f"jacobian/{k}"
+            if k - 1 in self._qr and k - 1 >= max(self.socle, self.d - 1):
+                held = self._qr[k - 1]
+                _, lam = self.engine.derived_rank(
+                    label, self._slice_shape(k), lambda F: _extend_annihilator(F, held[F.key], self.n, k)
+                )
+            else:
+                over = self.slice_over_cap(k)
+                if over:
+                    raise NoStabilization(over)
+                _, lam = self.engine.annihilator_coo(self.generator_coo(k), label)
             self._qr[k] = {key: np.ascontiguousarray(rows.T) for key, rows in lam.items()}
         return self._qr[k]
 
@@ -276,12 +283,6 @@ def coincidence_threshold(ctx: JacobianContext) -> int | str:
                 raise ValueError("Hilbert functions differ already at degree 0")
             return k - 1
     return SMOOTH
-
-
-def dims_match_reference_through(ctx: JacobianContext, q: int) -> bool:
-    """Whether the quotient Hilbert function equals the smooth reference for
-    every degree <= q (a one-sided, cheap bound on coincidence_threshold)."""
-    return all(ctx.milnor_dim(k) == ctx.smooth_dim(k) for k in range(q + 1))
 
 
 def tjurina_count(ctx: JacobianContext) -> int:
@@ -350,9 +351,6 @@ def _multiplication_payload(
     }
 
 
-_SATURATION_DIM_CAP = 5000
-
-
 def saturation_graded(ctx: JacobianContext, k: int) -> SubspaceBasis:
     """Degree-k slice of the saturation {v : v * S_m inside the ideal, m >> 0}.
 
@@ -369,11 +367,6 @@ def saturation_graded(ctx: JacobianContext, k: int) -> SubspaceBasis:
     stab = socle_degree(ctx.n, ctx.d) + 1
     if k >= stab:
         return ctx.jacobian_basis(k)
-    if space_dim(ctx.n, stab) > _SATURATION_DIM_CAP:
-        raise NoStabilization(
-            f"saturation at degree {k} needs the degree-{stab} ideal slice "
-            f"({space_dim(ctx.n, stab)} columns), past the feasible size cap"
-        )
     M = stab - k
     W = ctx.jacobian_basis(k)
     ker = _colon_step_kernel(ctx, W, k, M, f"saturation/{k}/colon{M}")

@@ -1,5 +1,5 @@
 """The multi-field linear engine: rank/echelon/kernel agreement across
-field realizations, the rank ledger, and quotient-coordinate helpers."""
+field realizations, the rank ledger, and reduced rows against a basis."""
 
 import os
 from fractions import Fraction
@@ -11,13 +11,7 @@ from nodalcert import _kernels
 from nodalcert.assembly import IntCOO
 from nodalcert.errors import FieldDisagreement, InconsistentResult
 from nodalcert.field import FieldConfig
-from nodalcert.linalg import (
-    LinearEngine,
-    RankRecord,
-    membership,
-    quotient_coordinates,
-    reduce_against_basis,
-)
+from nodalcert.linalg import LinearEngine, RankRecord
 
 
 def _coo(rows_of_ints) -> IntCOO:
@@ -87,20 +81,28 @@ def test_echelon_and_kernel_are_consistent(engine):
     assert ker.dim == 3 - 2
 
 
+def _residual(F, basis, vec):
+    """Oracle: the exact vector reduced in F against the reduced echelon
+    basis, each pivot coordinate cleared by its row."""
+    res = F.convert(vec)
+    for t, pc in enumerate(basis.pivots):
+        res = F.normalize(res - res[pc] * basis.payload[F.key][t])
+    return res
+
+
 def test_membership_and_quotient_coordinates(engine):
     coo = _coo([[1, 0, 2], [0, 1, 1]])
     basis = engine.echelon_coo(coo, "basis")
     inside = [Fraction(2), Fraction(3), Fraction(7)]
     outside = [Fraction(0), Fraction(0), Fraction(1)]
     mixed = [Fraction(1), Fraction(1), Fraction(0)]  # (1, 0, 2) + (0, 1, 1) - 3 e_2
-    assert membership(basis, inside)
-    assert not membership(basis, outside)
-    assert not membership(basis, mixed)
+    free = list(basis.free_columns())
     for F in engine.field.realizations:
-        assert np.array_equal(reduce_against_basis(basis, outside)[F.key], F.convert([0, 0, 1]))
-        assert np.array_equal(reduce_against_basis(basis, mixed)[F.key], F.convert([0, 0, -3]))
-        assert np.array_equal(quotient_coordinates(basis, inside)[F.key], F.convert([0]))
-        assert np.array_equal(quotient_coordinates(basis, mixed)[F.key], F.convert([-3]))
+        assert not _residual(F, basis, inside).any()
+        assert np.array_equal(_residual(F, basis, outside), F.convert([0, 0, 1]))
+        assert np.array_equal(_residual(F, basis, mixed), F.convert([0, 0, -3]))
+        assert np.array_equal(_residual(F, basis, inside)[free], F.convert([0]))
+        assert np.array_equal(_residual(F, basis, mixed)[free], F.convert([-3]))
 
 
 def test_two_prime_rank_disagreement_is_detected():
@@ -467,3 +469,33 @@ def test_a_full_job_reduces_each_label_at_most_once(roster, mode, monkeypatch):
     else:
         _pipeline_job(JacobianContext(roster.fixture("A").f, FieldConfig.prime_pair()), roster.fixture("A").points)
     assert settled and {label: count for label, count in settled.items() if count > 1} == {}
+
+
+@pytest.mark.parametrize("which", ["A", "C", "exact"])
+def test_no_derived_label_is_eliminated_again(roster, which, monkeypatch):
+    from nodalcert.fixtures import one_node
+    from nodalcert.milnor import JacobianContext
+
+    derived, again = set(), []
+    real_run, real_derived = LinearEngine._run, LinearEngine.derived_rank
+
+    def run(self, label, shape, step):
+        if label in derived:
+            again.append(label)
+        return real_run(self, label, shape, step)
+
+    def derived_rank(self, label, shape, step):
+        derived.add(label)
+        return real_derived(self, label, shape, step)
+
+    monkeypatch.setattr(LinearEngine, "_run", run)
+    monkeypatch.setattr(LinearEngine, "derived_rank", derived_rank)
+    if which == "exact":
+        fx, field = one_node(3, 3, 1), FieldConfig.exact()
+    else:
+        fx, field = roster.fixture(which), FieldConfig.prime_pair()
+    ctx = JacobianContext(fx.f, field)
+    _pipeline_job(ctx, fx.points)
+    # certify derived socle + 1, which the saturation's colon step reads
+    assert f"jacobian/{ctx.socle + 1}" in derived
+    assert again == []

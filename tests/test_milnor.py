@@ -19,7 +19,6 @@ from nodalcert.milnor import (
     JacobianContext,
     _basis_union,
     coincidence_threshold,
-    dims_match_reference_through,
     saturation_graded,
     smooth_reference_dim,
     socle_degree,
@@ -119,6 +118,15 @@ def test_derived_quotient_dims_equal_direct_ranks(roster, which, field):
     for k in degrees:
         rec = ctx.engine.rank_ledger[f"jacobian/{k}"]
         assert (rec.rows, rec.cols) == ctx.generator_coo(k).shape
+    # each derived table equals the table a fresh context eliminates, entry for entry
+    for k in degrees[1:]:
+        derived, eliminated = ctx.quotient_reduction(k), JacobianContext(f, field).quotient_reduction(k)
+        assert set(derived) == set(eliminated)
+        for key, table in eliminated.items():
+            assert derived[key].dtype == table.dtype
+            assert derived[key].flags.c_contiguous
+            assert np.array_equal(derived[key], table)
+    assert list(ctx.engine.rank_ledger) == [f"jacobian/{k}" for k in degrees]
 
 
 @pytest.mark.parametrize("which, field", _hilbert_cases())
@@ -156,8 +164,8 @@ def test_a_disagreement_of_the_derived_quotient_dims_raises(monkeypatch):
 
 def test_dims_match_reference_through(roster):
     ctx = roster.ctx("A")
-    assert dims_match_reference_through(ctx, 8)
-    assert not dims_match_reference_through(ctx, 9)
+    assert all(ctx.milnor_dim(k) == ctx.smooth_dim(k) for k in range(9))
+    assert ctx.milnor_dim(9) != ctx.smooth_dim(9)
 
 
 def _assert_table_is_the_echelon_kernel(ctx, k):
@@ -205,11 +213,17 @@ def test_saturation_equals_ideal_past_the_socle(roster):
     assert saturation_graded(ctx, k).dim == ctx.jacobian_basis(k).dim
 
 
-def test_saturation_declines_infeasible_inputs():
+def test_saturation_declines_infeasible_inputs(monkeypatch):
+    assembled = []
+    real = milnor.jacobian_generator_coo
+    monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k: assembled.append(k) or real(partials, k))
     fx = one_node(5, 6, 808)
     ctx = JacobianContext(fx.f, FieldConfig.prime_pair())
-    with pytest.raises(NoStabilization):
+    # the colon step needs the degree-25 table; its slice is refused before assembly
+    with pytest.raises(NoStabilization) as refused:
         saturation_graded(ctx, 4)
+    assert str(refused.value) == ctx.slice_over_cap(ctx.socle + 1) != ""
+    assert ctx.socle + 1 not in assembled
 
 
 def test_quotient_reduction_sends_ideal_generators_to_zero(roster):

@@ -3,6 +3,7 @@ check on both routes, and the fail-closed behavior on every bad input."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nodalcert.cli import main
@@ -342,6 +343,11 @@ def test_quotient_dims_that_do_not_settle_are_derived_exactly(text, n, field):
     got = [ctx.milnor_dim(k) for k in degrees]
     assert list(ctx.engine.rank_ledger.items()) == _direct_ledger(f, field, degrees)
     assert got == [space_dim(n, k) - ctx.engine.rank_ledger[f"jacobian/{k}"].rank for k in degrees]
+    # along the line the annihilator is not spanned by evaluations at coordinate
+    # points, and a derived table is the eliminated one only once echelonized
+    for k in degrees[1:]:
+        eliminated = JacobianContext(f, field).quotient_reduction(k)
+        assert all(np.array_equal(ctx.quotient_reduction(k)[key], table) for key, table in eliminated.items())
 
 
 _LEDGER_CLAIMS = [
