@@ -41,6 +41,15 @@ columns reversed thus puts its pivots exactly on the free columns, and its
 rows, reversed back, are the one basis with 1 at its own free column and 0
 at the others: the eliminated table, entry for entry.
 
+That form makes each table the one way into its degree's slice: the
+standard columns, the echelon basis and, where held, the dimension are
+views of it. Column s of T is 1 at its free column g_s, 0 at the other
+free columns and -r_t[g_s] at each pivot p_t, r_t being the reduced row
+with pivot p_t, which vanishes left of p_t. So T[p_t, s] is nonzero only
+when p_t < g_s: g_s is the last nonzero row of column s
+(``standard_columns``), and -T at the pivot rows gives the reduced rows'
+free entries (``jacobian_basis``).
+
 The smooth reference sequence — the coefficients of ((1-t^(d-1))/(1-t))^(n+1)
 — is the Hilbert function every smooth hypersurface of the same (n, d)
 realizes; comparing against it detects and quantifies singularity.
@@ -55,7 +64,7 @@ import numpy as np
 
 from . import linalg
 from .assembly import IntCOO, jacobian_generator_coo
-from .errors import InconsistentResult, NoStabilization
+from .errors import FieldDisagreement, InconsistentResult, NoStabilization
 from .field import FieldConfig, Realization
 from .linalg import LinearEngine, SubspaceBasis
 from .monomials import exponent_matrix, monomial_rank_rows, space_dim
@@ -135,8 +144,10 @@ def _empty_rows(field: FieldConfig, ncols: int) -> dict[str, np.ndarray]:
 
 class JacobianContext:
     """Caches dimensions and one quotient-reduction table per degree for one
-    hypersurface over one field configuration. Generator matrices are not
-    cached: each use assembles its slice again, so no slice outlives the
+    hypersurface over one field configuration; ``standard_columns``,
+    ``jacobian_basis`` and, where a table is held, ``jacobian_dim`` read
+    the table. Generator matrices are not cached: each use assembles its
+    slice again through ``generator_coo``, so no slice outlives the
     elimination that needs it.
 
     Single-threaded by design for its callers: parallel drivers give each
@@ -172,7 +183,12 @@ class JacobianContext:
 
     def generator_coo(self, k: int) -> IntCOO:
         """The degree-k slice's generator matrix: the zero 0 x N_k matrix
-        for k < d-1, where the slice is zero."""
+        for k < d-1, where the slice is zero. Every slice is assembled here,
+        and raises ``NoStabilization`` (``slice_over_cap``) past the size cap
+        before any of it is made."""
+        over = self.slice_over_cap(k)
+        if over:
+            raise NoStabilization(over)
         if k < self.d - 1:
             none = np.zeros(0, dtype=np.int64)
             return IntCOO((0, space_dim(self.n, k)), none, none, none)
@@ -185,9 +201,10 @@ class JacobianContext:
     def slice_over_cap(self, k: int) -> str:
         """Why the degree-k generator matrix is too large to assemble and
         rank, or "" when its dense entry count is within the engine's cap
-        (``linalg._ENTRY_CAP``). Checked before any matrix is assembled, by
-        every caller that scans degrees upward: certification,
-        tjurina_count and the hilbert command's probe."""
+        (``linalg._ENTRY_CAP``). ``generator_coo`` checks it before every
+        assembly; callers that scan degrees upward (certification,
+        tjurina_count and the hilbert command's probe) check their last
+        degree before any work starts."""
         rows, cols = self._slice_shape(k)
         if rows * cols <= linalg._ENTRY_CAP:
             return ""
@@ -209,24 +226,44 @@ class JacobianContext:
     def jacobian_dim(self, k: int) -> int:
         """Dimension of the degree-k slice of the partials' ideal: counted
         for monomial partials, N_k minus the width of the degree-k quotient
-        table from the socle degree on (``quotient_reduction``), and ranked
-        below it."""
+        table from the socle degree on or wherever that table is held
+        (``quotient_reduction``), and otherwise ranked, which is cheaper
+        than a table."""
         if k < self.d - 1:
             return 0
         if k not in self._dims:
             if self._monomial_partials:
                 self._dims[k] = self._monomial_dim(k)
-            elif k >= self.socle:
+            elif k >= self.socle or k in self._qr:
                 self._dims[k] = space_dim(self.n, k) - next(iter(self.quotient_reduction(k).values())).shape[1]
             else:
                 self._dims[k] = self.engine.rank_coo(self.generator_coo(k), f"jacobian/{k}")
         return self._dims[k]
 
+    def standard_columns(self, k: int) -> tuple[int, ...]:
+        """The indices in S_k of the degree-k standard monomials, in order:
+        the last nonzero row of each column of the degree-k quotient table
+        (module docstring). Raises ``FieldDisagreement`` unless every
+        realization reads the same columns, which a derived table's rank
+        check alone does not ensure."""
+        reads = {
+            tuple((len(table) - 1 - np.argmax(table[::-1] != 0, axis=0)).tolist())
+            for table in self.quotient_reduction(k).values()
+        }
+        if len(reads) != 1:
+            raise FieldDisagreement(f"standard columns for 'jacobian/{k}' differ across fields")
+        return reads.pop()
+
     def jacobian_basis(self, k: int) -> SubspaceBasis:
-        """Echelonized basis of the degree-k ideal slice."""
-        basis = self.engine.echelon_coo(self.generator_coo(k), f"jacobian/{k}")
-        self._dims.setdefault(k, basis.dim)
-        return basis
+        """Reduced echelon basis of the degree-k ideal slice, read off the
+        degree-k quotient table: the pivots are its rows off the standard
+        columns, and minus those rows are the reduced rows' free entries."""
+        QR, ncols = self.quotient_reduction(k), space_dim(self.n, k)
+        pivots = tuple(np.delete(np.arange(ncols), self.standard_columns(k)).tolist())
+        return SubspaceBasis(ncols, pivots, {
+            F.key: linalg.reduced_rows(F, pivots, F.normalize(-QR[F.key][list(pivots)]), ncols)
+            for F in self.field.realizations
+        })
 
     def milnor_dim(self, k: int) -> int:
         """Hilbert function of the quotient algebra at degree k."""
@@ -249,8 +286,9 @@ class JacobianContext:
         the degree-k ideal slice: its annihilator in canonical form,
         transposed, one table per degree. Past max(socle, d-1) it is derived
         from the held table of degree k-1 (``_extend_annihilator``); else the
-        slice is checked against the size cap, assembled and eliminated under
-        its label, whose held result also answers ``jacobian_basis``."""
+        slice is assembled (``generator_coo``) and eliminated under its
+        label. ``standard_columns`` and ``jacobian_basis`` read this table;
+        no other call eliminates the slice for a basis."""
         if k not in self._qr:
             label = f"jacobian/{k}"
             if k - 1 in self._qr and k - 1 >= max(self.socle, self.d - 1):
@@ -259,9 +297,6 @@ class JacobianContext:
                     label, self._slice_shape(k), lambda F: _extend_annihilator(F, held[F.key], self.n, k)
                 )
             else:
-                over = self.slice_over_cap(k)
-                if over:
-                    raise NoStabilization(over)
                 _, lam = self.engine.annihilator_coo(self.generator_coo(k), label)
             self._qr[k] = {key: np.ascontiguousarray(rows.T) for key, rows in lam.items()}
         return self._qr[k]

@@ -34,10 +34,11 @@ from .polynomials import HomogeneousPolynomial
 
 def quotient_basis(ctx: JacobianContext, k: int) -> tuple[tuple[int, ...], ...]:
     """Standard-monomial basis (exponent tuples) of the degree-k quotient:
-    the monomials at non-pivot columns of the ideal slice's echelon basis."""
-    basis = ctx.jacobian_basis(k)
+    the monomials at the standard columns of the degree-k quotient table
+    (``JacobianContext.standard_columns``), the non-pivot columns of the
+    ideal slice's echelon basis."""
     mons = monomial_basis(ctx.n, k)
-    return tuple(mons[g] for g in basis.free_columns())
+    return tuple(mons[g] for g in ctx.standard_columns(k))
 
 
 def pairing_matrix(ctx: JacobianContext) -> tuple[dict[str, np.ndarray], tuple[int, int]]:

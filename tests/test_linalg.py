@@ -473,13 +473,15 @@ def test_a_full_job_reduces_each_label_at_most_once(roster, mode, monkeypatch):
 
 @pytest.mark.parametrize("which", ["A", "C", "exact"])
 def test_no_derived_label_is_eliminated_again(roster, which, monkeypatch):
+    import nodalcert as nc
     from nodalcert.fixtures import one_node
     from nodalcert.milnor import JacobianContext
 
-    derived, again = set(), []
+    derived, again, ran = set(), [], []
     real_run, real_derived = LinearEngine._run, LinearEngine.derived_rank
 
     def run(self, label, shape, step):
+        ran.append(label)
         if label in derived:
             again.append(label)
         return real_run(self, label, shape, step)
@@ -499,3 +501,9 @@ def test_no_derived_label_is_eliminated_again(roster, which, monkeypatch):
     # certify derived socle + 1, which the saturation's colon step reads
     assert f"jacobian/{ctx.socle + 1}" in derived
     assert again == []
+    # a basis past the socle is a view of the held or derived table: nothing is eliminated
+    ran.clear()
+    nc.saturation_graded(ctx, ctx.socle + 1)
+    nc.quotient_basis(ctx, ctx.socle + 1)
+    ctx.jacobian_basis(ctx.socle + 2)
+    assert ran == []

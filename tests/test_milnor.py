@@ -13,7 +13,7 @@ from nodalcert.errors import FieldDisagreement, InconsistentResult, NoStabilizat
 from nodalcert.field import FieldConfig
 from nodalcert.fixtures import fermat, multi_node, one_node
 from nodalcert.hodge import ideal_of_points_dim
-from nodalcert.linalg import kernel_rows
+from nodalcert.linalg import LinearEngine, kernel_rows
 from nodalcert.milnor import (
     SMOOTH,
     JacobianContext,
@@ -24,8 +24,11 @@ from nodalcert.milnor import (
     socle_degree,
     tjurina_count,
 )
-from nodalcert.monomials import space_dim
+from nodalcert.monomials import monomial_basis, space_dim
 from nodalcert.nodal import certify_nodal
+from nodalcert.polynomials import parse_polynomial
+from nodalcert.torelli import quotient_basis
+from test_nodal import _CUSP_BESIDE_NODE, _SINGULAR_LINE
 
 
 @pytest.mark.parametrize("n,d,expected", [(3, 4, 8), (3, 5, 12), (4, 5, 15), (5, 6, 24)])
@@ -88,6 +91,22 @@ def test_the_tjurina_scan_stops_at_the_entry_cap_before_assembly(monkeypatch):
     # degree 8 is eliminated; 9 comes from its annihilator
     assert assembled == [8]
     assert list(ctx.engine.rank_ledger) == ["jacobian/8", "jacobian/9"]
+
+
+def test_no_slice_is_assembled_past_the_entry_cap(monkeypatch):
+    from nodalcert import linalg
+
+    assembled = []
+    real = milnor.jacobian_generator_coo
+    monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k: assembled.append(k) or real(partials, k))
+    ctx = JacobianContext(one_node(3, 4, 1).f, FieldConfig.prime_pair())
+    # the degree-5 slice is 40 x 56; ranked below the socle, or read off its table
+    monkeypatch.setattr(linalg, "_ENTRY_CAP", 10)
+    for ask in (ctx.jacobian_dim, ctx.jacobian_basis):
+        with pytest.raises(NoStabilization) as refused:
+            ask(5)
+        assert str(refused.value) == ctx.slice_over_cap(5) != ""
+    assert assembled == [] and ctx.engine.rank_ledger == {}
 
 
 def direct_quotient_dims(f, field, degrees):
@@ -162,6 +181,25 @@ def test_a_disagreement_of_the_derived_quotient_dims_raises(monkeypatch):
     assert f"jacobian/{ctx.socle + 1}" not in ctx.engine.rank_ledger
 
 
+def test_a_disagreement_of_the_derived_standard_columns_raises(monkeypatch):
+    # two nodes: the tables have two columns, which the second prime swaps
+    ctx = JacobianContext(multi_node(3, 3, 2, 1).f, FieldConfig.prime_pair())
+    second = ctx.field.keys[1]
+    real = milnor._extend_annihilator
+
+    def reordered(F, lam, n, k):
+        rank, rows = real(F, lam, n, k)
+        return rank, rows[::-1] if F.key == second else rows
+
+    monkeypatch.setattr(milnor, "_extend_annihilator", reordered)
+    ctx.jacobian_dim(ctx.socle)
+    # the ranks agree, so the table is held; its views refuse to read it
+    ctx.jacobian_dim(ctx.socle + 1)
+    for view in (ctx.standard_columns, ctx.jacobian_basis):
+        with pytest.raises(FieldDisagreement, match=f"jacobian/{ctx.socle + 1}"):
+            view(ctx.socle + 1)
+
+
 def test_dims_match_reference_through(roster):
     ctx = roster.ctx("A")
     assert all(ctx.milnor_dim(k) == ctx.smooth_dim(k) for k in range(9))
@@ -171,10 +209,16 @@ def test_dims_match_reference_through(roster):
 def _assert_table_is_the_echelon_kernel(ctx, k):
     """The degree-k quotient table fixes every standard monomial and equals,
     entry for entry, the transposed kernel rows of the slice's reduced
-    echelon rows from ``jacobian_basis``."""
+    echelon form from a fresh engine; ``jacobian_basis`` and
+    ``quotient_basis``, views of the table, equal that echelon form and its
+    free columns."""
     table = ctx.quotient_reduction(k)
+    reference = LinearEngine(ctx.field).echelon_coo(ctx.generator_coo(k), f"reference/{k}")
+    free = reference.free_columns()
     basis = ctx.jacobian_basis(k)
-    free = basis.free_columns()
+    assert basis.ncols == reference.ncols and basis.pivots == reference.pivots
+    mons = monomial_basis(ctx.n, k)
+    assert quotient_basis(ctx, k) == tuple(mons[g] for g in free)
     for F in ctx.field.realizations:
         tab = table[F.key]
         assert tab.shape == (space_dim(ctx.n, k), len(free))
@@ -183,10 +227,13 @@ def _assert_table_is_the_echelon_kernel(ctx, k):
             row = tab[col]
             assert row[slot] == 1
             assert sum(1 for v in row if v) == 1
-        pivots = np.array(basis.pivots, dtype=np.int64)
-        rows = np.delete(basis.payload[F.key], pivots, axis=1)
-        expected = kernel_rows(F, basis.pivots, rows, basis.ncols).T
+        pivots = np.array(reference.pivots, dtype=np.int64)
+        rows = np.delete(reference.payload[F.key], pivots, axis=1)
+        expected = kernel_rows(F, reference.pivots, rows, reference.ncols).T
         assert tab.dtype == expected.dtype and np.array_equal(tab, expected)
+        ours = basis.payload[F.key]
+        assert ours.dtype == reference.payload[F.key].dtype
+        assert np.array_equal(ours, reference.payload[F.key])
 
 
 def test_quotient_reduction_fixes_standard_monomials(roster):
@@ -198,6 +245,22 @@ def test_quotient_reduction_fixes_standard_monomials(roster):
         # past the socle, where certify holds the annihilator it derived
         certify_nodal(ctx, points)
         _assert_table_is_the_echelon_kernel(ctx, ctx.socle + 1)
+
+
+def _view_cases():
+    yield from _hilbert_cases()
+    for name, text, n in (("line", _SINGULAR_LINE, 3), ("cusp", _CUSP_BESIDE_NODE, 2)):
+        for field in (FieldConfig.prime_pair(), FieldConfig.exact()):
+            yield pytest.param(parse_polynomial(text, n), field, id=f"{name}-{field.mode}")
+
+
+@pytest.mark.parametrize("which, field", _view_cases())
+def test_the_basis_views_equal_a_fresh_echelon_form(roster, which, field):
+    # eliminated tables through the socle, derived ones past it
+    f = roster.fixture(which).f if isinstance(which, str) else getattr(which, "f", which)
+    ctx = JacobianContext(f, field)
+    for k in range(ctx.socle + 3):
+        _assert_table_is_the_echelon_kernel(ctx, k)
 
 
 def test_saturation_matches_point_ideal_below_socle(roster):
