@@ -11,7 +11,9 @@ default primes:
 * random matrices of a requested rank, built exactly over F_p in shapes
   like the Jacobian slices the pipeline eliminates;
 * real Jacobian generator slices (``jacobian_generator_coo``) of seeded
-  nodal fixtures, which are rank-deficient by the node count.
+  nodal fixtures, which are rank-deficient by the node count, each also
+  Koszul-cut as the engine eliminates it (``JacobianContext.generator_coo``,
+  its kept rows only).
 
 BLAS runs on one thread. Times are the sum over both primes, best of three
 runs (two with ``--quick``) for matrices of at most one million entries,
@@ -34,10 +36,14 @@ entries, from where the median ``once/turn`` of repeated runs was below 1;
 single runs are noisy. Without a second core, ``os.fork`` or OpenBLAS
 thread control the pair is not timed.
 
+On every Jacobian slice, ``cut/full`` is the time of ``blocked_rref_free_mod``
+on the cut slice over that on the full slice (the ``b.rref`` column).
+
 Any disagreement — a rank differing between kernels, a random matrix whose
 rank is not the requested one, blocked pivots or free columns differing
-from the scalar RREF's, or annihilator pivots or vectors differing from the
-``kernel_rows`` of the scalar RREF — is reported and makes the script
+from the scalar RREF's, annihilator pivots or vectors differing from the
+``kernel_rows`` of the scalar RREF, or the cut slice's pivot or free
+columns differing from the full slice's — is reported and makes the script
 exit 1.
 
 Usage:
@@ -70,7 +76,7 @@ from nodalcert.assembly import jacobian_generator_coo  # noqa: E402
 from nodalcert.field import DEFAULT_PRIMES, PrimeField  # noqa: E402
 from nodalcert.fixtures import one_node  # noqa: E402
 from nodalcert.linalg import _can_rank_at_once, _pair, annihilator, kernel_rows  # noqa: E402
-from nodalcert.polynomials import partial_derivatives  # noqa: E402
+from nodalcert.milnor import JacobianContext  # noqa: E402
 
 # (label, rows, cols, rank): random matrices in Jacobian-slice shapes.
 RANDOM_CASES = [
@@ -178,15 +184,17 @@ def best_annihilator_time(A: np.ndarray, p: int, repeats: int):
 
 
 def inputs(seed: int, quick: bool):
-    """Yield (label, {p: matrix}, requested rank or None)."""
+    """Yield (label, {p: matrix}, requested rank or None, {p: the cut
+    slice's kept rows} for a Jacobian slice or None)."""
     rng = np.random.default_rng(seed)
     for label, rows, cols, rank in QUICK_RANDOM if quick else RANDOM_CASES:
-        yield label, {p: random_with_rank(rng, rows, cols, rank, p) for p in DEFAULT_PRIMES}, rank
+        yield label, {p: random_with_rank(rng, rows, cols, rank, p) for p in DEFAULT_PRIMES}, rank, None
     for n, d, degrees in QUICK_JACOBIAN if quick else JACOBIAN_CASES:
-        partials = partial_derivatives(one_node(n, d, seed).f)
+        ctx = JacobianContext(one_node(n, d, seed).f)
         for k in degrees:
-            coo = jacobian_generator_coo(partials, k)
-            yield f"one_node:{n},{d},seed={seed} k={k}", {p: coo.dense_mod(p) for p in DEFAULT_PRIMES}, None
+            coo, cut = jacobian_generator_coo(ctx.partials, k), ctx.generator_coo(k).occupied_rows()
+            yield (f"one_node:{n},{d},seed={seed} k={k}", {p: coo.dense_mod(p) for p in DEFAULT_PRIMES}, None,
+                   {p: cut.dense_mod(p) for p in DEFAULT_PRIMES})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -202,8 +210,8 @@ def main(argv: list[str] | None = None) -> int:
 
     pair = _can_rank_at_once()
     header = (f"{'case':<30} {'shape':>11} {'entries':>9} {'rank':>6}"
-              f" {'scalar':>14} {'b.rref':>14} {'b.rank':>14} {'ratio':>6} {'i32/64':>6} {'kern/rank':>9}"
-              f" {'once/turn':>9}")
+              f" {'scalar':>14} {'b.rref':>14} {'b.rank':>14} {'ratio':>6} {'cut/full':>8} {'i32/64':>6}"
+              f" {'kern/rank':>9} {'once/turn':>9}")
     print(f"primes {DEFAULT_PRIMES}, seed {args.seed}, _SCALAR_CUTOFF {_kernels._SCALAR_CUTOFF},"
           f" _CONCURRENT_ENTRIES {_kernels._CONCURRENT_ENTRIES}, {BLAS_THREADS} BLAS thread,"
           f" pair {'timed' if pair else 'not timed'}")
@@ -211,13 +219,13 @@ def main(argv: list[str] | None = None) -> int:
     print("-" * len(header))
     records = []
     disagreements = 0
-    for label, mats, requested in inputs(args.seed, args.quick):
+    for label, mats, requested, cut in inputs(args.seed, args.quick):
         rows, cols = next(iter(mats.values())).shape
         repeats = (QUICK_REPEATS if args.quick else REPEATS) if rows * cols <= REPEAT_ENTRIES else 1
         record = {"case": label, "rows": rows, "cols": cols, "entries": rows * cols, "requested_rank": requested}
         ranks: dict[int, set[int]] = {p: set() for p in mats}
         reference: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # p -> (pivots, free columns)
-        echelon_differs = kernel_differs = False
+        echelon_differs = kernel_differs = cut_differs = False
         secs = dict.fromkeys(ALGORITHMS, 0.0)
         for aname, algo in ALGORITHMS.items():
             for p, A in mats.items():
@@ -230,6 +238,18 @@ def main(argv: list[str] | None = None) -> int:
             record[f"{aname}_s"] = round(secs[aname], 6)
         line = (f" {secs['scalar']:>13.4f}s {secs['blocked_rref']:>13.4f}s {secs['blocked']:>13.4f}s"
                 f" {secs['scalar'] / secs['blocked_rref']:>6.2f}")
+        if cut is not None:
+            cut_s = 0.0
+            for p, A in cut.items():
+                dt, got, echelon = best_time(ALGORITHMS["blocked_rref"], A, p, repeats)
+                cut_s += dt
+                ranks[p].add(got)
+                cut_differs |= not all(map(np.array_equal, echelon, reference[p]))
+            record["cut_rows"] = next(iter(cut.values())).shape[0]
+            record["blocked_rref_cut_s"] = round(cut_s, 6)
+            line += f" {cut_s / secs['blocked_rref']:>8.2f}"
+        else:
+            line += f" {'':>8}"
         if rows * cols > _kernels._SCALAR_CUTOFF:
             mats32 = {p: A.astype(np.int32) for p, A in mats.items()}
             int32_s = 0.0
@@ -259,20 +279,22 @@ def main(argv: list[str] | None = None) -> int:
         record["ranks"] = {str(p): sorted(v) for p, v in ranks.items()}
         record["echelon_differs"] = echelon_differs
         record["kernel_differs"] = kernel_differs
+        record["cut_differs"] = cut_differs
         rank_text = "?" if bad_rank else "/".join(sorted({str(min(v)) for v in ranks.values()}))
         print(f"{label:<30} {rows:>5}x{cols:<5} {rows * cols:>9} {rank_text:>6}" + line
               + ("  RANK DISAGREEMENT" if bad_rank else "") + ("  RREF DISAGREEMENT" if echelon_differs else "")
-              + ("  KERNEL DISAGREEMENT" if kernel_differs else ""),
+              + ("  KERNEL DISAGREEMENT" if kernel_differs else "") + ("  CUT DISAGREEMENT" if cut_differs else ""),
               flush=True)
-        disagreements += bad_rank or echelon_differs or kernel_differs
+        disagreements += bad_rank or echelon_differs or kernel_differs or cut_differs
         records.append(record)
     print("scalar = rref_mod and its free columns, b.rref = blocked_rref_free_mod, b.rank = blocked_rank_mod; "
           "ratio = scalar time / b.rref time (above 1: the blocked RREF is faster); "
+          "cut/full = b.rref time on the Koszul-cut slice's kept rows / on the full slice; "
           "i32/64 = b.rank time on int32 / on int64 copies; "
           "kern/rank = annihilator step time / b.rank time, both on int32 copies; "
           "once/turn = int32 b.rank wall time of both primes at once (the second in a forked child) / in turn")
     if disagreements:
-        print(f"{disagreements} case(s) with disagreeing ranks, RREFs or kernels", file=sys.stderr)
+        print(f"{disagreements} case(s) with disagreeing ranks, RREFs, kernels or cut slices", file=sys.stderr)
     print(json.dumps({
         "seed": args.seed,
         "primes": list(DEFAULT_PRIMES),

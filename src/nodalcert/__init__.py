@@ -36,9 +36,7 @@ from .koszul import (
     koszul_cohomology_dim,
     min_relation_degree,
     syzygy_dim,
-    syzygy_space,
     trivial_syzygy_dim,
-    trivial_syzygy_space,
 )
 from .linalg import LinearEngine, RankRecord, SubspaceBasis
 from .milnor import (
@@ -139,9 +137,7 @@ __all__ = [
     "socle_degree",
     "space_dim",
     "syzygy_dim",
-    "syzygy_space",
     "tjurina_count",
     "trivial_syzygy_dim",
-    "trivial_syzygy_space",
     "variable_multiplication_kernel",
 ]

@@ -1,8 +1,10 @@
 """Prime-field elimination kernels, in numpy.
 
-Every kernel follows one pivot rule (first nonzero row in the earliest
-unfinished column); ``benchmarks/bench_elimination.py`` times them on random
-and Jacobian-slice matrices.
+Every kernel returns the pivot columns of the reduced row echelon form,
+which is unique; the scalar kernel and the panel pass follow one pivot rule
+(first nonzero row in the earliest unfinished column).
+``benchmarks/bench_elimination.py`` times them on random and Jacobian-slice
+matrices.
 
 One scalar kernel and one blocked forward pass, and two drivers that switch
 between them at ``_SCALAR_CUTOFF`` entries: ``rank_mod`` (the rank) and
@@ -40,6 +42,29 @@ between them at ``_SCALAR_CUTOFF`` entries: ``rank_mod`` (the rank) and
   multipliers, their limbs and the products inside the panel) are at most
   128 columns or rows wide.
 
+Known pivots. The leading columns of a subspace's vectors are exactly the
+pivot columns of its reduced echelon form, so the leading column of every
+nonzero row of A is one, known before any elimination. In a Macaulay
+matrix such as a Jacobian slice, where the row x^a g_j leads at
+x^a LM(g_j), about half of the pivots are known this way (Faugere and
+Lachartre, PASCO 2010). So the forward pass starts with them: one row per
+distinct leading column is moved to the top in column order and the known
+columns to the left, in place (rows cycle by cycle through a one-row
+buffer, columns over row chunks), which leaves a unit upper-triangular
+block once those rows are scaled. The other rows, sorted by leading
+column, lose their known columns by blocked substitution: per block of
+128 known columns, multipliers from the inverse of the block's diagonal
+block and one fuse over the columns right of it, for only the rows that
+lead left of the block's end; no pivot search and no panel. The panel
+pass then runs on the Schur complement alone, the remaining rows on the
+remaining columns, in place as a view of A. The columns and the pivot rows
+are put back in order, so the back-substitution reads a row echelon form
+as before. Besides A, the pre-pass makes the leading columns (one int64
+per row), row-chunk and one-row copies, and int64 multipliers and their
+limbs at most 128 columns wide; no temporary is as large as A. With fewer
+than two distinct leading columns, as in a random matrix, where every row
+leads in the first column, it leaves A to the panel pass.
+
 The blocked kernels also take an int32 matrix, half the bytes of int64;
 every residue below p < 2^31 fits. They read int32 entries into int64 (the
 transposed panel, the factor of every product) and write back residues,
@@ -68,15 +93,18 @@ from .errors import InconsistentResult
 PANEL_WIDTH = 128
 # entries; at or below this the scalar rref_mod computes ranks and free
 # columns, above it blocked_rank_mod and blocked_rref_free_mod. Measured with
-# benchmarks/bench_elimination.py (numpy kernels, seeds 1-3, Jacobian
-# slices; blocked/scalar time). Ranks: at 36,960 entries 0.95-1.16, at
-# 49,280 0.85-1.34 (blocked wins two runs of three) and from 73,920 up
-# blocked_rank_mod wins every run (0.06-0.92). Pivot and free columns
-# (rref_free_mod): from 36,960 to 49,280 entries the scalar rref wins every
-# run (1.10-1.50), at 73,920 they tie (1.00-1.03), and from 96,096 up the
-# blocked one wins every run (0.06-0.98). One cutoff serves both: between
-# 40,000 and 96,096 entries a free-column step loses at most 7 ms (both
-# primes) to the blocked kernel, and a rank gains up to 32 ms.
+# benchmarks/bench_elimination.py (numpy kernels with the known-pivot
+# pre-pass, seeds 1-3, full Jacobian slices; blocked/scalar time). Ranks:
+# at 6,720-9,600 entries 0.93-1.34, from 16,800 to 23,100 0.76-0.99
+# (blocked wins every run, by at most 3.7 ms) and from 36,960 up
+# blocked_rank_mod wins every run (0.32-0.88). Pivot and free columns
+# (rref_free_mod): at 36,960 entries the scalar rref wins every run
+# (1.03-1.09), at 49,280 0.86-1.15 (blocked wins two runs of three) and
+# from 73,920 up the blocked one wins every run (0.44-0.89). Both crossovers
+# moved down with the pre-pass (they were near 49,280 and 73,920) and one
+# cutoff still serves both: below 40,000 entries a rank loses at most 7 ms
+# (both primes) to the blocked kernel, and between 40,000 and 73,920 a
+# free-column step loses at most 7 ms to the scalar one.
 _SCALAR_CUTOFF = 40_000
 # entries; above this LinearEngine ranks a prime pair's two int32 matrices at
 # once, the second in a forked child, each on one BLAS thread. Measured on
@@ -370,14 +398,121 @@ def _fuse_product(T: np.ndarray, X: np.ndarray, Y: np.ndarray, p: int) -> None:
         _np_fuse(T[:, j0 : j0 + chunk], X0, X1, Y[:, j0 : j0 + chunk], p)
 
 
+def _row_chunk(cols: int) -> int:
+    """Rows per chunk keeping a (chunk x cols) int64 temporary near
+    ``_PRODUCT_BYTES``."""
+    return max(1, _PRODUCT_BYTES // (8 * max(1, cols)))
+
+
+def _leads(A: np.ndarray) -> np.ndarray:
+    """Each row's first nonzero column, or the column count for a zero row;
+    read over row chunks, so no bool matrix the size of A is made."""
+    R, C = A.shape
+    out = np.full(R, C, dtype=np.int64)
+    step = _row_chunk(C)
+    for r0 in range(0, R if C else 0, step):
+        nz = A[r0 : r0 + step] != 0
+        lead = nz.argmax(axis=1)
+        hit = nz[np.arange(lead.size), lead]
+        out[r0 : r0 + step][hit] = lead[hit]
+    return out
+
+
+def _permute_rows(A: np.ndarray, order: np.ndarray) -> None:
+    """A[:] = A[order] in place, one cycle of the permutation at a time
+    through a one-row buffer; rows that stay are not touched."""
+    done = order == np.arange(order.size)
+    for start in np.flatnonzero(~done).tolist():
+        if done[start]:
+            continue
+        buf = A[start].copy()
+        i = start
+        while order[i] != start:
+            A[i] = A[order[i]]
+            done[i] = True
+            i = int(order[i])
+        A[i] = buf
+        done[i] = True
+
+
+def _permute_columns(A: np.ndarray, order: np.ndarray) -> None:
+    """A[:] = A[:, order] in place, over row chunks."""
+    step = _row_chunk(A.shape[1])
+    for r0 in range(0, A.shape[0], step):
+        A[r0 : r0 + step] = A[r0 : r0 + step][:, order]
+
+
+def _substitute(A: np.ndarray, nk: int, leads: np.ndarray, p: int) -> None:
+    """Clear the first nk columns of rows nk.. of A against its first nk
+    rows, whose nk x nk leading block is unit upper triangular, by blocks of
+    PANEL_WIDTH columns from the left: a block's multipliers are its entries
+    times the inverse of the block's diagonal block (an int64 copy, rows x
+    at most PANEL_WIDTH), and one fuse removes their multiples of the
+    block's rows from every column right of the block. ``leads`` holds the
+    ascending leading columns of rows nk.., so a block touches only the
+    rows leading left of its end; the others are zero in its columns. The
+    cleared columns are left holding garbage, which the caller zeroes."""
+    C = A.shape[1]
+    for b0 in range(0, nk, PANEL_WIDTH):
+        b1 = min(b0 + PANEL_WIDTH, nk)
+        rows = nk + int(np.searchsorted(leads, b1))
+        if rows == nk:
+            continue
+        Y = A[nk:rows, b0:b1].astype(np.int64)
+        if b1 - b0 > 1:
+            Y = _np_mulmod(*_limbs(Y), _np_unit_lower_inverse(A[b0:b1, b0:b1].T, p).T, p)
+        if b1 < C:
+            _fuse_product(A[nk:rows, b1:], Y, A[b0:b1, b1:], p)
+
+
 def _forward(A: np.ndarray, p: int) -> np.ndarray:
     """Blocked forward elimination of A over F_p, in place; returns the pivot
-    columns.
+    columns, ascending.
 
     Leaves a row echelon form: pivot row i holds a nonzero pivot at
     pivots[i] and zeros left of it, and the rows below the rank are zero.
-    The pivot rule and hence the pivots are those of the scalar rref.
+
+    The known pivots go first (module docstring): their rows, moved to the
+    top and scaled to unit leads, clear the other rows by ``_substitute``,
+    and the panel pass (``_panels``) eliminates only the Schur complement.
     """
+    R, C = A.shape
+    lead = _leads(A)
+    known, first = np.unique(lead, return_index=True)
+    first, known = first[known < C], known[known < C]
+    nk = known.size
+    if nk < 2:
+        return _panels(A, p)
+    rest = np.setdiff1d(np.arange(R), first)
+    rest = rest[np.argsort(lead[rest], kind="stable")]
+    _permute_rows(A, np.concatenate([first, rest]))
+    order = np.concatenate([known, np.setdiff1d(np.arange(C), known)])
+    moved = bool(np.any(order != np.arange(C)))
+    if moved:
+        _permute_columns(A, order)
+    inv = np.array([pow(int(a), p - 2, p) for a in A[np.arange(nk), np.arange(nk)]], dtype=np.int64)
+    for r0 in range(0, nk, PANEL_WIDTH):
+        r1 = min(r0 + PANEL_WIDTH, nk)
+        A[r0:r1] = _np_reduce(A[r0:r1] * inv[r0:r1, None], p)
+    _substitute(A, nk, np.searchsorted(known, lead[rest]), p)
+    schur = _panels(A[nk:, nk:], p) + nk
+    rank = nk + schur.size
+    A[nk:rank, :nk] = 0
+    A[rank:] = 0
+    if moved:
+        _permute_columns(A[:rank], np.argsort(order))
+    pivots = order[np.concatenate([np.arange(nk), schur])]
+    merge = np.argsort(pivots, kind="stable")
+    _permute_rows(A[:rank], merge)
+    return pivots[merge]
+
+
+def _panels(A: np.ndarray, p: int) -> np.ndarray:
+    """The panel pass of ``_forward``: panel by panel, factor (``_np_panel``),
+    finish the pivot rows (``_np_triangular``) and update the trailing block
+    (``_fuse_product``), in place on A, which may be a view. Returns the
+    pivot columns, those of the scalar rref's pivot rule, and leaves the
+    row echelon form of ``_forward``."""
     R, C = A.shape
     pivots = [np.zeros(0, dtype=np.int64)]
     r = 0

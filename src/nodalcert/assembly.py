@@ -15,7 +15,8 @@ Row/column conventions:
   syzygies re-index its blocks, and a deformation subspace and the
   evaluations at points (one polynomial per point) are its degree-0 case.
 * ``.transposed()`` turns a generator matrix into the matrix of the linear
-  map acting on column vectors, which is what kernel computations consume.
+  map acting on column vectors, which is what kernel computations consume;
+  only a matrix with every generator row, never one that ``keep_rows`` cut.
 """
 
 from __future__ import annotations
@@ -55,14 +56,33 @@ class IntCOO:
             if np.any(keys[1:] == keys[:-1]):
                 raise InconsistentResult("duplicate COO cell")
 
-    def transposed(self) -> "IntCOO":
-        """The transpose. Its cells are this matrix's, checked already, so it
-        is built without the checks of ``__post_init__``."""
+    def _unchecked(self, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "IntCOO":
+        """A matrix of cells taken from this one's, checked already, so it is
+        built without the checks of ``__post_init__``."""
         out = copy.copy(self)
-        object.__setattr__(out, "shape", (self.shape[1], self.shape[0]))
-        object.__setattr__(out, "rows", self.cols)
-        object.__setattr__(out, "cols", self.rows)
+        for name, value in (("shape", shape), ("rows", rows), ("cols", cols), ("vals", vals)):
+            object.__setattr__(out, name, value)
         return out
+
+    def transposed(self) -> "IntCOO":
+        """The transpose."""
+        return self._unchecked((self.shape[1], self.shape[0]), self.cols, self.rows, self.vals)
+
+    def keep_rows(self, keep: np.ndarray) -> "IntCOO":
+        """The matrix of the same shape without the cells of the rows where
+        ``keep`` (one bool per row) is False."""
+        mask = keep[self.rows]
+        return self._unchecked(self.shape, self.rows[mask], self.cols[mask], self.vals[mask])
+
+    def occupied_rows(self) -> "IntCOO":
+        """The matrix of the rows that hold a cell, in order: the rows left
+        out are zero, so its row space, rank, reduced echelon form and kernel
+        are this matrix's."""
+        used = np.bincount(self.rows, minlength=self.shape[0]) > 0
+        if used.all():
+            return self
+        rows = (np.cumsum(used) - 1)[self.rows]
+        return self._unchecked((int(used.sum()), self.shape[1]), rows, self.cols, self.vals)
 
     def dense_mod(self, p: int, dtype: type = np.int64) -> np.ndarray:
         """A fresh dense matrix of the entries reduced into [0, p), of

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .assembly import trivial_syzygy_coo
 from .errors import InconsistentResult, ScanExhausted
-from .linalg import SubspaceBasis
 from .milnor import JacobianContext
 from .monomials import space_dim
 
@@ -30,32 +29,12 @@ def syzygy_dim(ctx: JacobianContext, r: int) -> int:
     return total - ctx.jacobian_dim(r + ctx.d - 1)
 
 
-def syzygy_space(ctx: JacobianContext, r: int) -> SubspaceBasis:
-    """Echelonized basis of the degree-r syzygy space (slot-major
-    coordinates on (S_r)^(n+1)). Materializes a kernel; prefer syzygy_dim
-    when only the dimension is needed."""
-    coo = ctx.generator_coo(r + ctx.d - 1).transposed()
-    basis = ctx.engine.kernel_coo(coo, f"syzygy-map/{r}")
-    expected = syzygy_dim(ctx, r)
-    if basis.dim != expected:
-        raise InconsistentResult(
-            f"degree-{r} syzygy kernel has dimension {basis.dim}, rank-nullity gives {expected}"
-        )
-    return basis
-
-
 def trivial_syzygy_dim(ctx: JacobianContext, r: int) -> int:
     """Dimension of the span of the obvious pair-swap syzygies in degree r."""
     if r < ctx.d - 1:
         return 0
     coo = trivial_syzygy_coo(ctx.partials, r)
     return ctx.engine.rank_coo(coo, f"trivial-syzygy/{r}")
-
-
-def trivial_syzygy_space(ctx: JacobianContext, r: int) -> SubspaceBasis:
-    """Echelonized basis of the span of the pair-swap syzygies in degree r."""
-    coo = trivial_syzygy_coo(ctx.partials, r)
-    return ctx.engine.echelon_coo(coo, f"trivial-syzygy/{r}")
 
 
 def koszul_cohomology_dim(ctx: JacobianContext, m: int) -> int:

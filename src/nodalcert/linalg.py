@@ -22,8 +22,10 @@ and each under two names (``rank_coo`` and ``rank_payload``, and so on):
 perfbench's tracer patches and counts each name apart. The shape comes
 from the matrix, and one step per field densifies it into the
 realization's ``rank_dtype`` (int32 for a prime key) and runs the op: a
-COO through ``Realization.dense``, a payload by copying its matrix, so the
-engine never writes into a caller's payload. Payloads map each field key
+COO's occupied rows through ``Realization.dense`` (a row without a cell
+changes no rank, pivot, free column or kernel; the ledger records the full
+shape), a payload by copying its matrix, so the engine never writes into a
+caller's payload. Payloads map each field key
 to a 2-D numpy matrix of that realization's dtype: int64 entries in
 [0, p) for a prime key, ``dtype=object`` rationals for the exact key. A
 matrix of more than ``_ENTRY_CAP`` entries raises ``NoStabilization``
@@ -316,7 +318,10 @@ class LinearEngine:
         realization's free columns from ``F.rref_free``, which the first
         such op on the label settles and holds; a later op of another shape
         raises ``InconsistentResult``."""
-        shape = matrix.shape if isinstance(matrix, IntCOO) else _payload_shape(matrix, label)
+        if isinstance(matrix, IntCOO):
+            shape, matrix = matrix.shape, matrix.occupied_rows()
+        else:
+            shape = _payload_shape(matrix, label)
         if op == "rank":
             cached = self._cached_rank(label, shape)
             if cached is not None:

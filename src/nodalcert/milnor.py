@@ -6,6 +6,27 @@ generator matrix, the quotient algebra dimension is the codimension, and
 the saturation slice is the kernel of "multiply by every monomial of one
 fixed degree chosen to land past the socle, then reduce mod the ideal".
 
+The slice's generator matrix leaves out Koszul-redundant rows (the Koszul
+half of Faugere's F5 criterion, ISSAC 2002). Its row x^a g_j, for the
+partials g_0..g_n, is dropped when LM(g_i) divides x^a for some i < j,
+LM being the leading monomial in the session order (descending lex, a
+term order). Write g_i = c LM(g_i) + t_i and x^a = x^b LM(g_i). From
+g_i g_j = g_j g_i,
+c x^a g_j = x^b g_j g_i - x^b t_i g_j,
+where the first term is a combination of rows x^e g_i and the second of
+rows x^b m g_j with x^b m below x^a. Order the rows by j, then by x^a:
+each dropped row is then a combination of smaller rows, so by induction
+every row lies in the span of the kept ones. The division by c needs c to
+be a unit, so only a g_i whose leading coefficient in the integer rows is
+nonzero modulo every prime of the field counts as a divisor; over Q every
+nonzero one does. With that, the cut matrix has the slice's row space in
+every realization, hence its rank, reduced echelon form and annihilator.
+It is not the matrix of the map (S_(k-d+1))^(n+1) -> S_k, whose kernel
+(the syzygies) its transpose does not give: never transpose it for a
+kernel. The dropped rows keep their places without cells, so the matrix
+keeps the slice's shape, which the ledger records, while the engine
+densifies only the kept rows.
+
 From the socle degree on, where the quotient is small, one elimination of
 a slice also yields its annihilator: the functionals on S_k vanishing on
 the degree-k slice J_k, one per quotient dimension (the slice's
@@ -68,7 +89,7 @@ from .errors import FieldDisagreement, InconsistentResult, NoStabilization
 from .field import FieldConfig, Realization
 from .linalg import LinearEngine, SubspaceBasis
 from .monomials import exponent_matrix, monomial_rank_rows, space_dim
-from .polynomials import HomogeneousPolynomial, partial_derivatives
+from .polynomials import HomogeneousPolynomial, common_denominator_scale, partial_derivatives
 
 
 # Returned by coincidence_threshold when no deviation exists through the
@@ -168,6 +189,15 @@ class JacobianContext:
         self.engine = LinearEngine(self.field)
         self.partials = partial_derivatives(f)
         self._monomial_partials = all(len(g.terms) <= 1 for g in self.partials)
+        # (j, exponents of LM(g_j)) for each partial g_j whose leading
+        # coefficient, in the integer rows, is a unit in every realization
+        scale = common_denominator_scale(self.partials)
+        self._divisors: list[tuple[int, np.ndarray]] = []
+        for j, g in enumerate(self.partials):
+            if not g.is_zero:
+                lead, c = g.sorted_terms()[0]
+                if all(int(c * scale) % p for p in self.field.primes):
+                    self._divisors.append((j, np.array(lead, dtype=np.int64)))
         self._dims: dict[int, int] = {}
         # k -> per-field quotient table of degree k, eliminated or derived
         self._qr: dict[int, dict[str, np.ndarray]] = {}
@@ -182,17 +212,25 @@ class JacobianContext:
     # -- raw ideal slices ---------------------------------------------------
 
     def generator_coo(self, k: int) -> IntCOO:
-        """The degree-k slice's generator matrix: the zero 0 x N_k matrix
-        for k < d-1, where the slice is zero. Every slice is assembled here,
-        and raises ``NoStabilization`` (``slice_over_cap``) past the size cap
-        before any of it is made."""
+        """The degree-k slice's generator matrix, Koszul-cut: the rows of
+        ``jacobian_generator_coo`` (x^a times the j-th partial, row
+        j * N_(k-d+1) + a) keep their places, and those that the Koszul
+        criterion makes redundant (module docstring) hold no cell. Its row
+        space is the slice's, in every realization; never transpose it for
+        a kernel. The zero 0 x N_k matrix for k < d-1, where the slice is
+        zero. Every slice is assembled here, and raises ``NoStabilization``
+        (``slice_over_cap``) past the size cap before any of it is made."""
         over = self.slice_over_cap(k)
         if over:
             raise NoStabilization(over)
         if k < self.d - 1:
             none = np.zeros(0, dtype=np.int64)
             return IntCOO((0, space_dim(self.n, k)), none, none, none)
-        return jacobian_generator_coo(self.partials, k)
+        E = exponent_matrix(self.n, k - self.d + 1)
+        cut = np.zeros((self.n + 1, len(E)), dtype=bool)
+        for j, lead in self._divisors:
+            cut[j + 1 :] |= np.all(E >= lead, axis=1)
+        return jacobian_generator_coo(self.partials, k).keep_rows(~cut.ravel())
 
     def _slice_shape(self, k: int) -> tuple[int, int]:
         """The shape of ``generator_coo(k)``, without assembling it."""

@@ -367,6 +367,75 @@ def test_blocked_rref_with_a_rank_drop_inside_the_first_panel():
         assert np.count_nonzero(pivots < PANEL_WIDTH) < PANEL_WIDTH - 10
 
 
+def _staircase(rng, rows, cols, p, edge=False):
+    """Rows leading at every even column once and at random even columns
+    again (rows >= cols / 2), a random nonzero entry there and about half of
+    the later entries nonzero, plus one zero row per ten, shuffled; with
+    ``edge`` every nonzero entry is p - 1 or a random residue."""
+    even = np.arange(0, cols, 2)
+    leads = np.concatenate([even, rng.choice(even, size=rows - even.size)])
+    A = rng.integers(1, p, size=(rows, cols), dtype=np.int64)
+    if edge:
+        A[rng.random(A.shape) < 0.5] = p - 1
+    A[rng.random(A.shape) < 0.5] = 0
+    A[np.arange(cols)[None, :] < leads[:, None]] = 0
+    A[np.arange(rows), leads] = p - 1 if edge else rng.integers(1, p, size=rows)
+    A = np.vstack([A, np.zeros((rows // 10, cols), dtype=np.int64)])
+    return A[rng.permutation(len(A))]
+
+
+def _assert_known_pivot_pass_is_scalar_rref(A, p):
+    """In int64 and int32, ``blocked_rref_free_mod`` gives the pivot and
+    free columns of ``rref_mod`` of A entry for entry and
+    ``blocked_rank_mod`` its rank; returns the rank and the number of
+    distinct leading columns, the pivots known before elimination."""
+    scalar = A.astype(np.int64)
+    rank, pivots = rref_mod(scalar, p)
+    for dtype in (np.int64, np.int32):
+        got_pivots, X = blocked_rref_free_mod(A.astype(dtype), p)
+        assert np.array_equal(got_pivots, pivots)
+        assert np.array_equal(X, np.delete(scalar[:rank], pivots, axis=1))
+        assert blocked_rank_mod(A.astype(dtype), p) == rank
+    leads = _kernels._leads(A)
+    return rank, np.unique(leads[leads < A.shape[1]]).size
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_known_pivots_with_duplicate_leads_and_zero_rows(p):
+    rng = np.random.default_rng(101)
+    for rows, cols in [(400, 300), (300, 500), (3 * PANEL_WIDTH, 3 * PANEL_WIDTH + 1)]:
+        A = _staircase(rng, rows, cols, p)
+        rank, known = _assert_known_pivot_pass_is_scalar_rref(A, p)
+        # more than one block of known pivots, and a Schur complement left over
+        assert PANEL_WIDTH < known < rank
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_known_pivots_with_a_rank_deficient_schur_complement_and_a_last_column_row(p):
+    rng = np.random.default_rng(103)
+    A = _staircase(rng, 400, 300, p)
+    # rows that are combinations of others lead where their first term does
+    # and leave the Schur complement rank-deficient
+    mix = _mulmod(rng.integers(0, p, size=(60, len(A)), dtype=np.int64), A, p)
+    last = np.zeros((1, 300), dtype=np.int64)
+    last[0, -1] = p - 1
+    M = np.vstack([A, mix, last])[rng.permutation(len(A) + 61)]
+    rank, known = _assert_known_pivot_pass_is_scalar_rref(M, p)
+    assert rank == _assert_known_pivot_pass_is_scalar_rref(np.vstack([A, last]), p)[0]
+    assert PANEL_WIDTH < known < rank < len(A)
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_known_pivots_at_the_limb_edges(p):
+    rng = np.random.default_rng(107)
+    rank, known = _assert_known_pivot_pass_is_scalar_rref(_staircase(rng, 350, 330, p, edge=True), p)
+    assert PANEL_WIDTH < known < rank
+    # all rows leading in column 0: nothing known beyond it
+    A = np.full((200, 210), p - 1, dtype=np.int64)
+    A[np.arange(1, 200), np.arange(1, 200)] = 1
+    assert _assert_known_pivot_pass_is_scalar_rref(A, p) == (200, 1)
+
+
 @pytest.mark.parametrize("k", [12, 13, 14])
 def test_blocked_rref_on_jacobian_slices(k):
     coo = jacobian_generator_coo(partial_derivatives(one_node(3, 5, 1).f), k)

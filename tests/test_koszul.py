@@ -3,29 +3,38 @@ window, and the minimal nontrivial relation degree."""
 
 import pytest
 
+from nodalcert.assembly import jacobian_generator_coo, trivial_syzygy_coo
 from nodalcert.errors import ScanExhausted
 from nodalcert.koszul import (
     koszul_cohomology_dim,
     min_relation_degree,
     syzygy_dim,
-    syzygy_space,
     trivial_syzygy_dim,
-    trivial_syzygy_space,
 )
 from nodalcert.milnor import coincidence_threshold
+
+
+def _syzygy_space(ctx, r):
+    """Echelonized kernel of the degree-r multiplication map
+    (S_r)^(n+1) -> S_(r+d-1): the transposed full generator matrix, every
+    row x^a * g_j kept (the Koszul-cut ``ctx.generator_coo`` has the slice's
+    row space but not this kernel)."""
+    coo = jacobian_generator_coo(ctx.partials, r + ctx.d - 1).transposed()
+    return ctx.engine.kernel_coo(coo, f"syzygy-map/{r}")
 
 
 def test_syzygy_count_matches_explicit_kernel(roster):
     # rank arithmetic vs an explicit kernel basis: two independent routes
     ctx = roster.ctx("A")
     for r in range(2, 7):
-        assert syzygy_dim(ctx, r) == syzygy_space(ctx, r).dim
+        assert syzygy_dim(ctx, r) == _syzygy_space(ctx, r).dim
 
 
 def test_trivial_syzygy_count_matches_explicit_span(roster):
     ctx = roster.ctx("A")
     for r in range(3, 7):
-        assert trivial_syzygy_dim(ctx, r) == trivial_syzygy_space(ctx, r).dim
+        span = ctx.engine.echelon_coo(trivial_syzygy_coo(ctx.partials, r), f"trivial-syzygy-span/{r}")
+        assert trivial_syzygy_dim(ctx, r) == span.dim
 
 
 def test_trivial_syzygies_are_syzygies(roster):
@@ -81,17 +90,18 @@ def test_a_syzygy_kernel_densifies_one_field_at_a_time():
     f = one_node(3, 5, 1).f
     ctx = JacobianContext(f)
     r = 8
-    ctx.jacobian_dim(r + ctx.d - 1)  # the rank-nullity count, outside the measured kernel
+    expected = syzygy_dim(ctx, r)  # the rank-nullity count, outside the measured kernel
+    coo = jacobian_generator_coo(ctx.partials, r + ctx.d - 1).transposed()
     tracemalloc.start()
     try:
-        basis = syzygy_space(ctx, r)
+        basis = ctx.engine.kernel_coo(coo, f"syzygy-map/{r}")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 12.09e6
+    assert basis.dim == expected
 
     eager = JacobianContext(f)
-    coo = eager.generator_coo(r + eager.d - 1).transposed()
     payload = {F.key: F.dense(coo) for F in eager.field.realizations}
     reference = eager.engine.kernel_payload(payload, "eager")
     assert basis.pivots == reference.pivots

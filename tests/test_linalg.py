@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nodalcert import _kernels
-from nodalcert.assembly import IntCOO
+from nodalcert.assembly import IntCOO, jacobian_generator_coo
 from nodalcert.errors import FieldDisagreement, InconsistentResult
 from nodalcert.field import FieldConfig
 from nodalcert.linalg import LinearEngine, RankRecord
@@ -223,7 +223,7 @@ def _jacobian_ledger(gate, monkeypatch):
     for k in range(3, 11):
         ctx.jacobian_dim(k)
     basis = ctx.jacobian_basis(6)
-    ker = ctx.engine.kernel_coo(ctx.generator_coo(6).transposed(), "syzygies/6")
+    ker = ctx.engine.kernel_coo(jacobian_generator_coo(ctx.partials, 6).transposed(), "syzygies/6")
     return list(ctx.engine.rank_ledger.items()), basis, ker
 
 

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from nodalcert import milnor
+from nodalcert import _kernels, milnor
+from nodalcert.assembly import IntCOO, jacobian_generator_coo
 from nodalcert.errors import FieldDisagreement, InconsistentResult, NoStabilization
-from nodalcert.field import FieldConfig
+from nodalcert.field import DEFAULT_PRIMES, FieldConfig
 from nodalcert.fixtures import fermat, multi_node, one_node
 from nodalcert.hodge import ideal_of_points_dim
 from nodalcert.linalg import LinearEngine, kernel_rows
@@ -29,6 +30,12 @@ from nodalcert.nodal import certify_nodal
 from nodalcert.polynomials import parse_polynomial
 from nodalcert.torelli import quotient_basis
 from test_nodal import _CUSP_BESIDE_NODE, _SINGULAR_LINE
+
+
+def _full_slice(ctx, k):
+    """The degree-k slice with every row x^a * g_j kept, the reference for
+    the Koszul-cut ``ctx.generator_coo(k)`` (the zero matrix below d-1)."""
+    return jacobian_generator_coo(ctx.partials, k) if k >= ctx.d - 1 else ctx.generator_coo(k)
 
 
 @pytest.mark.parametrize("n,d,expected", [(3, 4, 8), (3, 5, 12), (4, 5, 15), (5, 6, 24)])
@@ -55,7 +62,7 @@ def test_fermat_ideal_dims_agree_between_routes():
     # the monomial shortcut and the generic elimination route must agree
     ctx = JacobianContext(fermat(3, 4).f, FieldConfig.prime_pair())
     for k in range(3, 8):
-        assert ctx.jacobian_dim(k) == ctx.engine.rank_coo(ctx.generator_coo(k), f"generic/{k}")
+        assert ctx.jacobian_dim(k) == ctx.engine.rank_coo(_full_slice(ctx, k), f"generic/{k}")
 
 
 def test_fermat_matches_smooth_reference_everywhere(roster):
@@ -112,7 +119,7 @@ def test_no_slice_is_assembled_past_the_entry_cap(monkeypatch):
 def direct_quotient_dims(f, field, degrees):
     """h(k) from a direct rank of each generator slice on a fresh context."""
     ctx = JacobianContext(f, field)
-    return [space_dim(ctx.n, k) - ctx.engine.rank_coo(ctx.generator_coo(k), f"direct/{k}") for k in degrees]
+    return [space_dim(ctx.n, k) - ctx.engine.rank_coo(_full_slice(ctx, k), f"direct/{k}") for k in degrees]
 
 
 # exact mode runs on cubic surfaces and a plane quintic, where Bareiss is quick
@@ -213,7 +220,7 @@ def _assert_table_is_the_echelon_kernel(ctx, k):
     ``quotient_basis``, views of the table, equal that echelon form and its
     free columns."""
     table = ctx.quotient_reduction(k)
-    reference = LinearEngine(ctx.field).echelon_coo(ctx.generator_coo(k), f"reference/{k}")
+    reference = LinearEngine(ctx.field).echelon_coo(_full_slice(ctx, k), f"reference/{k}")
     free = reference.free_columns()
     basis = ctx.jacobian_basis(k)
     assert basis.ncols == reference.ncols and basis.pivots == reference.pivots
@@ -289,11 +296,68 @@ def test_saturation_declines_infeasible_inputs(monkeypatch):
     assert ctx.socle + 1 not in assembled
 
 
+@pytest.mark.parametrize("which, field", _hilbert_cases())
+def test_the_cut_slice_has_the_echelon_form_of_the_full_slice(roster, which, field):
+    f = (roster.fixture(which) if isinstance(which, str) else which).f
+    ctx = JacobianContext(f, field)
+    cut_rows = 0
+    for k in range(ctx.d - 1, ctx.socle + 2):
+        cut, full = ctx.generator_coo(k), _full_slice(ctx, k)
+        assert cut.shape == full.shape
+        cut_rows += full.shape[0] - cut.occupied_rows().shape[0]
+        got = LinearEngine(field).echelon_coo(cut, f"cut/{k}")
+        expected = LinearEngine(field).echelon_coo(full, f"full/{k}")
+        assert got.pivots == expected.pivots and got.payload.keys() == expected.payload.keys()
+        for key, rows in expected.payload.items():
+            assert got.payload[key].dtype == rows.dtype and np.array_equal(got.payload[key], rows)
+    assert cut_rows > 0
+
+
+# 29 > 2d(n+1) = 24 divides 116, the leading coefficient of the first partial
+_LEAD_DIVISIBLE_BY_29 = "29*x0^4 + x1^4 + x2^4 + 3*x0^2*x1*x2 + 5*x0*x1^2*x2 + 7*x0*x1*x2^2 + 2*x0^3*x1 + x1^3*x2"
+
+
+def test_a_partial_whose_leading_coefficient_a_prime_divides_cuts_no_row():
+    f = parse_polynomial(_LEAD_DIVISIBLE_BY_29, 2)
+    field = FieldConfig.prime_pair(29, DEFAULT_PRIMES[0])
+    ctx = JacobianContext(f, field)
+    assert [j for j, _ in ctx._divisors] == [1, 2]
+    assert [j for j, _ in JacobianContext(f, FieldConfig.exact())._divisors] == [0, 1, 2]
+    # the same context with the first partial counted as a divisor
+    unsound = JacobianContext(f, field)
+    unsound._divisors = [(0, np.array(ctx.partials[0].sorted_terms()[0][0]))] + ctx._divisors
+    for k in range(ctx.d - 1, 10):
+        full = _full_slice(ctx, k)
+        for F in field.realizations:
+            expected_pivots, expected_free = F.rref_free(F.dense(full))
+            pivots, free = F.rref_free(F.dense(ctx.generator_coo(k).occupied_rows()))
+            assert pivots == expected_pivots and np.array_equal(free, expected_free)
+            if F.p == 29 and k >= 6:
+                # that cut drops rows whose span modulo 29 the others miss
+                assert len(F.rref_free(F.dense(unsound.generator_coo(k).occupied_rows()))[0]) < len(pivots)
+
+
+def test_a_cut_slice_is_densified_on_its_kept_rows_and_recorded_at_its_full_shape(roster, monkeypatch):
+    densified = []
+    real = IntCOO.dense_mod
+    monkeypatch.setattr(IntCOO, "dense_mod", lambda coo, p, dtype: densified.append(coo.shape) or real(coo, p, dtype))
+    ctx = JacobianContext(roster.fixture("C").f, FieldConfig.prime_pair())
+    k = ctx.socle
+    kept = ctx.generator_coo(k).occupied_rows().shape
+    assert kept[0] < ctx._slice_shape(k)[0]
+    rows, cols = ctx._slice_shape(k)
+    monkeypatch.setattr(_kernels, "_CONCURRENT_ENTRIES", rows * cols)  # both primes in turn, in this process
+    ctx.jacobian_dim(k)
+    assert densified == [kept, kept]
+    rec = ctx.engine.rank_ledger[f"jacobian/{k}"]
+    assert (rec.rows, rec.cols) == ctx._slice_shape(k) == ctx.generator_coo(k).shape
+
+
 def test_quotient_reduction_sends_ideal_generators_to_zero(roster):
     # x_i * (a partial) lies in the degree-4 ideal slice: its class is zero
     for ctx in roster.both_modes("A", one_node(3, 4, 1)):
         table = ctx.quotient_reduction(4)
-        coo = ctx.generator_coo(4)
+        coo = _full_slice(ctx, 4)
         for F in ctx.field.realizations:
             # object arithmetic: a product of two reduced int64 matrices overflows
             classes = F.dense(coo).astype(object) @ table[F.key].astype(object)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nodalcert.assembly import jacobian_generator_coo
 from nodalcert.cli import main
 from nodalcert.errors import DegeneratePoint, NotSingular
 from nodalcert.field import FieldConfig
@@ -329,7 +330,7 @@ def _direct_ledger(f, field, degrees):
     """The ledger direct ranks of the given degrees' slices make."""
     ctx = JacobianContext(f, field)
     for k in degrees:
-        ctx.engine.rank_coo(ctx.generator_coo(k), f"jacobian/{k}")
+        ctx.engine.rank_coo(jacobian_generator_coo(ctx.partials, k), f"jacobian/{k}")
     return list(ctx.engine.rank_ledger.items())
 
 
