@@ -182,7 +182,7 @@ def rref_mod(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
         piv = r + int(nz[0])
         if piv != r:
             A[[r, piv], :] = A[[piv, r], :]
-        inv = pow(int(A[r, c]), p - 2, p)
+        inv = pow(int(A[r, c]), -1, p)
         if inv != 1:
             A[r, c:] = _np_reduce(A[r, c:] * inv, p)
         rows = np.nonzero(A[:, c])[0]
@@ -268,7 +268,7 @@ def _np_panel_columns(
             T[:, [r, piv]] = T[:, [piv, r]]
             F[[r, piv]] = F[[piv, r]]
             swaps.append((r, piv))
-        inv = pow(int(T[c, r]), p - 2, p)
+        inv = pow(int(T[c, r]), -1, p)
         f = _np_reduce(T[c, r + 1 :] * inv, p)
         F[r + 1 :, r] = f
         T[c, r + 1 :] = 0
@@ -490,7 +490,7 @@ def _forward(A: np.ndarray, p: int) -> np.ndarray:
     moved = bool(np.any(order != np.arange(C)))
     if moved:
         _permute_columns(A, order)
-    inv = np.array([pow(int(a), p - 2, p) for a in A[np.arange(nk), np.arange(nk)]], dtype=np.int64)
+    inv = np.array([pow(int(a), -1, p) for a in A[np.arange(nk), np.arange(nk)]], dtype=np.int64)
     for r0 in range(0, nk, PANEL_WIDTH):
         r1 = min(r0 + PANEL_WIDTH, nk)
         A[r0:r1] = _np_reduce(A[r0:r1] * inv[r0:r1, None], p)
@@ -560,7 +560,7 @@ def blocked_rref_free_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray
         raise InconsistentResult(f"blocked kernel of a {A.dtype} matrix modulo {p}")
     pivots = _forward(A, p)
     rank = pivots.size
-    inv = np.array([pow(int(a), p - 2, p) for a in A[np.arange(rank), pivots]], dtype=np.int64)
+    inv = np.array([pow(int(a), -1, p) for a in A[np.arange(rank), pivots]], dtype=np.int64)
     X = _np_reduce(np.delete(A[:rank], pivots, axis=1) * inv[:, None], p)
     for b0 in range(PANEL_WIDTH * ((rank - 1) // PANEL_WIDTH), -1, -PANEL_WIDTH):
         b1 = min(b0 + PANEL_WIDTH, rank)

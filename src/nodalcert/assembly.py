@@ -12,8 +12,9 @@ Row/column conventions:
   have one row per generator and one column per target monomial — their row
   space is the subspace they span. ``jacobian_generator_coo`` is the only
   builder of rows that are monomial multiples of polynomials: the pair-swap
-  syzygies re-index its blocks, and a deformation subspace and the
-  evaluations at points (one polynomial per point) are its degree-0 case.
+  syzygies re-index its blocks, and a deformation subspace is its
+  degree-0 case. (Evaluations at points are made per realization by
+  ``milnor.evaluation_rows``: their integer entries outgrow int64.)
 * ``.transposed()`` turns a generator matrix into the matrix of the linear
   map acting on column vectors, which is what kernel computations consume;
   only a matrix with every generator row, never one that ``keep_rows`` cut.

@@ -62,6 +62,24 @@ columns reversed thus puts its pivots exactly on the free columns, and its
 rows, reversed back, are the one basis with 1 at its own free column and 0
 at the others: the eliminated table, entry for entry.
 
+Where the ideal's zeros are known, a degree past such a table needs no
+system. Let x_1..x_m be points with coprime integer coordinates at which
+every partial vanishes over Q. The slice's rows are monomial multiples of
+the partials with one common denominator cleared, so the functional
+"evaluate at x_s" kills J_k in every degree and every realization, and
+x_s stays a projective point mod p. Suppose the degree-(k-1) table has
+width h(k-1) = m <= k-1, with k-1 >= d-1. Macaulay's growth bound gives
+h(k) <= m^<k-1> = m, since J_k contains S_1 J_(k-1). If the m evaluations
+are independent on S_k (they are when the points stay distinct in the
+field and k >= m-1), they are m functionals vanishing on J_k, so
+h(k) >= m. Hence h(k) = m, the annihilator of J_k is the span of the
+evaluations, and their canonical form is the degree-k table, entry for
+entry: only the m x N_k evaluation rows are echelonized
+(``JacobianContext.hold_node_tables``). The argument holds in each field,
+so it records the slice's rank there as a derivation does. Where two points
+meet modulo a prime the evaluations have rank below m, and the tables are
+derived as above instead.
+
 That form makes each table the one way into its degree's slice: the
 standard columns, the echelon basis and, where held, the dimension are
 views of it. Column s of T is 1 at its free column g_s, 0 at the other
@@ -80,6 +98,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -155,8 +174,30 @@ def _extend_annihilator(F: Realization, table: np.ndarray, n: int, k: int) -> tu
     out = np.zeros((len(coeffs), len(top)), dtype=F.dtype)
     for t in range(h):
         out = F.normalize(out + coeffs[:, var, t] * table[source, t])
-    pivots, free = F.rref_free(out[:, ::-1].copy())
-    return len(top) - len(coeffs), linalg.reduced_rows(F, pivots, free, len(top))[::-1, ::-1]
+    return len(top) - len(coeffs), _canonical_rows(F, out)
+
+
+def _canonical_rows(F: Realization, rows: np.ndarray) -> np.ndarray:
+    """The canonical basis of the row space of ``rows`` (module docstring):
+    echelonized over F with the columns reversed, then reversed back."""
+    pivots, free = F.rref_free(rows[:, ::-1].copy())
+    return linalg.reduced_rows(F, pivots, free, rows.shape[1])[::-1, ::-1]
+
+
+def evaluation_rows(F: Realization, points: Sequence[Sequence[int]], n: int, k: int) -> np.ndarray:
+    """The matrix, of F's dtype, with one row per point of integer
+    coordinates x and one column per degree-k monomial u, holding x^u in F:
+    each row is the functional "evaluate at x" on S_k. The coordinates'
+    powers are reduced as they are made, so no entry outgrows its field."""
+    E = exponent_matrix(n, k)
+    rows = np.ones((len(points), len(E)), dtype=F.dtype)
+    for r, x in enumerate(points):
+        for i, c in enumerate(x):
+            powers = [1]
+            for _ in range(k):
+                powers.append(F.normalize(powers[-1] * c))
+            rows[r] = F.normalize(rows[r] * np.array(powers, dtype=F.dtype)[E[:, i]])
+    return rows
 
 
 def _empty_rows(field: FieldConfig, ncols: int) -> dict[str, np.ndarray]:
@@ -322,11 +363,12 @@ class JacobianContext:
         """Per-field table (N_k x q_k) sending a monomial index to the
         coordinates of its class over the standard complement monomials of
         the degree-k ideal slice: its annihilator in canonical form,
-        transposed, one table per degree. Past max(socle, d-1) it is derived
-        from the held table of degree k-1 (``_extend_annihilator``); else the
-        slice is assembled (``generator_coo``) and eliminated under its
-        label. ``standard_columns`` and ``jacobian_basis`` read this table;
-        no other call eliminates the slice for a basis."""
+        transposed, one table per degree. A table ``hold_node_tables`` holds
+        is read as it is. Past max(socle, d-1) it is derived from the held
+        table of degree k-1 (``_extend_annihilator``); else the slice is
+        assembled (``generator_coo``) and eliminated under its label.
+        ``standard_columns`` and ``jacobian_basis`` read this table; no
+        other call eliminates the slice for a basis."""
         if k not in self._qr:
             label = f"jacobian/{k}"
             if k - 1 in self._qr and k - 1 >= max(self.socle, self.d - 1):
@@ -336,8 +378,39 @@ class JacobianContext:
                 )
             else:
                 _, lam = self.engine.annihilator_coo(self.generator_coo(k), label)
-            self._qr[k] = {key: np.ascontiguousarray(rows.T) for key, rows in lam.items()}
+            self._hold(k, lam)
         return self._qr[k]
+
+    def _hold(self, k: int, rows: dict[str, np.ndarray]) -> None:
+        """Hold the degree-k table of the per-field annihilator rows."""
+        self._qr[k] = {key: np.ascontiguousarray(lam.T) for key, lam in rows.items()}
+
+    def hold_node_tables(self, nodes: Sequence[Sequence[int]], degrees: Sequence[int]) -> None:
+        """Hold the quotient table of each of ``degrees``, in order, as the
+        canonical form of the evaluations at ``nodes`` (module docstring),
+        recording its rank under the slice's label and shape. ``nodes`` are
+        points of coprime integer coordinates at which every partial
+        vanishes over Q, as a nodality certificate has checked. A degree k
+        is held so only where the table of k-1 is held with width
+        m = len(nodes) <= k-1, k-1 >= d-1, and the evaluations have rank m
+        in every realization; from the first degree where that fails on,
+        ``quotient_reduction`` makes the tables. Monomial partials, whose
+        dimensions are counted, hold no table."""
+        if self._monomial_partials:
+            return
+        m = len(nodes)
+        for k in degrees:
+            if k in self._qr:
+                continue
+            below = self._qr.get(k - 1)
+            if below is None or k - 1 < max(m, self.d - 1) or any(t.shape[1] != m for t in below.values()):
+                return
+            rows = {F.key: _canonical_rows(F, evaluation_rows(F, nodes, self.n, k)) for F in self.field.realizations}
+            if any(len(lam) < m for lam in rows.values()):
+                return
+            N = space_dim(self.n, k)
+            _, lam = self.engine.derived_rank(f"jacobian/{k}", self._slice_shape(k), lambda F: (N - m, rows[F.key]))
+            self._hold(k, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,32 @@ A certified-nodal verdict combines two ingredients:
   slice. Any h != m gives a Failed verdict, never a weaker claim.
 
   Only the first degree's slice is eliminated (K, or T+1 for m = 0, both
-  at least T). That elimination also gives the slice's annihilator, and
-  each later degree's h is derived exactly from the previous degree's
-  annihilator without building its slice (``milnor``, which states the
-  argument). Each derived h is the quotient dimension of that degree's
-  slice in the same field, recorded under the slice's label and shape, so
-  the argument above, its one-sided bound mod p and the rank ledger are
-  those of ranking every slice.
+  at least T), to its annihilator. Once h = m there, the later degrees
+  need no computation. Every generator of the ideal vanishes at each
+  verified node, so evaluation at a node is a functional killing the
+  degree-(K+1) slice; the m evaluations are independent while the nodes
+  stay distinct in the field, so h(K+1) >= m, and Macaulay's bound gives
+  h(K+1) <= m as above. So h(K+1) = m and the slice's annihilator is the
+  span of the evaluations; the same holds at K+2 from K+1.
+  ``JacobianContext.hold_node_tables`` holds these spans as the quotient
+  tables, in canonical form. Where two nodes meet modulo a prime, each
+  later table is derived from the previous degree's annihilator instead,
+  without building its slice (``milnor`` states both arguments). Either
+  way each later h is the quotient dimension of that degree's slice in
+  the same field, recorded under the slice's label and shape, so the
+  argument above, its one-sided bound mod p and the rank ledger are those
+  of ranking every slice.
+
+  The point-local checks run in integers: at the primitive integer
+  representative of the point, with f's common denominator cleared, each
+  partial and each second partial is the rational value times one nonzero
+  factor per order, so vanishing and the Hessian rank are the rational
+  ones. Certify evaluates each of them once per node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
@@ -45,7 +60,7 @@ from .errors import DegeneratePoint, NotSingular, ParseError
 # under this module's name (tests/test_trace_layers.py runs that tracer)
 from .milnor import JacobianContext, tjurina_count  # noqa: F401
 from .monomials import space_dim
-from .polynomials import HomogeneousPolynomial, partial_derivatives
+from .polynomials import HomogeneousPolynomial, common_denominator_scale
 
 _LITERAL_SCAN_LIMIT = 2000  # max dim S_(socle+2) for the literal route
 
@@ -68,6 +83,15 @@ class ProjectivePoint:
     def n(self) -> int:
         return len(self.coords) - 1
 
+    @property
+    def integers(self) -> tuple[int, ...]:
+        """The primitive integer representative: the coordinates times
+        their least common denominator, which share no prime factor (each
+        prime of that denominator divides some coordinate's denominator
+        to its full power there)."""
+        den = math.lcm(*(c.denominator for c in self.coords))
+        return tuple(int(c * den) for c in self.coords)
+
     def to_text(self) -> str:
         return "[" + " : ".join(str(c) for c in self.coords) + "]"
 
@@ -87,10 +111,40 @@ def parse_point(text: str, n: int) -> ProjectivePoint:
     return ProjectivePoint(coords)
 
 
+def _derivatives_at(f: HomogeneousPolynomial, pt: ProjectivePoint, orders: Sequence[Sequence[int]]) -> list[int]:
+    """For each exponent vector o of ``orders``, all of one total order, the
+    o-th partial derivative of f times f's common denominator, at the
+    point's integer coordinates: sum over f's terms c x^e with e >= o of
+    c e!/(e-o)! x^(e-o). Each is the rational value at ``pt.coords`` times
+    one nonzero factor shared by all of them (the denominator and a power
+    of the coordinates' scale), so vanishing and ranks are the rational
+    ones."""
+    scale = common_denominator_scale([f])
+    powers = [[c**e for e in range(f.degree + 1)] for c in pt.integers]
+    terms = [(expo, int(coeff * scale)) for expo, coeff in f.terms.items()]
+    values = []
+    for order in orders:
+        total = 0
+        for expo, c in terms:
+            for pw, e, o in zip(powers, expo, order):
+                if e < o:
+                    break
+                c *= math.perm(e, o) * pw[e - o]
+            else:
+                total += c
+        values.append(total)
+    return values
+
+
+def _order(n: int, *variables: int) -> tuple[int, ...]:
+    """The exponent vector of the derivative by the given variables."""
+    return tuple(variables.count(t) for t in range(n + 1))
+
+
 def is_singular_at(f: HomogeneousPolynomial, pt: ProjectivePoint) -> bool:
     """Exact check that every partial derivative vanishes at the point
     (which by the Euler relation forces f itself to vanish there)."""
-    return all(g.evaluate(pt.coords) == 0 for g in partial_derivatives(f))
+    return not any(_derivatives_at(f, pt, [_order(f.n, i) for i in range(f.n + 1)]))
 
 
 def hessian_rank_at(f: HomogeneousPolynomial, pt: ProjectivePoint) -> int:
@@ -99,17 +153,21 @@ def hessian_rank_at(f: HomogeneousPolynomial, pt: ProjectivePoint) -> int:
     The chart drops the first coordinate with a nonzero value (normalized
     to 1); the remaining n x n matrix of second partials evaluated at the
     point is the Hessian of the local equation. Rank n means an ordinary
-    node. Raises NotSingular at smooth points.
+    node. Raises NotSingular at smooth points, which the full Hessian H
+    already tells: Euler's relation gives H x = (d-1) grad f(x), so no
+    first partial is evaluated here.
     """
-    if not is_singular_at(f, pt):
-        raise NotSingular(f"point {pt.to_text()} is not a singular point")
     n = f.n
-    chart = next(i for i, c in enumerate(pt.coords) if c != 0)
-    firsts = partial_derivatives(f)
-    seconds = [partial_derivatives(g) for g in firsts]
+    pairs = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+    H = [[0] * (n + 1) for _ in range(n + 1)]
+    for (i, j), value in zip(pairs, _derivatives_at(f, pt, [_order(n, i, j) for i, j in pairs])):
+        H[i][j] = H[j][i] = value
+    x = pt.integers
+    if any(sum(h * c for h, c in zip(row, x)) for row in H):
+        raise NotSingular(f"point {pt.to_text()} is not a singular point")
+    chart = next(i for i, c in enumerate(x) if c)
     idx = [i for i in range(n + 1) if i != chart]
-    rows = [[seconds[i][j].evaluate(pt.coords) for j in idx] for i in idx]
-    return exact.bareiss_rank(rows)
+    return exact.bareiss_rank([[H[i][j] for j in idx] for i in idx])
 
 
 @dataclass(frozen=True)
@@ -182,6 +240,8 @@ def certify_nodal(
         if h != m:
             found = {f"h{i}": h, "degree": k} if m else {"quotient": h}
             return _failed(route, f"quotient dimension {h} != {m} at degree {k}", **found)
+        if i == 0:
+            ctx.hold_node_tables([pt.integers for pt in points], degrees[1:])
     details = {"degree": degrees[0], "h0": m, "h1": m} if m else {"degree": degrees[0]}
     return NodalCertificate(
         "Nodal" if m else "Smooth", m, m, route, details={} if route == "literal" else details

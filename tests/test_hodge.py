@@ -61,6 +61,16 @@ def test_ideal_of_rational_points_is_the_corank_of_their_evaluations(roster):
                 assert ideal_of_points_dim(ctx, points[:m], k) == space_dim(3, k) - bareiss_rank(rows)
 
 
+@pytest.mark.parametrize("field", [FieldConfig.prime_pair(), FieldConfig.exact()], ids=["two-prime", "exact"])
+def test_a_point_with_a_large_coordinate_imposes_one_condition(field):
+    # 1000^8 is past the int64 bound of an integer COO matrix; the rows are
+    # made in each realization instead
+    ctx = JacobianContext(one_node(3, 4, 1).f, field)
+    assert ideal_of_points_dim(ctx, (parse_point("[1 : 1000 : 7 : 3]", 3),), 8) == space_dim(3, 8) - 1
+    rec = ctx.engine.rank_ledger["ideal-points/8/1"]
+    assert (rec.rows, rec.cols, rec.rank) == (1, space_dim(3, 8), 1)
+
+
 def test_constancy_check_grouping():
     mk = lambda top, nxt: HodgeGradedDims(3, 4, top, nxt)
     assert corollary_constancy_check([])

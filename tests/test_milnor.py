@@ -29,7 +29,7 @@ from nodalcert.monomials import monomial_basis, space_dim
 from nodalcert.nodal import certify_nodal
 from nodalcert.polynomials import parse_polynomial
 from nodalcert.torelli import quotient_basis
-from test_nodal import _CUSP_BESIDE_NODE, _SINGULAR_LINE
+from test_nodal import _CUSP_BESIDE_NODE, _EXACT_FIXTURES, _SINGULAR_LINE
 
 
 def _full_slice(ctx, k):
@@ -122,8 +122,6 @@ def direct_quotient_dims(f, field, degrees):
     return [space_dim(ctx.n, k) - ctx.engine.rank_coo(_full_slice(ctx, k), f"direct/{k}") for k in degrees]
 
 
-# exact mode runs on cubic surfaces and a plane quintic, where Bareiss is quick
-_EXACT_FIXTURES = [one_node(3, 3, 1), multi_node(3, 3, 2, 1), multi_node(3, 3, 3, 2), one_node(2, 5, 4)]
 
 
 def _hilbert_cases():
@@ -403,3 +401,16 @@ def test_result_checks_survive_python_O():
         check=True,
     )
     assert out.stdout.split() == ["raised", "raised"]
+
+
+def test_evaluation_rows_are_the_monomial_values_in_each_field():
+    # 1000^60 is far past int64: the prime rows reduce the powers as they go
+    points = [(1, 1000, -7), (0, 3, 1)]
+    exact_rows = milnor.evaluation_rows(FieldConfig.exact().realizations[0], points, 2, 60)
+    mons = monomial_basis(2, 60)
+    assert exact_rows.dtype == object
+    assert exact_rows.tolist() == [[x**u[0] * y**u[1] * z**u[2] for u in mons] for x, y, z in points]
+    for F in FieldConfig.prime_pair().realizations:
+        rows = milnor.evaluation_rows(F, points, 2, 60)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[v % F.p for v in row] for row in exact_rows.tolist()]

@@ -9,7 +9,7 @@ import pytest
 from nodalcert.assembly import jacobian_generator_coo
 from nodalcert.cli import main
 from nodalcert.errors import DegeneratePoint, NotSingular
-from nodalcert.field import FieldConfig
+from nodalcert.field import DEFAULT_PRIMES, FieldConfig
 from nodalcert.fixtures import fermat, multi_node, one_node
 from nodalcert.milnor import JacobianContext
 from nodalcert.monomials import space_dim
@@ -20,7 +20,7 @@ from nodalcert.nodal import (
     is_singular_at,
     parse_point,
 )
-from nodalcert.polynomials import compose_linear, parse_polynomial
+from nodalcert.polynomials import compose_linear, parse_polynomial, partial_derivatives
 
 _ROUTES = ("literal", "hilbert-persistence")
 _MODES = (FieldConfig.prime_pair(), FieldConfig.exact())
@@ -378,3 +378,148 @@ def test_a_certify_ledger_equals_the_ledger_of_direct_ranks(make, claim, route, 
     if not cert.passed:
         degrees = degrees[: degrees.index(cert.details.get("degree", degrees[0])) + 1]
     assert list(ctx.engine.rank_ledger.items()) == _direct_ledger(fx.f, field, degrees)
+
+
+# -- quotient tables past K from the nodes -----------------------------------
+
+# a smooth cubic surface whose partials are not monomials: the Fermat cubic
+# under an integer change of coordinates
+_SMOOTH_CUBIC = compose_linear(fermat(3, 3).f, [[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, -1], [3, 0, 0, 1]])
+# exact mode runs on cubic surfaces and a plane quintic, where Bareiss is quick
+_EXACT_FIXTURES = (one_node(3, 3, 1), multi_node(3, 3, 2, 1), multi_node(3, 3, 3, 2), one_node(2, 5, 4))
+
+
+def _node_table_cases():
+    for key in "ABCD":
+        yield pytest.param(key, FieldConfig.prime_pair(), id=f"roster-{key}")
+    for fx in _EXACT_FIXTURES:
+        yield pytest.param(fx, FieldConfig.exact(), id=f"exact-{fx.describe()}")
+    for field in _MODES:
+        yield pytest.param(None, field, id=f"smooth-{field.mode}")
+
+
+def _route_degrees(ctx, m, route):
+    """The degrees certify reads on a passing claim of m nodes."""
+    K = max(ctx.socle, m)
+    degrees = [ctx.socle + 1] if m == 0 else [K, K + 1]
+    return degrees + [degrees[-1] + 1] if route == "literal" else degrees
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+@pytest.mark.parametrize("which, field", _node_table_cases())
+def test_certify_holds_the_tables_a_fresh_context_derives(roster, which, field, route, monkeypatch):
+    from nodalcert import milnor
+
+    fx = roster.fixture(which) if isinstance(which, str) else which
+    f, points = (fx.f, fx.points) if fx else (_SMOOTH_CUBIC, ())
+    derived = []
+    real = milnor._extend_annihilator
+    monkeypatch.setattr(milnor, "_extend_annihilator", lambda F, *rest: derived.append(F.key) or real(F, *rest))
+    ctx = JacobianContext(f, field)
+    assert certify_nodal(ctx, points, route=route).kind == ("Nodal" if points else "Smooth")
+    # the nodes stay distinct in every realization: nothing past K is derived
+    assert derived == []
+    degrees = _route_degrees(ctx, len(points), route)
+    fresh = JacobianContext(f, field)
+    for k in degrees:
+        ours, theirs = ctx.quotient_reduction(k), fresh.quotient_reduction(k)
+        assert set(ours) == set(theirs)
+        for key, table in theirs.items():
+            assert ours[key].dtype == table.dtype and ours[key].flags.c_contiguous
+            assert np.array_equal(ours[key], table), (k, key)
+    assert list(ctx.engine.rank_ledger.items()) == list(fresh.engine.rank_ledger.items())
+    assert list(ctx.engine.rank_ledger) == [f"jacobian/{k}" for k in degrees]
+
+
+@pytest.mark.parametrize("field", _MODES, ids=["two-prime", "exact"])
+@pytest.mark.parametrize("route", _ROUTES)
+def test_monomial_partials_certify_with_an_empty_ledger(field, route):
+    ctx = JacobianContext(fermat(3, 4).f, field)
+    assert certify_nodal(ctx, (), route=route).verdict == "Smooth"
+    ctx.hold_node_tables([], [ctx.socle + 2])
+    assert ctx.engine.rank_ledger == {}
+
+
+def _certify_outcome(f, field, points, route, monkeypatch, from_nodes):
+    """The verdict or the error, the ledger and the held tables of certify
+    on a fresh context, with tables past K held from the nodes or not."""
+    with monkeypatch.context() as patch:
+        if not from_nodes:
+            patch.setattr(JacobianContext, "hold_node_tables", lambda self, nodes, degrees: None)
+        ctx = JacobianContext(f, field)
+        try:
+            outcome = certify_nodal(ctx, points, route=route).verdict
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+    tables = {k: {key: t.tolist() for key, t in held.items()} for k, held in ctx._qr.items()}
+    return outcome, list(ctx.engine.rank_ledger.items()), tables
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_nodes_that_meet_modulo_a_prime_certify_as_without_node_tables(route, monkeypatch):
+    # x0 -> x0, x1 -> x0 + 29 x1 moves the nodes of a two-node cubic surface
+    # to [29 : -1 : 0 : 0] and [0 : 1 : 0 : 0], one point modulo 29
+    fx = multi_node(3, 3, 2, 1)
+    f = compose_linear(fx.f, [[1, 0, 0, 0], [1, 29, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    nodes = (parse_point("[29 : -1 : 0 : 0]", 3), parse_point("[0 : 1 : 0 : 0]", 3))
+    field = FieldConfig.prime_pair(29, DEFAULT_PRIMES[0])
+    assert all(is_singular_at(f, pt) and hessian_rank_at(f, pt) == 3 for pt in nodes)
+    today = _certify_outcome(f, field, nodes, route, monkeypatch, from_nodes=False)
+    assert _certify_outcome(f, field, nodes, route, monkeypatch, from_nodes=True) == today
+    # modulo 29 the nodes' meeting point is worse than a node: h(K) exceeds
+    # 2 there, so the primes disagree at K, before any later table
+    assert today[0].startswith("FieldDisagreement: pivot columns for 'jacobian/4'")
+
+
+def test_evaluations_of_deficient_rank_in_one_field_hold_no_table(monkeypatch):
+    # the guard alone: [1 : 0 : 0 : 0] and [1 : 29 : 0 : 0] are one point
+    # modulo 29, so no table is held past K and certify derives them as before
+    from nodalcert import milnor
+
+    fx = multi_node(3, 3, 2, 1)
+    field = FieldConfig.prime_pair(29, DEFAULT_PRIMES[0])
+    ctx = JacobianContext(fx.f, field)
+    K = ctx.socle
+    assert ctx.milnor_dim(K) == 2
+    ctx.hold_node_tables([(1, 0, 0, 0), (1, 29, 0, 0)], [K + 1, K + 2])
+    assert list(ctx.engine.rank_ledger) == [f"jacobian/{K}"]
+    derived = []
+    real = milnor._extend_annihilator
+    monkeypatch.setattr(milnor, "_extend_annihilator", lambda F, *rest: derived.append(F.key) or real(F, *rest))
+    ctx.milnor_dim(K + 1)
+    assert derived == list(field.keys)
+    # the true nodes hold K+2 from the derived table of K+1
+    ctx.hold_node_tables([pt.integers for pt in fx.points], [K + 1, K + 2])
+    assert derived == list(field.keys)
+    fresh = JacobianContext(fx.f, field)
+    for k in (K, K + 1, K + 2):
+        for key, table in fresh.quotient_reduction(k).items():
+            assert np.array_equal(ctx.quotient_reduction(k)[key], table)
+    assert list(ctx.engine.rank_ledger.items()) == list(fresh.engine.rank_ledger.items())
+
+
+def test_local_checks_equal_the_rational_evaluation():
+    # rational coefficients and fractional coordinates: the integer checks
+    # read the same vanishing and Hessian ranks as the Fraction values
+    f, nodes = _moved_two_node_cubic()
+    others = (parse_point("[1 : 1/2 : -2/3 : 3]", 3), parse_point("[0 : 0 : 5/7 : 1]", 3))
+    for pt in nodes + others:
+        values = [g.evaluate(pt.coords) for g in partial_derivatives(f)]
+        assert is_singular_at(f, pt) == (not any(values))
+    for pt in nodes:
+        assert hessian_rank_at(f, pt) == 3
+    with pytest.raises(NotSingular):
+        hessian_rank_at(f, others[0])
+
+
+def test_certify_evaluates_each_derivative_once_per_node(monkeypatch):
+    from nodalcert import nodal
+
+    fx = multi_node(3, 3, 2, 1)
+    orders = []
+    real = nodal._derivatives_at
+    monkeypatch.setattr(nodal, "_derivatives_at", lambda f, pt, o: orders.append(len(o)) or real(f, pt, o))
+    assert certify_nodal(JacobianContext(fx.f), fx.points).verdict == "Nodal(2)"
+    # per node: the four first partials, then the ten second partials of
+    # the symmetric 4 x 4 Hessian, which also holds the 3 x 3 chart Hessian
+    assert orders == [4, 10, 4, 10]
