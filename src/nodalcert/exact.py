@@ -1,10 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Rank uses fraction-free Bareiss elimination on integers (optionally gmpy2
-integers when installed, pure Python ints otherwise). Reduced echelon forms
-use a Bareiss forward pass followed by a rational Gauss-Jordan back pass, so
-the expensive full-row sweeps stay in integer arithmetic and fractions only
-appear on the (much smaller) echelon rows.
+Rank uses fraction-free Bareiss elimination on Python integers. Reduced
+echelon forms use a Bareiss forward pass followed by a rational Gauss-Jordan
+back pass, so the expensive full-row sweeps stay in integer arithmetic and
+fractions only appear on the (much smaller) echelon rows.
 
 Pivot rule everywhere: first nonzero row in the earliest unfinished column —
 the same rule the prime-field kernels use, so pivot column sets are directly
@@ -17,17 +16,10 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - environment dependent
-    def mpz(x):  # type: ignore[misc]
-        return int(x)
-
-
 ExactRows = tuple[tuple[Fraction, ...], ...]
 
 
-def _to_int_matrix(rows: Sequence[Sequence]) -> list[list]:
+def _to_int_matrix(rows: Sequence[Sequence]) -> list[list[int]]:
     """Copy rows to mutable integer rows, clearing denominators per row.
 
     Row scaling by a positive integer preserves rank, row space, and reduced
@@ -40,16 +32,16 @@ def _to_int_matrix(rows: Sequence[Sequence]) -> list[list]:
             if isinstance(v, Fraction):
                 d = v.denominator
                 denom = denom * d // math.gcd(denom, d)
-        out.append([mpz(int(v * denom) if isinstance(v, Fraction) else int(v) * denom) for v in row])
+        out.append([int(v * denom) if isinstance(v, Fraction) else int(v) * denom for v in row])
     return out
 
 
-def _bareiss_forward(M: list[list]) -> list[int]:
+def _bareiss_forward(M: list[list[int]]) -> list[int]:
     """Fraction-free forward elimination of a nonempty integer matrix, in
     place; returns the pivot columns, whose count is the rank. The first
     rank rows of M are then the echelon rows."""
     R, C = len(M), len(M[0])
-    prev = mpz(1)
+    prev = 1
     pivots: list[int] = []
     r = 0
     for c in range(C):
@@ -74,7 +66,7 @@ def _bareiss_forward(M: list[list]) -> list[int]:
             # rescaling that keeps later divisions exact).
             for j in range(c + 1, C):
                 row_i[j] = (row_i[j] * pv - mic * row_r[j]) // prev
-            row_i[c] = mpz(0)
+            row_i[c] = 0
         prev = pv
         pivots.append(c)
         r += 1
@@ -107,7 +99,7 @@ def rref_fraction(rows: Sequence[Sequence]) -> tuple[ExactRows, tuple[int, ...]]
     for s in range(r):
         pc = pivots[s]
         pv = M[s][pc]
-        ech.append([Fraction(int(v), int(pv)) for v in M[s]])
+        ech.append([Fraction(v, pv) for v in M[s]])
     for s in range(r - 1, -1, -1):
         row_s = ech[s]
         pc = pivots[s]

@@ -43,7 +43,7 @@ def is_prime_u64(x: int) -> bool:
     """Deterministic Miller-Rabin for 0 <= x < 2**64."""
     if x < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if x % small == 0:
             return x == small
     d = x - 1

@@ -52,7 +52,7 @@ def min_relation_degree(ctx: JacobianContext, q_max: int | None = None) -> int:
     (default n*d)."""
     bound = ctx.n * ctx.d if q_max is None else q_max
     for r in range(bound + 1):
-        excess = syzygy_dim(ctx, r) - trivial_syzygy_dim(ctx, r)
+        excess = koszul_cohomology_dim(ctx, r + ctx.n)
         if excess < 0:
             raise InconsistentResult(f"degree-{r} pair-swap syzygies exceed all syzygies by {-excess}")
         if excess > 0:

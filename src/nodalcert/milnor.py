@@ -52,15 +52,17 @@ The quotient tables are annihilators too, at every degree: the table
 sending a monomial of S_k to its class over the standard monomials is the
 transposed kernel rows of the slice's reduced echelon form, one per free
 column g, with 1 at g and 0 at the other free columns (below d-1, the
-identity). A context keeps one table per degree, eliminated or derived,
-and from the socle degree on reads h(k) as its width. A derived
-annihilator is some basis Lambda of that space. The free columns are the
-complement of the slice's lex-first column basis, so by matroid duality
-(Lambda's rows span the orthogonal complement of the slice's row space)
-they are Lambda's lex-last column basis. Echelonizing Lambda with its
-columns reversed thus puts its pivots exactly on the free columns, and its
-rows, reversed back, are the one basis with 1 at its own free column and 0
-at the others: the eliminated table, entry for entry.
+identity). A context keeps one table per degree, which
+``quotient_reduction`` alone makes: eliminated, derived, or read off known
+zeros as below. Each records the slice's rank, so from the socle degree on
+h(k) is N_k minus the table's width. A derived annihilator is some basis
+Lambda of that space. The free columns are the complement of the slice's
+lex-first column basis, so by matroid duality (Lambda's rows span the
+orthogonal complement of the slice's row space) they are Lambda's lex-last
+column basis. Echelonizing Lambda with its columns reversed thus puts its
+pivots exactly on the free columns, and its rows, reversed back, are the
+one basis with 1 at its own free column and 0 at the others: the
+eliminated table, entry for entry.
 
 Where the ideal's zeros are known, a degree past such a table needs no
 system. Let x_1..x_m be points with coprime integer coordinates at which
@@ -74,18 +76,20 @@ are independent on S_k (they are when the points stay distinct in the
 field and k >= m-1), they are m functionals vanishing on J_k, so
 h(k) >= m. Hence h(k) = m, the annihilator of J_k is the span of the
 evaluations, and their canonical form is the degree-k table, entry for
-entry: only the m x N_k evaluation rows are echelonized
-(``JacobianContext.hold_node_tables``). The argument holds in each field,
-so it records the slice's rank there as a derivation does. Where two points
-meet modulo a prime the evaluations have rank below m, and the tables are
-derived as above instead.
+entry: only the m x N_k evaluation rows are echelonized. A nodality
+certificate hands its checked nodes to the context once
+(``JacobianContext.nodes``); from then on ``quotient_reduction`` reads
+every table it can off them before it would derive or eliminate. The
+argument holds in each field, so it records the slice's rank there as a
+derivation does. Where two points meet modulo a prime the evaluations have
+rank below m, and the table is made as without the points.
 
 That form makes each table the one way into its degree's slice: the
-standard columns, the echelon basis and, where held, the dimension are
-views of it. Column s of T is 1 at its free column g_s, 0 at the other
-free columns and -r_t[g_s] at each pivot p_t, r_t being the reduced row
-with pivot p_t, which vanishes left of p_t. So T[p_t, s] is nonzero only
-when p_t < g_s: g_s is the last nonzero row of column s
+standard columns, the echelon basis and, from the socle degree on, the
+dimension are views of it. Column s of T is 1 at its free column g_s, 0 at
+the other free columns and -r_t[g_s] at each pivot p_t, r_t being the
+reduced row with pivot p_t, which vanishes left of p_t. So T[p_t, s] is
+nonzero only when p_t < g_s: g_s is the last nonzero row of column s
 (``standard_columns``), and -T at the pivot rows gives the reduced rows'
 free entries (``jacobian_basis``).
 
@@ -205,12 +209,12 @@ def _empty_rows(field: FieldConfig, ncols: int) -> dict[str, np.ndarray]:
 
 
 class JacobianContext:
-    """Caches dimensions and one quotient-reduction table per degree for one
-    hypersurface over one field configuration; ``standard_columns``,
-    ``jacobian_basis`` and, where a table is held, ``jacobian_dim`` read
-    the table. Generator matrices are not cached: each use assembles its
-    slice again through ``generator_coo``, so no slice outlives the
-    elimination that needs it.
+    """Holds one quotient-reduction table per degree for one hypersurface
+    over one field configuration, and in its engine's ledger the rank of
+    every slice it has ranked; ``standard_columns``, ``jacobian_basis`` and,
+    from the socle degree on, ``jacobian_dim`` read the table. Generator
+    matrices are not cached: each use assembles its slice again through
+    ``generator_coo``, so no slice outlives the elimination that needs it.
 
     Single-threaded by design for its callers: parallel drivers give each
     worker its own context. (Inside one rank call the engine may rank the
@@ -239,9 +243,12 @@ class JacobianContext:
                 lead, c = g.sorted_terms()[0]
                 if all(int(c * scale) % p for p in self.field.primes):
                     self._divisors.append((j, np.array(lead, dtype=np.int64)))
-        self._dims: dict[int, int] = {}
-        # k -> per-field quotient table of degree k, eliminated or derived
+        # k -> per-field quotient table of degree k, made by quotient_reduction
         self._qr: dict[int, dict[str, np.ndarray]] = {}
+        # integer coordinates of points at which every partial vanishes over
+        # Q, as a nodality certificate has checked: quotient_reduction reads
+        # tables off them where it can (module docstring)
+        self.nodes: Sequence[Sequence[int]] | None = None
         self._tags: Counter[str] = Counter()
 
     def next_tag(self, kind: str) -> int:
@@ -271,7 +278,7 @@ class JacobianContext:
         cut = np.zeros((self.n + 1, len(E)), dtype=bool)
         for j, lead in self._divisors:
             cut[j + 1 :] |= np.all(E >= lead, axis=1)
-        return jacobian_generator_coo(self.partials, k).keep_rows(~cut.ravel())
+        return jacobian_generator_coo(self.partials, k, ~cut.ravel())
 
     def _slice_shape(self, k: int) -> tuple[int, int]:
         """The shape of ``generator_coo(k)``, without assembling it."""
@@ -304,20 +311,20 @@ class JacobianContext:
 
     def jacobian_dim(self, k: int) -> int:
         """Dimension of the degree-k slice of the partials' ideal: counted
-        for monomial partials, N_k minus the width of the degree-k quotient
-        table from the socle degree on or wherever that table is held
-        (``quotient_reduction``), and otherwise ranked, which is cheaper
-        than a table."""
+        for monomial partials, else the rank the engine's ledger holds under
+        ``jacobian/k``. From the socle degree on ``quotient_reduction``
+        records it; below, a table made earlier may have, and else the slice
+        is ranked, which is cheaper than a table."""
         if k < self.d - 1:
             return 0
-        if k not in self._dims:
-            if self._monomial_partials:
-                self._dims[k] = self._monomial_dim(k)
-            elif k >= self.socle or k in self._qr:
-                self._dims[k] = space_dim(self.n, k) - next(iter(self.quotient_reduction(k).values())).shape[1]
-            else:
-                self._dims[k] = self.engine.rank_coo(self.generator_coo(k), f"jacobian/{k}")
-        return self._dims[k]
+        if self._monomial_partials:
+            return self._monomial_dim(k)
+        label = f"jacobian/{k}"
+        if k >= self.socle:
+            self.quotient_reduction(k)
+        elif label not in self.engine.rank_ledger:
+            self.engine.rank_coo(self.generator_coo(k), label)
+        return self.engine.rank_ledger[label].rank
 
     def standard_columns(self, k: int) -> tuple[int, ...]:
         """The indices in S_k of the degree-k standard monomials, in order:
@@ -363,54 +370,38 @@ class JacobianContext:
         """Per-field table (N_k x q_k) sending a monomial index to the
         coordinates of its class over the standard complement monomials of
         the degree-k ideal slice: its annihilator in canonical form,
-        transposed, one table per degree. A table ``hold_node_tables`` holds
-        is read as it is. Past max(socle, d-1) it is derived from the held
-        table of degree k-1 (``_extend_annihilator``); else the slice is
-        assembled (``generator_coo``) and eliminated under its label.
-        ``standard_columns`` and ``jacobian_basis`` read this table; no
-        other call eliminates the slice for a basis."""
+        transposed, one table per degree, which only this method makes. Each
+        is recorded under the slice's label and shape, and made in the first
+        of three ways that applies (module docstring): the canonical
+        evaluations at ``nodes`` (``_node_annihilator``); past
+        max(socle, d-1), derived from the held table of degree k-1
+        (``_extend_annihilator``); else the slice is assembled
+        (``generator_coo``) and eliminated. ``standard_columns``,
+        ``jacobian_basis`` and, from the socle degree on, ``jacobian_dim``
+        read this table; no other call eliminates the slice for a basis."""
         if k not in self._qr:
-            label = f"jacobian/{k}"
-            if k - 1 in self._qr and k - 1 >= max(self.socle, self.d - 1):
-                held = self._qr[k - 1]
-                _, lam = self.engine.derived_rank(
-                    label, self._slice_shape(k), lambda F: _extend_annihilator(F, held[F.key], self.n, k)
-                )
+            label, shape, held = f"jacobian/{k}", self._slice_shape(k), self._qr.get(k - 1)
+            nodes = self._node_annihilator(k, held)
+            if nodes is not None:
+                _, lam = self.engine.derived_rank(label, shape, lambda F: (shape[1] - len(nodes[F.key]), nodes[F.key]))
+            elif held is not None and k - 1 >= max(self.socle, self.d - 1):
+                _, lam = self.engine.derived_rank(label, shape, lambda F: _extend_annihilator(F, held[F.key], self.n, k))
             else:
                 _, lam = self.engine.annihilator_coo(self.generator_coo(k), label)
-            self._hold(k, lam)
+            self._qr[k] = {key: np.ascontiguousarray(rows.T) for key, rows in lam.items()}
         return self._qr[k]
 
-    def _hold(self, k: int, rows: dict[str, np.ndarray]) -> None:
-        """Hold the degree-k table of the per-field annihilator rows."""
-        self._qr[k] = {key: np.ascontiguousarray(lam.T) for key, lam in rows.items()}
-
-    def hold_node_tables(self, nodes: Sequence[Sequence[int]], degrees: Sequence[int]) -> None:
-        """Hold the quotient table of each of ``degrees``, in order, as the
-        canonical form of the evaluations at ``nodes`` (module docstring),
-        recording its rank under the slice's label and shape. ``nodes`` are
-        points of coprime integer coordinates at which every partial
-        vanishes over Q, as a nodality certificate has checked. A degree k
-        is held so only where the table of k-1 is held with width
-        m = len(nodes) <= k-1, k-1 >= d-1, and the evaluations have rank m
-        in every realization; from the first degree where that fails on,
-        ``quotient_reduction`` makes the tables. Monomial partials, whose
-        dimensions are counted, hold no table."""
-        if self._monomial_partials:
-            return
-        m = len(nodes)
-        for k in degrees:
-            if k in self._qr:
-                continue
-            below = self._qr.get(k - 1)
-            if below is None or k - 1 < max(m, self.d - 1) or any(t.shape[1] != m for t in below.values()):
-                return
-            rows = {F.key: _canonical_rows(F, evaluation_rows(F, nodes, self.n, k)) for F in self.field.realizations}
-            if any(len(lam) < m for lam in rows.values()):
-                return
-            N = space_dim(self.n, k)
-            _, lam = self.engine.derived_rank(f"jacobian/{k}", self._slice_shape(k), lambda F: (N - m, rows[F.key]))
-            self._hold(k, lam)
+    def _node_annihilator(self, k: int, held: dict[str, np.ndarray] | None) -> dict[str, np.ndarray] | None:
+        """Per field key, the canonical evaluations at ``nodes`` on S_k where
+        they are the degree-k annihilator (module docstring): ``held``, the
+        table of k-1, has width m = len(nodes) <= k-1, k-1 >= d-1, and the
+        evaluations have rank m in every realization. Else None."""
+        if self.nodes is None or held is None or k - 1 < max(len(self.nodes), self.d - 1):
+            return None
+        if any(table.shape[1] != len(self.nodes) for table in held.values()):
+            return None
+        rows = {F.key: _canonical_rows(F, evaluation_rows(F, self.nodes, self.n, k)) for F in self.field.realizations}
+        return rows if all(len(lam) == len(self.nodes) for lam in rows.values()) else None
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,13 @@ A certified-nodal verdict combines two ingredients:
   degree-(K+1) slice; the m evaluations are independent while the nodes
   stay distinct in the field, so h(K+1) >= m, and Macaulay's bound gives
   h(K+1) <= m as above. So h(K+1) = m and the slice's annihilator is the
-  span of the evaluations; the same holds at K+2 from K+1.
-  ``JacobianContext.hold_node_tables`` holds these spans as the quotient
-  tables, in canonical form. Where two nodes meet modulo a prime, each
-  later table is derived from the previous degree's annihilator instead,
-  without building its slice (``milnor`` states both arguments). Either
+  span of the evaluations; the same holds at K+2 from K+1. Certify hands
+  the checked nodes to the context (``JacobianContext.nodes``) before it
+  reads any degree, and ``quotient_reduction``, which makes every table,
+  takes these spans as the tables, in canonical form, wherever the
+  argument applies. Where two nodes meet modulo a prime, each later table
+  is derived from the previous degree's annihilator instead, without
+  building its slice (``milnor`` states both arguments). Either
   way each later h is the quotient dimension of that degree's slice in
   the same field, recorded under the slice's label and shape, so the
   argument above, its one-sided bound mod p and the rank ledger are those
@@ -227,6 +229,7 @@ def certify_nodal(
                 route,
                 f"listed point {pt.to_text()} has chart Hessian rank {hrank} != {n}",
             )
+    ctx.nodes = [pt.integers for pt in points]
     m = len(points)
     K = max(ctx.socle, m)
     degrees = [ctx.socle + 1] if m == 0 else [K, K + 1]
@@ -240,8 +243,6 @@ def certify_nodal(
         if h != m:
             found = {f"h{i}": h, "degree": k} if m else {"quotient": h}
             return _failed(route, f"quotient dimension {h} != {m} at degree {k}", **found)
-        if i == 0:
-            ctx.hold_node_tables([pt.integers for pt in points], degrees[1:])
     details = {"degree": degrees[0], "h0": m, "h1": m} if m else {"degree": degrees[0]}
     return NodalCertificate(
         "Nodal" if m else "Smooth", m, m, route, details={} if route == "literal" else details

@@ -86,7 +86,7 @@ def test_the_tjurina_scan_stops_at_the_entry_cap_before_assembly(monkeypatch):
 
     assembled = []
     real = milnor.jacobian_generator_coo
-    monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k: assembled.append(k) or real(partials, k))
+    monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k, *keep: assembled.append(k) or real(partials, k, *keep))
     ctx = JacobianContext(one_node(3, 4, 1).f, FieldConfig.prime_pair())
     # the scan reads degrees 8 and 9, where h = 1 <= 8 twice; the degree-9 slice is 336 x 220
     monkeypatch.setattr(linalg, "_ENTRY_CAP", 336 * 220 - 1)
@@ -105,7 +105,7 @@ def test_no_slice_is_assembled_past_the_entry_cap(monkeypatch):
 
     assembled = []
     real = milnor.jacobian_generator_coo
-    monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k: assembled.append(k) or real(partials, k))
+    monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k, *keep: assembled.append(k) or real(partials, k, *keep))
     ctx = JacobianContext(one_node(3, 4, 1).f, FieldConfig.prime_pair())
     # the degree-5 slice is 40 x 56; ranked below the socle, or read off its table
     monkeypatch.setattr(linalg, "_ENTRY_CAP", 10)
@@ -284,7 +284,7 @@ def test_saturation_equals_ideal_past_the_socle(roster):
 def test_saturation_declines_infeasible_inputs(monkeypatch):
     assembled = []
     real = milnor.jacobian_generator_coo
-    monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k: assembled.append(k) or real(partials, k))
+    monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k, *keep: assembled.append(k) or real(partials, k, *keep))
     fx = one_node(5, 6, 808)
     ctx = JacobianContext(fx.f, FieldConfig.prime_pair())
     # the colon step needs the degree-25 table; its slice is refused before assembly

@@ -170,7 +170,7 @@ def test_a_job_over_the_entry_cap_fails_before_any_matrix_is_assembled(monkeypat
 
     assembled = []
     monkeypatch.setattr(linalg, "_ENTRY_CAP", 1_000)
-    monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k: assembled.append(k))
+    monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda partials, k, *keep: assembled.append(k))
     fx = one_node(3, 4, 1)
     for route in _ROUTES:
         for points in (fx.points, ()):
@@ -436,16 +436,17 @@ def test_certify_holds_the_tables_a_fresh_context_derives(roster, which, field, 
 def test_monomial_partials_certify_with_an_empty_ledger(field, route):
     ctx = JacobianContext(fermat(3, 4).f, field)
     assert certify_nodal(ctx, (), route=route).verdict == "Smooth"
-    ctx.hold_node_tables([], [ctx.socle + 2])
+    assert ctx.nodes == []
+    ctx.milnor_dim(ctx.socle + 2)
     assert ctx.engine.rank_ledger == {}
 
 
 def _certify_outcome(f, field, points, route, monkeypatch, from_nodes):
     """The verdict or the error, the ledger and the held tables of certify
-    on a fresh context, with tables past K held from the nodes or not."""
+    on a fresh context, with tables past K read off the nodes or not."""
     with monkeypatch.context() as patch:
         if not from_nodes:
-            patch.setattr(JacobianContext, "hold_node_tables", lambda self, nodes, degrees: None)
+            patch.setattr(JacobianContext, "_node_annihilator", lambda self, k, held: None)
         ctx = JacobianContext(f, field)
         try:
             outcome = certify_nodal(ctx, points, route=route).verdict
@@ -473,23 +474,24 @@ def test_nodes_that_meet_modulo_a_prime_certify_as_without_node_tables(route, mo
 
 def test_evaluations_of_deficient_rank_in_one_field_hold_no_table(monkeypatch):
     # the guard alone: [1 : 0 : 0 : 0] and [1 : 29 : 0 : 0] are one point
-    # modulo 29, so no table is held past K and certify derives them as before
+    # modulo 29, so no table is read off them past K: it is derived as before
     from nodalcert import milnor
 
     fx = multi_node(3, 3, 2, 1)
     field = FieldConfig.prime_pair(29, DEFAULT_PRIMES[0])
     ctx = JacobianContext(fx.f, field)
     K = ctx.socle
+    ctx.nodes = [(1, 0, 0, 0), (1, 29, 0, 0)]
     assert ctx.milnor_dim(K) == 2
-    ctx.hold_node_tables([(1, 0, 0, 0), (1, 29, 0, 0)], [K + 1, K + 2])
     assert list(ctx.engine.rank_ledger) == [f"jacobian/{K}"]
     derived = []
     real = milnor._extend_annihilator
     monkeypatch.setattr(milnor, "_extend_annihilator", lambda F, *rest: derived.append(F.key) or real(F, *rest))
     ctx.milnor_dim(K + 1)
     assert derived == list(field.keys)
-    # the true nodes hold K+2 from the derived table of K+1
-    ctx.hold_node_tables([pt.integers for pt in fx.points], [K + 1, K + 2])
+    # the true nodes give K+2 from the derived table of K+1
+    ctx.nodes = [pt.integers for pt in fx.points]
+    ctx.milnor_dim(K + 2)
     assert derived == list(field.keys)
     fresh = JacobianContext(fx.f, field)
     for k in (K, K + 1, K + 2):
@@ -523,3 +525,29 @@ def test_certify_evaluates_each_derivative_once_per_node(monkeypatch):
     # per node: the four first partials, then the ten second partials of
     # the symmetric 4 x 4 Hessian, which also holds the 3 x 3 chart Hessian
     assert orders == [4, 10, 4, 10]
+
+
+@pytest.mark.parametrize("field", _MODES, ids=["two-prime", "exact"])
+@pytest.mark.parametrize("route", _ROUTES)
+def test_tables_past_the_route_come_from_the_nodes_certify_handed_over(roster, field, route, monkeypatch):
+    # certify reads K+3 on neither route; once it has handed over its
+    # checked nodes, quotient_reduction reads K+2 and K+3 off them too:
+    # only K is assembled, and nothing is derived
+    from nodalcert import milnor
+
+    fx = roster.fixture("A")
+    derived, assembled = [], []
+    real, build = milnor._extend_annihilator, milnor.jacobian_generator_coo
+    monkeypatch.setattr(milnor, "_extend_annihilator", lambda F, *rest: derived.append(F.key) or real(F, *rest))
+    monkeypatch.setattr(milnor, "jacobian_generator_coo", lambda p, k, *keep: assembled.append(k) or build(p, k, *keep))
+    ctx = JacobianContext(fx.f, field)
+    assert certify_nodal(ctx, fx.points, route=route).passed
+    K = max(ctx.socle, len(fx.points))
+    ours = [ctx.quotient_reduction(k) for k in range(K, K + 4)]
+    assert derived == [] and assembled == [K]
+    monkeypatch.undo()
+    fresh = JacobianContext(fx.f, field)
+    for k, held in zip(range(K, K + 4), ours):
+        for key, table in fresh.quotient_reduction(k).items():
+            assert np.array_equal(held[key], table), (k, key)
+    assert list(ctx.engine.rank_ledger.items()) == list(fresh.engine.rank_ledger.items())
