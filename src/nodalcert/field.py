@@ -220,11 +220,12 @@ def parse_field_flag(text: str) -> FieldConfig:
 
 
 def fraction_mod(x: Fraction, p: int) -> int:
-    """Reduce an exact rational into F_p. The denominator must be prime to p."""
+    """Reduce an exact rational into F_p. The denominator must be prime to
+    p; a ValueError (an input error) names the prime when it is not."""
     num = x.numerator % p
     den = x.denominator % p
     if den == 0:
-        raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+        raise ValueError(f"the denominator of {x} vanishes mod the working prime {p}")
     if den == 1:
         return num
     return num * pow(den, -1, p) % p

@@ -5,6 +5,13 @@ monomials are sorted by descending lexicographic order on exponent tuples
 with x0 > x1 > ... > xn, so x0^k comes first and xn^k last. Every graded
 piece S_k is coordinatized by this ordered basis, which makes elimination
 pivots (and therefore quotient bases) deterministic.
+
+Column positions come from one sorted key per degree. A degree-k exponent
+tuple e has digits 0..k, so it is the base-(k+1) number e_0 e_1 ... e_n, and
+lexicographic order on the tuples is numeric order on these numbers. The key
+is minus that number, so the session order (descending lex) is ascending
+key order, and the position of a monomial is where its key falls among the
+basis keys of S_k: one ``np.searchsorted``.
 """
 
 from __future__ import annotations
@@ -62,22 +69,6 @@ def exponent_matrix(n: int, k: int) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
-def monomial_index(n: int, k: int) -> dict[Exponents, int]:
-    """Map each degree-k monomial to its position in the session order."""
-    return {mono: i for i, mono in enumerate(monomial_basis(n, k))}
-
-
-@lru_cache(maxsize=None)
-def _binom_table(a_max: int, b_max: int) -> np.ndarray:
-    table = np.zeros((a_max + 1, b_max + 1), dtype=np.int64)
-    for a in range(a_max + 1):
-        for b in range(min(a, b_max) + 1):
-            table[a, b] = comb(a, b)
-    table.flags.writeable = False
-    return table
-
-
 def monomial_rank(n: int, k: int, expo: Exponents) -> int:
     """Position of a degree-k monomial in the session order, O(n) time.
 
@@ -93,23 +84,19 @@ def monomial_rank(n: int, k: int, expo: Exponents) -> int:
     return rank
 
 
+@lru_cache(maxsize=None)
+def _order_keys(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights -(k+1)^(n-i) and the keys they give the basis of S_k,
+    ascending in the session order. int64 while the keys fit, Python ints
+    beyond."""
+    dtype = np.int64 if (k + 1) ** (n + 1) < 2**63 else object
+    weights = np.array([-((k + 1) ** (n - i)) for i in range(n + 1)], dtype=dtype)
+    keys = np.asarray(exponent_matrix(n, k), dtype=dtype) @ weights
+    keys.flags.writeable = False
+    return weights, keys
+
+
 def monomial_rank_rows(rows: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Vectorized :func:`monomial_rank` over an (M, n+1) exponent array."""
-    rows = np.asarray(rows, dtype=np.int64)
-    m = rows.shape[0]
-    if m == 0:
-        return np.zeros(0, dtype=np.int64)
-    if n == 0:
-        return np.zeros(m, dtype=np.int64)
-    table = _binom_table(k + n, n + 1)
-    prefix = np.cumsum(rows, axis=1)
-    rem = np.empty((m, n), dtype=np.int64)
-    rem[:, 0] = k
-    rem[:, 1:] = k - prefix[:, :-1][:, : n - 1]
-    gaps = rem - rows[:, :n] - 1
-    cols = np.arange(n, dtype=np.int64)
-    b = n - cols  # choose index per position
-    a = gaps + b[None, :]
-    # gaps == -1 encodes "no larger exponent possible": a == b-1 < b, and the
-    # zero-initialized table already returns 0 there.
-    return table[a, b[None, :]].sum(axis=1)
+    """:func:`monomial_rank` of each row of an (M, n+1) exponent array."""
+    weights, keys = _order_keys(n, k)
+    return np.searchsorted(keys, np.asarray(rows, dtype=weights.dtype).reshape(-1, n + 1) @ weights)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MixedDegree, ParseError, UnknownVariable
-from .monomials import Exponents, monomial_basis
+from .monomials import Exponents, monomial_rank_rows, space_dim
 
 Scalar = Fraction
 
@@ -323,13 +323,9 @@ def parse_polynomial(text: str, n: int) -> HomogeneousPolynomial:
 
 def polynomial_vector(f: HomogeneousPolynomial) -> list[Fraction]:
     """Exact coordinates of f over the session basis of its graded piece."""
-    basis = monomial_basis(f.n, f.degree)
-    vec = [Fraction(0)] * len(basis)
-    from .monomials import monomial_index
-
-    index = monomial_index(f.n, f.degree)
-    for expo, coeff in f.terms.items():
-        vec[index[expo]] = coeff
+    vec = [Fraction(0)] * space_dim(f.n, f.degree)
+    for pos, coeff in zip(monomial_rank_rows(list(f.terms), f.n, f.degree).tolist(), f.terms.values()):
+        vec[pos] = coeff
     return vec
 
 

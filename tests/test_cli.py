@@ -185,6 +185,18 @@ def test_period_diff_with_a_subspace_file(tmp_path, capsys):
     assert doc["results"]["injective"] is True
 
 
+def test_period_diff_with_a_denominator_divisible_by_a_working_prime(tmp_path, capsys):
+    # 2147483629 is the first default prime: an input error over the primes, rank 1 over Q
+    sub = tmp_path / "v.txt"
+    sub.write_text("x0^4 + 1/2147483629*x1^4\n")
+    argv = ["period-diff", "--fixture", "one_node:3,4,seed=101", "--subspace", str(sub)]
+    assert main(argv) == 2
+    assert "working prime 2147483629" in capsys.readouterr().err
+    code, doc = run_json(capsys, argv + ["--field", "exact"])
+    assert code == 0
+    assert doc["results"]["rank"] == 1
+
+
 def test_period_diff_rejects_fourfolds(capsys):
     code = main(["period-diff", "--fixture", "one_node:4,5,seed=505"])
     err = capsys.readouterr().err

@@ -105,6 +105,14 @@ def test_membership_and_quotient_coordinates(engine):
         assert np.array_equal(_residual(F, basis, mixed)[free], F.convert([-3]))
 
 
+def test_a_prime_field_converts_fractions_and_rejects_a_vanishing_denominator():
+    F = FieldConfig.prime_pair(5, 7).realizations[0]
+    assert F.p == 5
+    assert F.convert([Fraction(1, 2), Fraction(-3, 4), 6]).tolist() == [3, 3, 1]
+    with pytest.raises(ValueError, match="working prime 5"):
+        F.convert([1, Fraction(2, 15)])
+
+
 def test_two_prime_rank_disagreement_is_detected():
     engine = LinearEngine(FieldConfig.prime_pair(5, 7))
     with pytest.raises(FieldDisagreement):

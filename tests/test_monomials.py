@@ -11,7 +11,6 @@ from nodalcert.monomials import (
     binomial,
     exponent_matrix,
     monomial_basis,
-    monomial_index,
     monomial_rank,
     monomial_rank_rows,
     space_dim,
@@ -49,16 +48,35 @@ def test_rank_is_inverse_of_basis_order():
     n, k = 3, 4
     for i, expo in enumerate(monomial_basis(n, k)):
         assert monomial_rank(n, k, expo) == i
-    idx = monomial_index(n, k)
-    assert idx == {expo: i for i, expo in enumerate(monomial_basis(n, k))}
 
 
-def test_rank_rows_matches_scalar_rank():
-    n, k = 4, 3
+@pytest.mark.parametrize(
+    "n,k",
+    [(0, 0), (0, 6), (1, 0), (3, 0), (1, 9), (2, 7), (3, 5), (4, 3), (5, 4), (8, 2), (61, 1), (62, 1), (30, 4)],
+)
+def test_rank_rows_matches_scalar_rank(n, k):
+    # (61, 1) is the last shape with int64 keys, (62, 1) and (30, 4) take
+    # Python-int keys: (k+1)^(n+1) reaches 2^63
     basis = monomial_basis(n, k)
     rows = np.array(basis, dtype=np.int64)
     ranks = monomial_rank_rows(rows, n, k)
     assert ranks.tolist() == [monomial_rank(n, k, e) for e in basis]
+    assert monomial_rank_rows(np.zeros((0, n + 1), dtype=np.int64), n, k).tolist() == []
+
+
+@pytest.mark.parametrize("n,k,j", [(0, 5, 2), (2, 6, 2), (3, 5, 3), (4, 4, 1), (62, 1, 1), (31, 3, 1)])
+def test_rank_rows_of_sums_of_lower_degree_monomials(n, k, j):
+    # the callers rank products: a degree-(k-j) source plus a degree-j shift
+    src, shifts = exponent_matrix(n, k - j), exponent_matrix(n, j)
+    rows = (src[:, None, :] + shifts[None, :, :]).reshape(-1, n + 1)
+    ranks = monomial_rank_rows(rows, n, k)
+    assert ranks.tolist() == [monomial_rank(n, k, tuple(row)) for row in rows.tolist()]
+
+
+def test_the_key_dtype_changes_where_the_keys_leave_int64():
+    assert monomials._order_keys(61, 1)[1].dtype == np.int64
+    assert monomials._order_keys(62, 1)[1].dtype == object
+    assert monomials._order_keys(30, 4)[1].dtype == object
 
 
 def test_exponent_matrix_agrees_with_basis():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nodalcert.errors import ParseError
-from nodalcert.monomials import space_dim
+from nodalcert.monomials import monomial_rank, space_dim
 from nodalcert.polynomials import (
     HomogeneousPolynomial,
     common_denominator_scale,
@@ -121,6 +121,16 @@ def test_polynomial_vector_in_basis_coordinates():
     assert len(vec) == space_dim(2, 2)
     assert sum(1 for c in vec if c) == 2
     assert sorted(c for c in vec if c) == [1, 5]
+
+
+def test_polynomial_vector_puts_the_last_monomial_last():
+    f = parse_polynomial("x0^3 - 2/3*x2^3 + 7*x0*x1*x2", 2)
+    vec = polynomial_vector(f)
+    assert vec[0] == 1
+    assert vec[-1] == Fraction(-2, 3)
+    assert vec[monomial_rank(2, 3, (1, 1, 1))] == 7
+    assert sum(1 for c in vec if c) == 3
+    assert polynomial_vector(HomogeneousPolynomial.make(2, 3, {})) == [0] * space_dim(2, 3)
 
 
 def test_common_denominator_scale():
